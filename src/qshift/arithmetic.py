@@ -26,9 +26,10 @@ from .shift_register import shift_cascade
 from .state import (
     RegisterLayout,
     StateVector,
-    run_circuit,
-    segment_is_zero_on_support,
-    support_values,
+    require_zero,
+    run_checked,
+    run_on_support,
+    support_path,
 )
 
 
@@ -137,11 +138,6 @@ def _resolve(layout: RegisterLayout | None, reg) -> tuple[int, ...]:
     return tuple(int(w) for w in reg)
 
 
-def _require_zero(state: StateVector, wires: Sequence[int], what: str) -> None:
-    if not segment_is_zero_on_support(state, wires):
-        raise PreconditionError(f"{what} must be zero on every supported basis state")
-
-
 def add(
     state: StateVector,
     layout: RegisterLayout | None,
@@ -159,8 +155,7 @@ def add(
     b = _resolve(layout, reg_b)
     c = _resolve(layout, carries)
     circuit = build_adder_circuit(state.num_wires, a, b, c, control)
-    _require_zero(state, c, "carry wires")
-    return run_circuit(state, circuit)
+    return run_checked(state, circuit, [(c, "carry wires")])
 
 
 def controlled_add(
@@ -255,23 +250,13 @@ class MulQuantumSpec:
             )
 
 
-def mul_const_layout(spec: MulConstSpec) -> RegisterLayout:
-    """Segments A, B, ancA, carry and the shared shift control c."""
-    na, ka, nb = spec.a_width, spec.a_ancilla, spec.b_width
-    pos = 0
-    segs = []
-    for name, width in (("A", na), ("B", nb), ("ancA", ka), ("carry", nb - 1), ("c", 1)):
-        if width:
-            segs.append((name, range(pos, pos + width)))
-            pos += width
-    return RegisterLayout(segs)
+def _mul_const_widths(spec: MulConstSpec) -> tuple[tuple[str, int], ...]:
+    nb = spec.b_width
+    return (("A", spec.a_width), ("B", nb), ("ancA", spec.a_ancilla), ("carry", nb - 1), ("c", 1))
 
 
-def mul_quantum_layout(spec: MulQuantumSpec) -> RegisterLayout:
-    """Segments A, C, B, ancA, ancC, carry and the shared shift control c."""
-    pos = 0
-    segs = []
-    widths = (
+def _mul_quantum_widths(spec: MulQuantumSpec) -> tuple[tuple[str, int], ...]:
+    return (
         ("A", spec.a_width),
         ("C", spec.c_width),
         ("B", spec.b_width),
@@ -280,11 +265,39 @@ def mul_quantum_layout(spec: MulQuantumSpec) -> RegisterLayout:
         ("carry", spec.b_width - 1),
         ("c", 1),
     )
+
+
+def _packed_layout(widths: Sequence[tuple[str, int]]) -> RegisterLayout:
+    """Segments on consecutive wires in the given order; width-0 ones are left out."""
+    pos = 0
+    segs = []
     for name, width in widths:
         if width:
             segs.append((name, range(pos, pos + width)))
             pos += width
     return RegisterLayout(segs)
+
+
+def _check_layout(layout: RegisterLayout, widths: Sequence[tuple[str, int]]) -> None:
+    """Every segment the spec needs is present with the spec's width (width 0: absent)."""
+    for name, width in widths:
+        if width and not layout.has_segment(name):
+            raise PreconditionError(f"layout is missing segment {name!r}")
+        found = layout.width(name) if layout.has_segment(name) else 0
+        if found != width:
+            raise PreconditionError(
+                f"layout segment {name!r} has {found} wires, the spec needs {width}"
+            )
+
+
+def mul_const_layout(spec: MulConstSpec) -> RegisterLayout:
+    """Segments A, B, ancA, carry and the shared shift control c."""
+    return _packed_layout(_mul_const_widths(spec))
+
+
+def mul_quantum_layout(spec: MulQuantumSpec) -> RegisterLayout:
+    """Segments A, C, B, ancA, ancC, carry and the shared shift control c."""
+    return _packed_layout(_mul_quantum_widths(spec))
 
 
 def extended_addend(a_wires: Sequence[int], anc_wires: Sequence[int], shifts_done: int) -> list[int]:
@@ -301,13 +314,24 @@ def extended_addend(a_wires: Sequence[int], anc_wires: Sequence[int], shifts_don
     return ext
 
 
-def build_multiply_by_constant_circuit(spec: MulConstSpec) -> Circuit:
-    """Add-then-shift schedule over the multiplier's bits, LSB first."""
-    layout = mul_const_layout(spec)
+def _carry_wires(layout: RegisterLayout) -> tuple[int, ...]:
+    return layout.wires("carry") if layout.has_segment("carry") else ()
+
+
+def build_multiply_by_constant_circuit(
+    spec: MulConstSpec, layout: RegisterLayout | None = None
+) -> Circuit:
+    """Add-then-shift schedule over the multiplier's bits, LSB first.
+
+    Built on ``layout`` (default ``mul_const_layout(spec)``), whose
+    segments must have the spec's widths.
+    """
+    layout = layout or mul_const_layout(spec)
+    _check_layout(layout, _mul_const_widths(spec))
     a = layout.wires("A")
     anc = layout.wires("ancA")
     b = layout.wires("B")
-    carry = layout.wires("carry") if layout.has_segment("carry") else ()
+    carry = _carry_wires(layout)
     c_wire = layout.wires("c")[0]
     bits = _bits_lsb_first(spec.multiplier)
     circuit = Circuit(layout.num_wires)
@@ -327,6 +351,48 @@ def _capacity_check(max_product: int, b_width: int) -> None:
         )
 
 
+# Segments each multiplier needs at zero on every supported branch, with
+# the names its error messages give them.
+_MUL_CONST_ZERO = (
+    ("B", "accumulator B"),
+    ("ancA", "shift ancilla of A"),
+    ("carry", "carry wires"),
+    ("c", "shift control wire"),
+)
+_MUL_QUANTUM_ZERO = (
+    ("B", "accumulator B"),
+    ("ancA", "shift ancilla of A"),
+    ("ancC", "shift ancilla of C"),
+    ("carry", "carry wires"),
+    ("c", "shift control wire"),
+)
+
+
+def _run_multiplier(
+    state: StateVector,
+    layout: RegisterLayout,
+    circuit: Circuit,
+    zero: Sequence[tuple[str, str]],
+    factors: Sequence[str],
+    constant: int,
+) -> StateVector:
+    """Check a multiplier's preconditions in one pass over the basis support, then run it.
+
+    The listed segments must be zero, and ``constant`` times the largest
+    supported value of each factor segment must fit the accumulator B.
+    """
+    labels = state.nonzero_labels()
+    require_zero(
+        labels, [(layout.wires(name), what) for name, what in zero if layout.has_segment(name)]
+    )
+    product = constant
+    for name in factors:
+        product *= int(layout.values(labels, name).max(initial=0))
+    _capacity_check(product, layout.width("B"))
+    labels = support_path(state, labels)
+    return run_on_support(state, circuit, labels)
+
+
 def multiply_by_constant(
     state: StateVector, spec: MulConstSpec, layout: RegisterLayout | None = None
 ) -> StateVector:
@@ -339,27 +405,28 @@ def multiply_by_constant(
     recoverable with that many right shifts.
     """
     layout = layout or mul_const_layout(spec)
-    _validate_pipeline_layout(state, layout, ("A", "B", "ancA", "c"))
-    _require_zero(state, layout.wires("B"), "accumulator B")
-    _require_zero(state, layout.wires("ancA"), "shift ancilla of A")
-    if layout.has_segment("carry"):
-        _require_zero(state, layout.wires("carry"), "carry wires")
-    _require_zero(state, layout.wires("c"), "shift control wire")
-    a_values = support_values(state, layout, "A")
-    max_a = int(a_values.max()) if a_values.size else 0
-    _capacity_check(max_a * spec.multiplier, spec.b_width)
-    return run_circuit(state, build_multiply_by_constant_circuit(spec))
+    if layout.num_wires != state.num_wires:
+        raise PreconditionError("layout and state wire counts differ")
+    circuit = build_multiply_by_constant_circuit(spec, layout)
+    return _run_multiplier(state, layout, circuit, _MUL_CONST_ZERO, ("A",), spec.multiplier)
 
 
-def build_multiply_registers_circuit(spec: MulQuantumSpec) -> Circuit:
-    """Conditional add on C's lowest wire, then shift A left and C right."""
-    layout = mul_quantum_layout(spec)
+def build_multiply_registers_circuit(
+    spec: MulQuantumSpec, layout: RegisterLayout | None = None
+) -> Circuit:
+    """Conditional add on C's lowest wire, then shift A left and C right.
+
+    Built on ``layout`` (default ``mul_quantum_layout(spec)``), whose
+    segments must have the spec's widths.
+    """
+    layout = layout or mul_quantum_layout(spec)
+    _check_layout(layout, _mul_quantum_widths(spec))
     a = layout.wires("A")
     anc_a = layout.wires("ancA")
     c_reg = layout.wires("C")
     anc_c = layout.wires("ancC")
     b = layout.wires("B")
-    carry = layout.wires("carry") if layout.has_segment("carry") else ()
+    carry = _carry_wires(layout)
     c_wire = layout.wires("c")[0]
     circuit = Circuit(layout.num_wires)
     for p in range(spec.c_width):
@@ -382,27 +449,10 @@ def multiply_registers(
     sit in its shift ancilla, recoverable by reversing the circuit.
     """
     layout = layout or mul_quantum_layout(spec)
-    _validate_pipeline_layout(state, layout, ("A", "C", "B", "ancA", "ancC", "c"))
-    _require_zero(state, layout.wires("B"), "accumulator B")
-    _require_zero(state, layout.wires("ancA"), "shift ancilla of A")
-    _require_zero(state, layout.wires("ancC"), "shift ancilla of C")
-    if layout.has_segment("carry"):
-        _require_zero(state, layout.wires("carry"), "carry wires")
-    _require_zero(state, layout.wires("c"), "shift control wire")
-    a_values = support_values(state, layout, "A")
-    c_values = support_values(state, layout, "C")
-    max_a = int(a_values.max()) if a_values.size else 0
-    max_c = int(c_values.max()) if c_values.size else 0
-    _capacity_check(max_a * max_c, spec.b_width)
-    return run_circuit(state, build_multiply_registers_circuit(spec))
-
-
-def _validate_pipeline_layout(state, layout, required) -> None:
     if layout.num_wires != state.num_wires:
         raise PreconditionError("layout and state wire counts differ")
-    for name in required:
-        if not layout.has_segment(name):
-            raise PreconditionError(f"layout is missing segment {name!r}")
+    circuit = build_multiply_registers_circuit(spec, layout)
+    return _run_multiplier(state, layout, circuit, _MUL_QUANTUM_ZERO, ("A", "C"), 1)
 
 
 def select_qubit(
@@ -429,17 +479,13 @@ def select_qubit(
             f"selecting slot {slot} needs {passes} right shifts; "
             f"ancilla {ancilla!r} has only {len(anc)} wires"
         )
-    if passes and not segment_is_zero_on_support(state, anc[len(anc) - passes:]):
-        raise PreconditionError(
-            f"top {passes} slots of ancilla {ancilla!r} must be zero before selection"
-        )
-    _require_zero(state, layout.wires(control), "shift control wire")
     gates = shift_cascade(anc, wires, layout.wires(control)[0])
     gates.reverse()
-    circuit = Circuit(state.num_wires, gates)
-    for _ in range(passes):
-        run_circuit(state, circuit)
-    return state
+    checks = [
+        (anc[len(anc) - passes:], f"top {passes} slots of ancilla {ancilla!r}"),
+        (layout.wires(control), "shift control wire"),
+    ]
+    return run_checked(state, Circuit(state.num_wires, gates * passes), checks)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ the message), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .arithmetic import (
@@ -35,6 +36,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"{text!r} must be a finite nonnegative number")
+    return value
+
+
 def _binary_literal(text: str) -> int:
     if not text or set(text) - {"0", "1"}:
         raise argparse.ArgumentTypeError(f"{text!r} is not a binary literal")
@@ -54,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dir", choices=("left", "right"), default="left")
         p.add_argument("--in", dest="infile", required=True, metavar="FILE")
         p.add_argument("--out", dest="outfile", required=True, metavar="FILE")
-        p.add_argument("--tol", type=float, default=NORM_TOL, help="state-file norm tolerance")
+        p.add_argument("--tol", type=_tolerance, default=NORM_TOL, help="state-file norm tolerance")
 
     p_shift = sub.add_parser("shift", help="apply one shift pass to a state file")
     add_shift_args(p_shift)
@@ -75,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--l", type=_binary_literal, required=True, metavar="BITS")
     p_mc.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p_mc.add_argument("--out", dest="outfile", required=True, metavar="FILE")
-    p_mc.add_argument("--tol", type=float, default=NORM_TOL)
+    p_mc.add_argument("--tol", type=_tolerance, default=NORM_TOL)
 
     p_mq = sub.add_parser("mul-quantum", help="multiply registers A and C into B")
     p_mq.add_argument("--nA", type=_positive_int, required=True)
@@ -85,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mq.add_argument("--nB", type=_positive_int, required=True)
     p_mq.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p_mq.add_argument("--out", dest="outfile", required=True, metavar="FILE")
-    p_mq.add_argument("--tol", type=float, default=NORM_TOL)
+    p_mq.add_argument("--tol", type=_tolerance, default=NORM_TOL)
 
     p_cost = sub.add_parser("cost", help="shift/add accounting, quantum vs classical")
     p_cost.add_argument("--nA", type=_positive_int, required=True)

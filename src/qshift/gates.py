@@ -1,27 +1,50 @@
 """Gate and circuit records, standard decompositions, and basis-label evaluation.
 
 Gates are plain records over wire indices; all primitives except H act as
-permutations of the computational basis.
+permutations of the computational basis. Each permutation gate is described
+once, by the bit masks of :class:`GateMasks`; the dense kernel in
+``state.apply_gate`` and the label kernels here are all derived from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import PreconditionError
 
-GATE_ARITY = {
-    "X": 1,
-    "H": 1,
-    "CNOT": 2,
-    "SWAP": 2,
-    "CSWAP": 3,
-    "TOFFOLI": 3,
+# Positions in Gate.wires of each permutation kind's control wires and of
+# the wires it flips.
+_ROLES = {
+    "X": ((), (0,)),
+    "CNOT": ((0,), (1,)),
+    "TOFFOLI": ((0, 1), (2,)),
+    "SWAP": ((), (0, 1)),
+    "CSWAP": ((0,), (1, 2)),
 }
 
 # Every supported gate kind except H permutes basis labels with phase +1.
-PERMUTATION_KINDS = frozenset(GATE_ARITY) - {"H"}
+PERMUTATION_KINDS = frozenset(_ROLES)
+
+GATE_ARITY = {"H": 1, **{kind: len(c) + len(f) for kind, (c, f) in _ROLES.items()}}
+
+
+class GateMasks(NamedTuple):
+    """A permutation gate as bit masks over basis labels.
+
+    The gate exchanges label ``L`` with ``L ^ flip`` when every ``control``
+    bit is set in ``L`` and the ``flip`` bits of ``L`` read ``pattern`` or
+    ``pattern ^ flip``. X, CNOT and TOFFOLI flip one target bit and have
+    ``pattern`` 0, so every controlled label flips. SWAP and CSWAP flip two
+    bits and have ``pattern`` set to the second swapped bit, so they flip
+    only where those two bits differ.
+    """
+
+    control: int
+    flip: int
+    pattern: int
 
 
 @dataclass(frozen=True)
@@ -48,6 +71,20 @@ class Gate:
             raise PreconditionError(f"{self.kind} wires must be distinct: {wires}")
         if any(w < 0 for w in wires):
             raise PreconditionError(f"wire indices must be nonnegative: {wires}")
+
+    @property
+    def masks(self) -> GateMasks:
+        """Bit masks of a permutation gate; H has none."""
+        try:
+            controls, flips = _ROLES[self.kind]
+        except KeyError:
+            raise PreconditionError(f"{self.kind} is not a basis permutation") from None
+        bits = [1 << w for w in self.wires]
+        return GateMasks(
+            sum(bits[p] for p in controls),
+            sum(bits[p] for p in flips),
+            bits[flips[1]] if len(flips) == 2 else 0,
+        )
 
     @classmethod
     def x(cls, target: int) -> "Gate":
@@ -170,30 +207,18 @@ def apply_gate_to_label(gate: Gate, label: int) -> int:
 
     H is rejected: it does not map basis states to basis states.
     """
-    kind, ws = gate.kind, gate.wires
-    if kind == "X":
-        return label ^ (1 << ws[0])
-    if kind == "CNOT":
-        c, t = ws
-        if (label >> c) & 1:
-            return label ^ (1 << t)
-        return label
-    if kind == "SWAP":
-        i, j = ws
-        if ((label >> i) ^ (label >> j)) & 1:
-            return label ^ (1 << i) ^ (1 << j)
-        return label
-    if kind == "TOFFOLI":
-        c1, c2, t = ws
-        if (label >> c1) & (label >> c2) & 1:
-            return label ^ (1 << t)
-        return label
-    if kind == "CSWAP":
-        c, i, j = ws
-        if (label >> c) & 1 and ((label >> i) ^ (label >> j)) & 1:
-            return label ^ (1 << i) ^ (1 << j)
-        return label
-    raise PreconditionError(f"{kind} is not a basis permutation")
+    control, flip, pattern = gate.masks
+    if label & control == control and (label ^ pattern) & flip in (0, flip):
+        return label ^ flip
+    return label
+
+
+def apply_gate_to_labels(gate: Gate, labels: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`apply_gate_to_label` over an int64 label array."""
+    control, flip, pattern = gate.masks
+    picked = (labels ^ pattern) & flip
+    hit = ((labels & control) == control) & ((picked == 0) | (picked == flip))
+    return np.where(hit, labels ^ flip, labels)
 
 
 def apply_circuit_to_label(circuit: Circuit, label: int) -> int:

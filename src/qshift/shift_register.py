@@ -20,13 +20,7 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .gates import Circuit, Gate, expand_cswaps, expand_swaps
-from .state import (
-    RegisterLayout,
-    StateVector,
-    apply_gate,
-    run_circuit,
-    segment_is_zero_on_support,
-)
+from .state import RegisterLayout, StateVector, run_checked
 
 DIRECTIONS = ("left", "right")
 
@@ -120,11 +114,22 @@ def classical_shift_oracle(
     return (b[0],) + a[:-1], b[1:] + (a[-1],)
 
 
-def _require_control_zero(state: StateVector, layout: RegisterLayout, control: str) -> None:
-    if not segment_is_zero_on_support(state, layout.wires(control)):
-        raise PreconditionError(
-            f"control wire {control!r} must be 0 on every supported basis state"
-        )
+def _run_pass(
+    state: StateVector, layout: RegisterLayout, direction: str, rotating: bool
+) -> StateVector:
+    """One pass over segments a, b and c, after one scan of the basis support."""
+    if direction not in DIRECTIONS:
+        raise PreconditionError(f"direction must be one of {DIRECTIONS}")
+    if layout.num_wires != state.num_wires:
+        raise PreconditionError("layout and state wire counts differ")
+    c_wire = layout.wires("c")[0]
+    gates = shift_cascade(layout.wires("a"), layout.wires("b"), c_wire)
+    if direction == "right":
+        gates.reverse()
+    if rotating:
+        gates = [Gate.x(c_wire), *gates, Gate.x(c_wire)]
+    circuit = Circuit(state.num_wires, gates)
+    return run_checked(state, circuit, [(layout.wires("c"), "control wire 'c'")])
 
 
 def shift(state: StateVector, layout: RegisterLayout, direction: str = "left") -> StateVector:
@@ -133,32 +138,12 @@ def shift(state: StateVector, layout: RegisterLayout, direction: str = "left") -
     The control wire must be 0 on the whole basis support; a nonzero
     control would silently turn the pass into a rotation.
     """
-    if direction not in DIRECTIONS:
-        raise PreconditionError(f"direction must be one of {DIRECTIONS}")
-    if layout.num_wires != state.num_wires:
-        raise PreconditionError("layout and state wire counts differ")
-    _require_control_zero(state, layout, "c")
-    gates = shift_cascade(layout.wires("a"), layout.wires("b"), layout.wires("c")[0])
-    if direction == "right":
-        gates.reverse()
-    return run_circuit(state, Circuit(state.num_wires, gates))
+    return _run_pass(state, layout, direction, rotating=False)
 
 
 def rotate(state: StateVector, layout: RegisterLayout, direction: str = "left") -> StateVector:
     """One rotation pass: control is raised to 1 for the pass and restored."""
-    if direction not in DIRECTIONS:
-        raise PreconditionError(f"direction must be one of {DIRECTIONS}")
-    if layout.num_wires != state.num_wires:
-        raise PreconditionError("layout and state wire counts differ")
-    _require_control_zero(state, layout, "c")
-    c_wire = layout.wires("c")[0]
-    gates = shift_cascade(layout.wires("a"), layout.wires("b"), c_wire)
-    if direction == "right":
-        gates.reverse()
-    apply_gate(state, Gate.x(c_wire))
-    run_circuit(state, Circuit(state.num_wires, gates))
-    apply_gate(state, Gate.x(c_wire))
-    return state
+    return _run_pass(state, layout, direction, rotating=True)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,8 @@ from __future__ import annotations
 import os
 import tempfile
 
-import numpy as np
-
 from .errors import PreconditionError
-from .state import NORM_TOL, RegisterLayout, StateVector
+from .state import NORM_TOL, RegisterLayout, StateVector, check_unit_norm
 
 
 def _fmt(x: float) -> str:
@@ -49,7 +47,9 @@ def state_from_text(text: str, layout: RegisterLayout, *, norm_tol: float = NORM
         raise PreconditionError(
             f"file has {m} wires, layout expects {layout.num_wires}"
         )
-    amps = np.zeros(1 << m, dtype=np.complex128)
+    state = StateVector.from_label(m, 0)  # checks the wire ceiling before allocating
+    amps = state.amplitudes
+    amps[0] = 0.0
     seen: set[int] = set()
     for ln in lines[1:]:
         parts = ln.split()
@@ -63,13 +63,7 @@ def state_from_text(text: str, layout: RegisterLayout, *, norm_tol: float = NORM
             amps[label] = complex(float(parts[1]), float(parts[2]))
         except ValueError:
             raise PreconditionError(f"bad amplitude line {ln!r}") from None
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > norm_tol:
-        raise PreconditionError(
-            f"state file norm {norm!r} deviates from 1 beyond {norm_tol}"
-        )
-    state = StateVector.from_label(m, 0)
-    state.amplitudes = amps
+    check_unit_norm(amps, norm_tol, "state file")
     return state
 
 

@@ -284,6 +284,23 @@ def test_multiply_by_constant_rejects_dirty_registers():
         multiply_by_constant(dirty_anc, spec, lay)
 
 
+def test_multiply_by_constant_builds_on_the_callers_layout():
+    # The canonical widths in another order: B, A, ancA, carry, c.
+    spec = MulConstSpec(2, 1, 4, 0b11)
+    segments = [("B", range(0, 4)), ("A", range(4, 6)), ("ancA", [6]),
+                ("carry", range(7, 10)), ("c", [10])]
+    lay = RegisterLayout(segments)
+    state = StateVector.from_label(lay.num_wires, lay.label_with_value(0, "A", 3))
+    multiply_by_constant(state, spec, lay)
+    (label,) = state.nonzero_labels()
+    assert lay.value(int(label), "B") == 9
+    # A layout whose B is narrower than the spec's is refused, not misread.
+    narrow = RegisterLayout([("B", range(0, 3)), ("A", range(3, 5)), ("ancA", [5]),
+                             ("carry", range(6, 9)), ("c", [9]), ("spare", [10])])
+    with pytest.raises(PreconditionError):
+        multiply_by_constant(StateVector.from_label(11, 0), spec, narrow)
+
+
 def test_mul_quantum_spec_validation():
     with pytest.raises(PreconditionError):
         MulQuantumSpec(3, 1, 3, 2, 6)  # A ancilla too small

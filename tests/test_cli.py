@@ -38,6 +38,11 @@ def test_usage_errors_exit_2(capsys):
         ["shift", "--n", "4", "--k", "2", "--dir", "up", "--in", "a", "--out", "b"],
         ["gatecount", "--n", "4"],
         ["mul-const", "--nA", "4", "--kA", "2", "--nB", "4", "--l", "12", "--in", "a", "--out", "b"],
+        ["shift", "--n", "4", "--k", "2", "--in", "a", "--out", "b", "--tol", "nan"],
+        ["shift", "--n", "4", "--k", "2", "--in", "a", "--out", "b", "--tol", "inf"],
+        ["shift", "--n", "4", "--k", "2", "--in", "a", "--out", "b", "--tol", "-1"],
+        ["mul-quantum", "--nA", "1", "--kA", "1", "--nC", "1", "--kC", "1", "--nB", "2",
+         "--in", "a", "--out", "b", "--tol", "nan"],
         ["frobnicate"],
         [],
     ):

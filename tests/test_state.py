@@ -37,6 +37,9 @@ def test_state_vector_norm_enforced():
         StateVector(np.array([1.0, 1.0]))
     with pytest.raises(PreconditionError):
         StateVector(np.zeros(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(PreconditionError):
+            StateVector(np.array([1.0, bad]))
     StateVector(np.array([1.0, 0.0]))  # fine
 
 

@@ -63,6 +63,15 @@ def test_rejects_bad_inputs():
         state_from_text("wires=5\n00001 0.5 0\n", layout)  # bad norm
     with pytest.raises(PreconditionError):
         state_from_text("wires=5\n00001 one 0\n", layout)
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(PreconditionError):
+            state_from_text("wires=5\n00001 5 0\n", layout, norm_tol=tol)
+    for amplitude in ("nan 0", "1 inf", "-inf 0"):
+        with pytest.raises(PreconditionError):
+            state_from_text(f"wires=5\n00001 {amplitude}\n", layout)
+    # Over the 24-wire ceiling: rejected before 2**40 amplitudes are allocated.
+    with pytest.raises(PreconditionError):
+        state_from_text("wires=40\n" + "0" * 40 + " 1 0\n", RegisterLayout.single("q", 40))
 
 
 def test_negative_zero_is_normalized():
