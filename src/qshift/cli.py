@@ -10,6 +10,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .arithmetic import (
     MulConstSpec,
     MulQuantumSpec,
@@ -185,20 +187,17 @@ def prepare_state(kind: str, layout: RegisterLayout) -> StateVector:
 
 
 def _branch_table(state: StateVector, layout: RegisterLayout) -> str:
-    rows = []
-    for label in state.nonzero_labels():
-        label = int(label)
-        rows.append(
-            (
-                layout.value(label, "A"),
-                layout.value(label, "B"),
-                abs(state.amplitudes[label]),
-            )
-        )
-    rows.sort()
+    labels = state.nonzero_labels()
+    a = layout.values(labels, "A")
+    b = layout.values(labels, "B")
+    amps = state.amplitudes[labels]
+    # np.hypot rounds as the scalar abs() does; np.abs on a complex array
+    # may differ in the last bit.
+    amp = np.hypot(amps.real, amps.imag)
+    order = np.lexsort((amp, b, a))  # by A, then B, then amplitude
     lines = [f"{'A':>6} {'B':>6} {'amplitude':>20}"]
-    for a, b, amp in rows:
-        lines.append(f"{a:>6} {b:>6} {amp:>20.12g}")
+    for a_val, b_val, amp_val in zip(a[order].tolist(), b[order].tolist(), amp[order].tolist()):
+        lines.append(f"{a_val:>6} {b_val:>6} {amp_val:>20.12g}")
     return "\n".join(lines)
 
 

@@ -281,6 +281,10 @@ class RegisterLayout:
         if seen != set(range(len(seen))) or min(seen) < 0:
             raise PreconditionError("segments must cover wires 0..m-1 exactly")
         self.num_wires = len(seen)
+        # Display order: segments in declaration order, each MSB-first.
+        self.display_wires: tuple[int, ...] = tuple(
+            wire for wires in self._segments.values() for wire in reversed(wires)
+        )
 
     @classmethod
     def single(cls, name: str, num_wires: int) -> "RegisterLayout":
@@ -329,12 +333,8 @@ class RegisterLayout:
         return label
 
     def display_label(self, label: int) -> str:
-        """Bitstring for a label: segments in declaration order, each MSB-first."""
-        parts = []
-        for name in self._segments:
-            for wire in reversed(self._segments[name]):
-                parts.append("1" if (label >> wire) & 1 else "0")
-        return "".join(parts)
+        """Bitstring for a label: one character per wire of ``display_wires``."""
+        return "".join("1" if (label >> wire) & 1 else "0" for wire in self.display_wires)
 
     def label_from_display(self, bits: str) -> int:
         if len(bits) != self.num_wires or set(bits) - {"0", "1"}:
@@ -342,12 +342,9 @@ class RegisterLayout:
                 f"bitstring {bits!r} is not {self.num_wires} bits"
             )
         label = 0
-        pos = 0
-        for name in self._segments:
-            for wire in reversed(self._segments[name]):
-                if bits[pos] == "1":
-                    label |= 1 << wire
-                pos += 1
+        for bit, wire in zip(bits, self.display_wires):
+            if bit == "1":
+                label |= 1 << wire
         return label
 
     def __repr__(self) -> str:
@@ -365,10 +362,12 @@ def segment_value_distribution(
     """
     if layout.num_wires != state.num_wires:
         raise PreconditionError("layout and state wire counts differ")
-    wires = layout.wires(name)
-    probs = state.probabilities()
-    values = layout.values(np.arange(probs.size, dtype=np.int64), name)
-    marg = np.bincount(values, weights=probs, minlength=1 << len(wires))
+    width = layout.width(name)
+    labels = state.nonzero_labels()
+    # Zero amplitudes would only add exact zeros, so the support gives the
+    # same sums in the same order as all 2**m labels.
+    probs = np.abs(state.amplitudes[labels]) ** 2
+    marg = np.bincount(layout.values(labels, name), weights=probs, minlength=1 << width)
     return {int(v): float(p) for v, p in enumerate(marg) if p > 0.0}
 
 

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from qshift import (
+    Gate,
     MulConstSpec,
+    MulQuantumSpec,
+    StateVector,
+    apply_gate,
     mul_const_layout,
+    mul_quantum_layout,
     read_state,
     shift_layout,
+    write_state,
 )
 from qshift.cli import main, parse_args, prepare_state
 
@@ -189,6 +195,22 @@ def test_mul_quantum_end_to_end(tmp_path, capsys):
     assert len(rows) == 1 and rows[0][1] == "6"
 
 
+def test_branch_table_sorted_by_a_then_b(tmp_path, capsys):
+    src = str(tmp_path / "in.txt")
+    args = ["--nA", "2", "--kA", "1", "--nC", "2", "--kC", "1", "--nB", "4"]
+    layout = mul_quantum_layout(MulQuantumSpec(2, 1, 2, 1, 4))
+    state = StateVector.from_label(layout.num_wires, 0)
+    for wire in layout.wires("A") + layout.wires("C"):
+        apply_gate(state, Gate.h(wire))
+    write_state(state, layout, src)
+    code, out, _ = run_cli(capsys, "mul-quantum", *args, "--in", src,
+                           "--out", str(tmp_path / "out.txt"))
+    assert code == 0
+    rows = [tuple(int(x) for x in ln.split()[:2]) for ln in out.splitlines()[1:]]
+    assert rows == sorted(rows)
+    assert rows != sorted(rows, key=lambda r: (r[1], r[0]))  # the two orders differ here
+
+
 def test_cost_output(capsys):
     code, out, _ = run_cli(capsys, "cost", "--nA", "4", "--kA", "3", "--l", "1100")
     assert code == 0
@@ -214,6 +236,17 @@ def test_prepare_state_rejects_unknown_segment():
     layout = shift_layout(2, 1)
     with pytest.raises(Exception):
         prepare_state("uniform nope", layout)
+
+
+def test_non_ascii_input_file_is_domain_error(tmp_path, capsys):
+    src = tmp_path / "bad.txt"
+    src.write_bytes(b"wires=4\n\xff\xfe 1 0\n")
+    out = tmp_path / "o.txt"
+    code, _, err = run_cli(capsys, "shift", "--n", "2", "--k", "1", "--in", str(src),
+                           "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and str(src) in err and "offset 8" in err
+    assert not out.exists()
 
 
 def test_missing_input_file_is_domain_error(tmp_path, capsys):
