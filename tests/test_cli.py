@@ -38,6 +38,17 @@ def test_parse_args_gatecount():
     assert config.command == "gatecount" and config.decompose == "cnot"
 
 
+def test_parse_args_calls_are_independent():
+    rotating = parse_args(
+        ["shift", "--n", "4", "--k", "2", "--in", "a", "--out", "b", "--rotate", "--tol", "0.5"]
+    )
+    plain = parse_args(["shift", "--n", "3", "--k", "1", "--in", "c", "--out", "d"])
+    assert rotating is not plain
+    assert (rotating.rotate, rotating.tol, rotating.n) == (True, 0.5, 4)
+    assert (plain.rotate, plain.tol, plain.n) == (False, 1e-12, 3)
+    assert not hasattr(parse_args(["rotate", "--n", "4", "--k", "2", "--in", "a", "--out", "b"]), "rotate")
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
         ["shift", "--n", "0", "--k", "2", "--dir", "left", "--in", "a", "--out", "b"],

@@ -1,21 +1,38 @@
 """Properties of the support path: permutation circuits run on the nonzero labels only."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qshift import (
     Circuit,
     Gate,
     MulQuantumSpec,
+    PreconditionError,
     RegisterLayout,
     StateVector,
     apply_circuit_to_label,
+    apply_gate,
     extended_addend,
     multiply_registers,
+    rotate,
     run_circuit,
+    select_qubit,
+    shift,
+    shift_layout,
 )
+from qshift import state as state_module
 from qshift.gates import GATE_ARITY
-from qshift.state import SUPPORT_PATH_MAX_SHARE, run_on_support, support_path
+from qshift.shift_register import shift_cascade
+from qshift.state import (
+    _SCAN_BLOCK,
+    SUPPORT_PATH_MAX_SHARE,
+    _dense_steps,
+    run_on_support,
+    support_path,
+)
 
 PERMUTATION_KINDS = ("X", "CNOT", "SWAP", "TOFFOLI", "CSWAP")
 
@@ -121,3 +138,176 @@ def test_multiply_registers_on_random_layouts_matches_integer_product(case):
         assert layout.value(label, "c") == 0
         if spec.b_width > 1:
             assert layout.value(label, "carry") == 0
+
+
+def _gate_of(kind, m):
+    return st.permutations(range(m)).map(lambda ws: Gate(kind, ws[: GATE_ARITY[kind]]))
+
+
+@st.composite
+def swap_run_circuits(draw):
+    """A permutation circuit made mostly of SWAP runs (random pairs, one pair
+    repeated, or a cascade over every wire), broken by single X, CNOT,
+    TOFFOLI or CSWAP gates, and a state with -0.0 on some labels and parts."""
+    m = draw(st.integers(1, 10))
+    breakers = [_gate_of(kind, m).map(lambda g: [g])
+                for kind in ("X", "CNOT", "TOFFOLI", "CSWAP") if GATE_ARITY[kind] <= m]
+    pieces = list(breakers)
+    if m >= 2:
+        swap = _gate_of("SWAP", m)
+        cascade = st.permutations(range(m)).map(
+            lambda order: [Gate.swap(a, b) for a, b in zip(order, order[1:])]
+        )
+        runs = st.lists(swap, min_size=1, max_size=12)
+        pieces += [
+            runs,
+            runs,  # twice, to weight the draws toward SWAP runs
+            st.tuples(swap, st.integers(2, 4)).map(lambda gn: [gn[0]] * gn[1]),
+            cascade,
+            cascade.map(lambda gates: gates[::-1]),
+        ]
+    circuit = Circuit(m, [g for piece in draw(st.lists(st.one_of(pieces), max_size=8)) for g in piece])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+    amps.imag[rng.random(2**m) < 0.3] = -0.0
+    amps[rng.random(2**m) < draw(st.floats(0.0, 1.0))] = complex(-0.0, -0.0)
+    amps[0] = 1.0
+    return circuit, StateVector(amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(swap_run_circuits())
+def test_fused_dense_path_matches_gate_by_gate(case):
+    circuit, state = case
+    reference = state.copy()
+    for gate in circuit:
+        apply_gate(reference, gate)
+    fused = run_on_support(state.copy(), circuit, None)
+    assert np.array_equal(_bits(fused.amplitudes), _bits(reference.amplitudes))
+    # Each fused run leaves at least two wires to chunk over.
+    for step in _dense_steps(circuit):
+        if not isinstance(step, Gate):
+            assert len(step) > 1
+            assert len({w for gate in step for w in gate.wires}) <= circuit.num_wires - 2
+
+
+def test_shift_passes_fuse_their_swap_cascades():
+    layout = shift_layout(10, 5)
+    a, b, c = layout.wires("a"), layout.wires("b"), layout.wires("c")[0]
+    left = Circuit(layout.num_wires, shift_cascade(a, b, c))
+    right = left.reversed()
+    kinds = lambda circuit: [s.kind if isinstance(s, Gate) else len(s) for s in _dense_steps(circuit)]
+    assert kinds(left) == [7, 7, "CSWAP"]
+    assert kinds(right) == ["CSWAP", 7, 7]
+    # Below four wires no run can leave two wires to chunk over.
+    assert kinds(Circuit(3, [Gate.swap(0, 1), Gate.swap(1, 2)])) == ["SWAP", "SWAP"]
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("rotating", [False, True])
+def test_fused_pass_peak_memory_at_most_gate_by_gate(rotating, monkeypatch):
+    layout = shift_layout(10, 5)
+    m, c = layout.num_wires, layout.wires("c")[0]
+    state = StateVector.from_label(m, 0)
+    rng = np.random.default_rng(5)
+    state.amplitudes[: 1 << c] = rng.normal(size=1 << c) / np.sqrt(1 << c)
+    reference = state.copy()
+    run_pass = lambda s: (rotate if rotating else shift)(s, layout)
+    fused = _peak_bytes(lambda: run_pass(state))
+    if not rotating:
+        # Without X gates the largest temporary is one chunk of 2**(m-2)
+        # amplitudes; the rest of the peak is the pass's few small objects.
+        assert fused < 2 ** (m - 2) * state.amplitudes.itemsize * 1.125
+    # The same pass, with the same scan and checks, but every gate applied alone.
+    monkeypatch.setattr(state_module, "_dense_steps", list)
+    assert fused <= _peak_bytes(lambda: run_pass(reference))
+    assert np.array_equal(_bits(state.amplitudes), _bits(reference.amplitudes))
+
+
+@pytest.mark.parametrize("m", [13, 14, 16])
+def test_blocked_scan_matches_flatnonzero(m):
+    size = 2**m
+    rng = np.random.default_rng(m)
+    edges = [e + d for e in range(0, size + 1, _SCAN_BLOCK) for d in (-2, -1, 0, 1)]
+    for support in (
+        [0],
+        [size - 1],
+        [e for e in edges if 0 <= e < size],
+        rng.choice(size, size=size // 3, replace=False),
+        np.arange(size),
+    ):
+        state = StateVector.from_label(m, 0)
+        amps = state.amplitudes
+        amps[:] = -0.0
+        amps.imag[rng.random(size) < 0.5] = -0.0
+        amps[support] = 1.0 + 1j * rng.integers(0, 2, size=len(support))
+        want = np.flatnonzero(amps)
+        got = state.nonzero_labels()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        for limit in (0, want.size - 1, want.size, want.size + 1):
+            limited = state.nonzero_labels(limit=limit)
+            if want.size > limit:
+                assert limited is None
+            else:
+                assert np.array_equal(limited, want)
+
+
+def _state_on(m, labels, rng):
+    amps = np.zeros(2**m, dtype=np.complex128)
+    amps[labels] = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+    amps[amps == 0] = -0.0
+    return StateVector(amps / np.linalg.norm(amps))
+
+
+def _dense_and_sparse_failures(m, valid, violating, run):
+    """The PreconditionError messages of ``run`` on a support above 1/8
+    (every ``valid`` label) and on one well below it, both holding the
+    ``violating`` label; each state must come back untouched."""
+    rng = np.random.default_rng(3)
+    assert len(valid) + 1 > SUPPORT_PATH_MAX_SHARE * 2**m > 3
+    messages = []
+    for labels in (list(valid), list(valid[:2])):
+        state = _state_on(m, labels + [violating], rng)
+        before = state.amplitudes.copy()
+        with pytest.raises(PreconditionError) as excinfo:
+            run(state)
+        assert np.array_equal(_bits(state.amplitudes), _bits(before))
+        messages.append(str(excinfo.value))
+    return messages
+
+
+def test_dense_shift_names_the_violated_control_like_the_support_path():
+    layout = shift_layout(3, 2)
+    c = layout.wires("c")[0]
+    valid = list(range(1 << c))  # every label with control 0
+    messages = _dense_and_sparse_failures(
+        layout.num_wires, valid, (1 << c) | 5, lambda state: shift(state, layout)
+    )
+    assert messages == ["control wire 'c' must be zero on every supported basis state"] * 2
+
+
+@pytest.mark.parametrize("violated", ["a", "c"])
+def test_dense_select_qubit_names_the_violated_check_like_the_support_path(violated):
+    layout = shift_layout(4, 3)
+    m = layout.num_wires
+    top_a = layout.wires("a")[1:]
+    blocked = top_a + layout.wires("c")
+    valid = [label for label in range(2**m) if not any((label >> w) & 1 for w in blocked)]
+    # A label violating both checks must be named by the first, as on the support path.
+    bad = (1 << top_a[-1]) | (1 << layout.wires("c")[0]) if violated == "a" else 1 << layout.wires("c")[0]
+    messages = _dense_and_sparse_failures(
+        m, valid, bad, lambda state: select_qubit(state, layout, "b", 3, ancilla="a")
+    )
+    want = {
+        "a": "top 2 slots of ancilla 'a' must be zero on every supported basis state",
+        "c": "shift control wire must be zero on every supported basis state",
+    }[violated]
+    assert messages == [want] * 2
