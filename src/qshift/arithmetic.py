@@ -26,10 +26,10 @@ from .shift_register import shift_cascade
 from .state import (
     RegisterLayout,
     StateVector,
+    _support,
     require_zero,
-    run_checked,
+    run_circuit,
     run_on_support,
-    support_path,
 )
 
 
@@ -154,8 +154,9 @@ def add(
     a = _resolve(layout, reg_a)
     b = _resolve(layout, reg_b)
     c = _resolve(layout, carries)
-    circuit = build_adder_circuit(state.num_wires, a, b, c, control)
-    return run_checked(state, circuit, [(c, "carry wires")])
+    num_wires = state.num_wires if layout is None else layout.num_wires
+    circuit = build_adder_circuit(num_wires, a, b, c, control)
+    return run_circuit(state, circuit, [(c, "carry wires")])
 
 
 def controlled_add(
@@ -279,7 +280,7 @@ def _packed_layout(widths: Sequence[tuple[str, int]]) -> RegisterLayout:
 
 
 def _check_layout(layout: RegisterLayout, widths: Sequence[tuple[str, int]]) -> None:
-    """Every segment the spec needs is present with the spec's width (width 0: absent)."""
+    """The layout has exactly the spec's segments, each with the spec's width (width 0: absent)."""
     for name, width in widths:
         if width and not layout.has_segment(name):
             raise PreconditionError(f"layout is missing segment {name!r}")
@@ -287,6 +288,12 @@ def _check_layout(layout: RegisterLayout, widths: Sequence[tuple[str, int]]) -> 
         if found != width:
             raise PreconditionError(
                 f"layout segment {name!r} has {found} wires, the spec needs {width}"
+            )
+    named = dict(widths)
+    for name in layout.segment_names:
+        if name not in named:
+            raise PreconditionError(
+                f"layout has segment {name!r}, which the spec does not name"
             )
 
 
@@ -351,45 +358,44 @@ def _capacity_check(max_product: int, b_width: int) -> None:
         )
 
 
-# Segments each multiplier needs at zero on every supported branch, with
-# the names its error messages give them.
-_MUL_CONST_ZERO = (
-    ("B", "accumulator B"),
-    ("ancA", "shift ancilla of A"),
-    ("carry", "carry wires"),
-    ("c", "shift control wire"),
-)
-_MUL_QUANTUM_ZERO = (
-    ("B", "accumulator B"),
-    ("ancA", "shift ancilla of A"),
-    ("ancC", "shift ancilla of C"),
-    ("carry", "carry wires"),
-    ("c", "shift control wire"),
-)
+# The names the multipliers' error messages give the segments that must be
+# zero on every supported branch: every segment of the spec but the factors.
+_ZERO_SEGMENT_NAMES = {
+    "B": "accumulator B",
+    "ancA": "shift ancilla of A",
+    "ancC": "shift ancilla of C",
+    "carry": "carry wires",
+    "c": "shift control wire",
+}
 
 
 def _run_multiplier(
     state: StateVector,
     layout: RegisterLayout,
     circuit: Circuit,
-    zero: Sequence[tuple[str, str]],
+    widths: Sequence[tuple[str, int]],
     factors: Sequence[str],
     constant: int,
 ) -> StateVector:
     """Check a multiplier's preconditions in one pass over the basis support, then run it.
 
-    The listed segments must be zero, and ``constant`` times the largest
-    supported value of each factor segment must fit the accumulator B.
+    Every segment of ``widths`` but the ``factors`` must be zero, and
+    ``constant`` times the largest supported value of each factor segment
+    must fit the accumulator B.
     """
-    labels = state.nonzero_labels()
+    labels = _support(state, circuit)
     require_zero(
-        labels, [(layout.wires(name), what) for name, what in zero if layout.has_segment(name)]
+        state,
+        labels,
+        [(layout.wires(name), _ZERO_SEGMENT_NAMES[name]) for name, width in widths
+         if width and name not in factors],
     )
+    # The zero segments hold at least 3 wires, so a support that passes
+    # their checks holds at most 1/8 of the labels: the scan returned it.
     product = constant
     for name in factors:
         product *= int(layout.values(labels, name).max(initial=0))
     _capacity_check(product, layout.width("B"))
-    labels = support_path(state, labels)
     return run_on_support(state, circuit, labels)
 
 
@@ -405,10 +411,8 @@ def multiply_by_constant(
     recoverable with that many right shifts.
     """
     layout = layout or mul_const_layout(spec)
-    if layout.num_wires != state.num_wires:
-        raise PreconditionError("layout and state wire counts differ")
     circuit = build_multiply_by_constant_circuit(spec, layout)
-    return _run_multiplier(state, layout, circuit, _MUL_CONST_ZERO, ("A",), spec.multiplier)
+    return _run_multiplier(state, layout, circuit, _mul_const_widths(spec), ("A",), spec.multiplier)
 
 
 def build_multiply_registers_circuit(
@@ -434,9 +438,7 @@ def build_multiply_registers_circuit(
         circuit.extend(adder_gates(addend, b, carry, control=c_reg[0]))
         if p < spec.c_width - 1:
             circuit.extend(shift_cascade(anc_a, a, c_wire))
-            right = shift_cascade(anc_c, c_reg, c_wire)
-            right.reverse()
-            circuit.extend(right)
+            circuit.extend(shift_cascade(anc_c, c_reg, c_wire, "right"))
     return circuit
 
 
@@ -449,10 +451,8 @@ def multiply_registers(
     sit in its shift ancilla, recoverable by reversing the circuit.
     """
     layout = layout or mul_quantum_layout(spec)
-    if layout.num_wires != state.num_wires:
-        raise PreconditionError("layout and state wire counts differ")
     circuit = build_multiply_registers_circuit(spec, layout)
-    return _run_multiplier(state, layout, circuit, _MUL_QUANTUM_ZERO, ("A", "C"), 1)
+    return _run_multiplier(state, layout, circuit, _mul_quantum_widths(spec), ("A", "C"), 1)
 
 
 def select_qubit(
@@ -479,13 +479,12 @@ def select_qubit(
             f"selecting slot {slot} needs {passes} right shifts; "
             f"ancilla {ancilla!r} has only {len(anc)} wires"
         )
-    gates = shift_cascade(anc, wires, layout.wires(control)[0])
-    gates.reverse()
+    gates = shift_cascade(anc, wires, layout.wires(control)[0], "right")
     checks = [
         (anc[len(anc) - passes:], f"top {passes} slots of ancilla {ancilla!r}"),
         (layout.wires(control), "shift control wire"),
     ]
-    return run_checked(state, Circuit(state.num_wires, gates * passes), checks)
+    return run_circuit(state, Circuit(layout.num_wires, gates * passes), checks)
 
 
 @dataclass(frozen=True)

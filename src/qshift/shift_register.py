@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .gates import Circuit, Gate, expand_cswaps, expand_swaps
-from .state import RegisterLayout, StateVector, run_checked
+from .state import RegisterLayout, StateVector, run_circuit
 
 DIRECTIONS = ("left", "right")
 
@@ -53,14 +53,18 @@ def shift_layout(data_width: int, ancilla_width: int) -> RegisterLayout:
 
 
 def shift_cascade(
-    a_wires: Sequence[int], b_wires: Sequence[int], c_wire: int
+    a_wires: Sequence[int], b_wires: Sequence[int], c_wire: int, direction: str = "left"
 ) -> list[Gate]:
-    """Gates of one left pass over explicit wires, in canonical order.
+    """Gates of one pass over explicit wires, in canonical order.
 
-    The ancilla cascade carries slot a_1 to the a_k wire, the data cascade
-    bubbles from the top down, then SWAP(a_k, b_1) and the final
-    CSWAP(c, a_k, b_1) complete the pass.
+    A left pass: the ancilla cascade carries slot a_1 to the a_k wire, the
+    data cascade bubbles from the top down, then SWAP(a_k, b_1) and the
+    final CSWAP(c, a_k, b_1) complete the pass. A right pass is the exact
+    gate reversal, which inverts the left pass since every gate is an
+    involution.
     """
+    if direction not in DIRECTIONS:
+        raise PreconditionError(f"direction must be one of {DIRECTIONS}")
     k, n = len(a_wires), len(b_wires)
     if k < 1 or n < 1:
         raise PreconditionError("need at least one ancilla and one data wire")
@@ -71,20 +75,14 @@ def shift_cascade(
         gates.append(Gate.swap(b_wires[j - 1], b_wires[j]))
     gates.append(Gate.swap(a_wires[-1], b_wires[0]))
     gates.append(Gate.cswap(c_wire, a_wires[-1], b_wires[0]))
-    return gates
+    return gates if direction == "left" else gates[::-1]
 
 
 def build_shift_circuit(spec: ShiftSpec) -> Circuit:
-    """The full register circuit: n+k-1 SWAPs plus one CSWAP.
-
-    direction="right" returns the exact gate reversal, which inverts the
-    left pass since every gate is an involution.
-    """
+    """The full register circuit in the spec's direction: n+k-1 SWAPs plus one CSWAP."""
     layout = shift_layout(spec.data_width, spec.ancilla_width)
-    gates = shift_cascade(layout.wires("a"), layout.wires("b"), layout.wires("c")[0])
-    if spec.direction == "right":
-        gates.reverse()
-    return Circuit(layout.num_wires, gates)
+    a, b, c = layout.wires("a"), layout.wires("b"), layout.wires("c")[0]
+    return Circuit(layout.num_wires, shift_cascade(a, b, c, spec.direction))
 
 
 def classical_shift_oracle(
@@ -118,18 +116,12 @@ def _run_pass(
     state: StateVector, layout: RegisterLayout, direction: str, rotating: bool
 ) -> StateVector:
     """One pass over segments a, b and c, after one scan of the basis support."""
-    if direction not in DIRECTIONS:
-        raise PreconditionError(f"direction must be one of {DIRECTIONS}")
-    if layout.num_wires != state.num_wires:
-        raise PreconditionError("layout and state wire counts differ")
     c_wire = layout.wires("c")[0]
-    gates = shift_cascade(layout.wires("a"), layout.wires("b"), c_wire)
-    if direction == "right":
-        gates.reverse()
+    gates = shift_cascade(layout.wires("a"), layout.wires("b"), c_wire, direction)
     if rotating:
         gates = [Gate.x(c_wire), *gates, Gate.x(c_wire)]
-    circuit = Circuit(state.num_wires, gates)
-    return run_checked(state, circuit, [(layout.wires("c"), "control wire 'c'")])
+    circuit = Circuit(layout.num_wires, gates)
+    return run_circuit(state, circuit, [(layout.wires("c"), "control wire 'c'")])
 
 
 def shift(state: StateVector, layout: RegisterLayout, direction: str = "left") -> StateVector:

@@ -273,36 +273,33 @@ def _permute_wires(state: StateVector, swaps: list[Gate]) -> None:
         sub[...] = sub.transpose(perm).copy()
 
 
-def support_path(state: StateVector, labels: np.ndarray) -> np.ndarray | None:
-    """The labels a permutation circuit should run on, or None to run it densely.
+def _support(state: StateVector, circuit: Circuit) -> np.ndarray | None:
+    """Check the circuit's wire count against the state, then return the labels
+    to run it on: the basis support, or None to run it densely.
 
-    ``labels`` is the state's support, from ``state.nonzero_labels()``.
-    Callers rebind their name for it to the result, so that a dense run
-    does not hold the label array.
-    """
-    if labels.size <= _support_limit(state):
-        return labels
-    return None
-
-
-def _support_limit(state: StateVector) -> float:
-    return SUPPORT_PATH_MAX_SHARE * state.amplitudes.size
-
-
-def run_on_support(state: StateVector, circuit: Circuit, labels: np.ndarray | None) -> StateVector:
-    """Apply a circuit in place: on the basis support ``labels``, or densely when None.
-
-    ``labels`` comes from :func:`support_path` and needs an H-free circuit:
-    its labels are permuted gate by gate, then each amplitude moves once to
-    its final label. Amplitudes off the support stay where they are, so a
-    -0.0 there is not moved as the dense kernel would move it. The dense
-    path runs each run of SWAPs as one wire permutation, which moves every
-    amplitude exactly as the gates one by one would.
+    The scan stops once the support holds more than ``SUPPORT_PATH_MAX_SHARE``
+    of the labels; a circuit with an H gate is not scanned.
     """
     if circuit.num_wires != state.num_wires:
         raise PreconditionError(
             f"circuit has {circuit.num_wires} wires, state has {state.num_wires}"
         )
+    if not circuit.is_permutation():
+        return None
+    return state.nonzero_labels(limit=SUPPORT_PATH_MAX_SHARE * state.amplitudes.size)
+
+
+def run_on_support(state: StateVector, circuit: Circuit, labels: np.ndarray | None) -> StateVector:
+    """Apply a circuit of the state's wire count in place: on the basis
+    support ``labels``, or densely when None.
+
+    ``labels`` needs an H-free circuit: its labels are permuted gate by
+    gate, then each amplitude moves once to its final label. Amplitudes off
+    the support stay where they are, so a -0.0 there is not moved as the
+    dense kernel would move it. The dense path runs each run of SWAPs as one
+    wire permutation, which moves every amplitude exactly as the gates one
+    by one would.
+    """
     if labels is None:
         for step in _dense_steps(circuit):
             if isinstance(step, Gate):
@@ -320,33 +317,18 @@ def run_on_support(state: StateVector, circuit: Circuit, labels: np.ndarray | No
     return state
 
 
-def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply a circuit's gates in order (in place).
-
-    A permutation circuit runs on the basis support when the support holds
-    at most ``SUPPORT_PATH_MAX_SHARE`` of the labels, and densely otherwise;
-    both give the same amplitudes.
-    """
-    labels = None
-    if circuit.num_wires == state.num_wires and circuit.is_permutation():
-        labels = state.nonzero_labels(limit=_support_limit(state))
-    return run_on_support(state, circuit, labels)
-
-
-def run_checked(
-    state: StateVector, circuit: Circuit, checks: Iterable[tuple[Sequence[int], str]]
+def run_circuit(
+    state: StateVector, circuit: Circuit, checks: Iterable[tuple[Sequence[int], str]] = ()
 ) -> StateVector:
-    """Run a permutation circuit after one scan of the basis support.
+    """Apply a circuit's gates in order (in place), after its ``(wires, what)`` zero checks.
 
-    The scan stops once the support is too large for the support path. Its
-    labels, or else the dense array, answer the :func:`require_zero` checks
-    before any gate runs.
+    One scan of the basis support serves both: a permutation circuit runs
+    on the support when it holds at most ``SUPPORT_PATH_MAX_SHARE`` of the
+    labels, and densely otherwise, and both give the same amplitudes. The
+    checks (see :func:`require_zero`) fail before any gate runs.
     """
-    labels = state.nonzero_labels(limit=_support_limit(state))
-    if labels is None:
-        _require_zero_dense(state, checks)
-    else:
-        require_zero(labels, checks)
+    labels = _support(state, circuit)
+    require_zero(state, labels, checks)
     return run_on_support(state, circuit, labels)
 
 
@@ -357,31 +339,30 @@ def _wire_mask(wires: Iterable[int]) -> int:
     return mask
 
 
-def require_zero(labels: np.ndarray, checks: Iterable[tuple[Sequence[int], str]]) -> None:
+def require_zero(
+    state: StateVector, labels: np.ndarray | None, checks: Iterable[tuple[Sequence[int], str]]
+) -> None:
     """Raise PreconditionError naming the first ``(wires, what)`` check that
-    some label in ``labels`` violates by having a 1 on one of the wires.
+    some supported basis state violates by having a 1 on one of the wires.
 
-    All checks share one pass over the labels unless one fails.
+    ``labels`` is the state's support, or None to read the dense array one
+    wire's 1-slice at a time. On the labels, all checks share one pass
+    unless one fails.
     """
-    masks = [(_wire_mask(wires), what) for wires, what in checks]
-    combined = 0
-    for mask, _ in masks:
-        combined |= mask
-    if not np.any(labels & combined):
+    checks = list(checks)
+    combined = _wire_mask(w for wires, _ in checks for w in wires)
+    if labels is not None and not np.any(labels & combined):
         return
-    for mask, what in masks:
-        if np.any(labels & mask):
+    for wires, what in checks:
+        if _has_one(state, labels, wires):
             raise _nonzero_error(what)
 
 
-def _require_zero_dense(state: StateVector, checks: Iterable[tuple[Sequence[int], str]]) -> None:
-    """:func:`require_zero` on the dense array: one scan of each wire's 1-slice."""
-    m = state.num_wires
+def _has_one(state: StateVector, labels: np.ndarray | None, wires: Sequence[int]) -> bool:
+    if labels is not None:
+        return bool(np.any(labels & _wire_mask(wires)))
     t = state._tensor()
-    for wires, what in checks:
-        for wire in wires:
-            if t[_slice_index(m, (wire,), 1 << wire)].any():
-                raise _nonzero_error(what)
+    return any(t[_slice_index(state.num_wires, (w,), 1 << w)].any() for w in wires)
 
 
 def _nonzero_error(what: str) -> PreconditionError:

@@ -27,6 +27,7 @@ from qshift import (
     multiply_registers,
     num_shifts,
     oracle_add,
+    rotate,
     run_circuit,
     segment_value_distribution,
     select_qubit,
@@ -276,12 +277,11 @@ def test_multiply_by_constant_capacity_error_before_gates():
 def test_multiply_by_constant_rejects_dirty_registers():
     spec = MulConstSpec(3, 1, 4, 0b10)
     lay = mul_const_layout(spec)
-    dirty_b = StateVector.from_label(lay.num_wires, lay.label_with_value(0, "B", 1))
-    with pytest.raises(PreconditionError):
-        multiply_by_constant(dirty_b, spec, lay)
-    dirty_anc = StateVector.from_label(lay.num_wires, lay.label_with_value(0, "ancA", 1))
-    with pytest.raises(PreconditionError):
-        multiply_by_constant(dirty_anc, spec, lay)
+    for name, what in [("B", "accumulator B"), ("ancA", "shift ancilla of A"),
+                       ("carry", "carry wires"), ("c", "shift control wire")]:
+        dirty = StateVector.from_label(lay.num_wires, lay.label_with_value(0, name, 1))
+        with pytest.raises(PreconditionError, match=f"^{what} must be zero"):
+            multiply_by_constant(dirty, spec, lay)
 
 
 def test_multiply_by_constant_builds_on_the_callers_layout():
@@ -299,6 +299,56 @@ def test_multiply_by_constant_builds_on_the_callers_layout():
                              ("carry", range(6, 9)), ("c", [9]), ("spare", [10])])
     with pytest.raises(PreconditionError):
         multiply_by_constant(StateVector.from_label(11, 0), spec, narrow)
+
+
+@pytest.mark.parametrize(
+    "spec, multiply, canonical",
+    [
+        (MulConstSpec(2, 1, 4, 0b11), multiply_by_constant, mul_const_layout),
+        (MulQuantumSpec(2, 1, 2, 1, 4), multiply_registers, mul_quantum_layout),
+    ],
+    ids=["constant", "registers"],
+)
+def test_multipliers_refuse_a_segment_the_spec_does_not_name(spec, multiply, canonical):
+    lay = canonical(spec)
+    m = lay.num_wires
+    spare = RegisterLayout([*((n, lay.wires(n)) for n in lay.segment_names), ("spare", [m])])
+    state = StateVector.from_label(m + 1, 0)
+    with pytest.raises(PreconditionError, match="segment 'spare', which the spec does not name"):
+        multiply(state, spec, spare)
+    assert state.amplitude(0) == 1
+
+
+_MUL_CONST = MulConstSpec(2, 1, 3, 0b11)
+_MUL_QUANTUM = MulQuantumSpec(1, 1, 1, 1, 2)
+# Each pipeline with a layout and a basis label that it accepts and moves.
+_PIPELINES = {
+    "shift": (shift_layout(3, 2), shift, 0b101),
+    "rotate": (shift_layout(3, 2), rotate, 0b101),
+    "select_qubit": (
+        shift_layout(3, 2), lambda s, lay: select_qubit(s, lay, "b", 2, ancilla="a"), 0b101
+    ),
+    "add": (adder_layout(2, 3), lambda s, lay: add(s, lay, "A", "B", "carry"), 0b101),
+    "multiply_by_constant": (
+        mul_const_layout(_MUL_CONST), lambda s, lay: multiply_by_constant(s, _MUL_CONST, lay), 0b01
+    ),
+    "multiply_registers": (
+        mul_quantum_layout(_MUL_QUANTUM), lambda s, lay: multiply_registers(s, _MUL_QUANTUM, lay),
+        0b11,
+    ),
+}
+
+
+@pytest.mark.parametrize("extra", [-1, 2])
+@pytest.mark.parametrize("pipeline", sorted(_PIPELINES))
+def test_pipelines_refuse_a_state_whose_wire_count_differs_from_the_layout(pipeline, extra):
+    lay, run, label = _PIPELINES[pipeline]
+    assert run(StateVector.from_label(lay.num_wires, label), lay).amplitude(label) == 0
+    m = lay.num_wires + extra
+    state = StateVector.from_label(m, label)
+    with pytest.raises(PreconditionError, match=f"^circuit has {lay.num_wires} wires, state has {m}$"):
+        run(state, lay)
+    assert state.amplitude(label) == 1 and state.nonzero_labels().size == 1
 
 
 def test_mul_quantum_spec_validation():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qshift import (
     Circuit,
     Gate,
+    MulConstSpec,
     MulQuantumSpec,
     PreconditionError,
     RegisterLayout,
@@ -16,6 +17,8 @@ from qshift import (
     apply_circuit_to_label,
     apply_gate,
     extended_addend,
+    mul_const_layout,
+    mul_quantum_layout,
     multiply_registers,
     rotate,
     run_circuit,
@@ -30,8 +33,8 @@ from qshift.state import (
     _SCAN_BLOCK,
     SUPPORT_PATH_MAX_SHARE,
     _dense_steps,
+    _support,
     run_on_support,
-    support_path,
 )
 
 PERMUTATION_KINDS = ("X", "CNOT", "SWAP", "TOFFOLI", "CSWAP")
@@ -69,7 +72,7 @@ def permutation_cases(draw):
 def test_support_path_matches_dense_and_label_kernels(case):
     circuit, state, sparse = case
     labels = state.nonzero_labels()
-    assert (support_path(state, labels) is not None) == sparse
+    assert (_support(state, circuit) is not None) == sparse
     dense = run_on_support(state.copy(), circuit, None)
     on_support = run_on_support(state.copy(), circuit, labels)
     assert np.array_equal(on_support.amplitudes, dense.amplitudes)
@@ -138,6 +141,32 @@ def test_multiply_registers_on_random_layouts_matches_integer_product(case):
         assert layout.value(label, "c") == 0
         if spec.b_width > 1:
             assert layout.value(label, "carry") == 0
+
+
+@st.composite
+def multiplier_layouts(draw):
+    """The canonical layout of a valid MulConstSpec or MulQuantumSpec, and its factor segments."""
+    width = st.integers(1, 12)
+    if draw(st.booleans()):
+        a_ancilla = draw(width)
+        multiplier = draw(st.integers(0, 2 ** (a_ancilla + 1) - 1))
+        return mul_const_layout(MulConstSpec(draw(width), a_ancilla, draw(width), multiplier)), ("A",)
+    a_width, c_width = draw(width), draw(width)
+    ancilla = st.integers(max(1, c_width - 1), c_width + 4)
+    b_width = draw(st.integers(a_width + c_width, a_width + c_width + 4))
+    spec = MulQuantumSpec(a_width, draw(ancilla), c_width, draw(ancilla), b_width)
+    return mul_quantum_layout(spec), ("A", "C")
+
+
+@settings(max_examples=200, deadline=None)
+@given(multiplier_layouts())
+def test_valid_multiplier_inputs_fit_the_support_path(case):
+    # Every segment but the factors must be zero, so a valid input's
+    # support holds at most 2**(factor wires) labels; the multipliers rely
+    # on that to run every valid input on the support path.
+    layout, factors = case
+    factor_wires = sum(layout.width(name) for name in factors)
+    assert 2**factor_wires <= SUPPORT_PATH_MAX_SHARE * 2**layout.num_wires
 
 
 def _gate_of(kind, m):
@@ -267,14 +296,15 @@ def _state_on(m, labels, rng):
     return StateVector(amps / np.linalg.norm(amps))
 
 
-def _dense_and_sparse_failures(m, valid, violating, run):
+def _dense_and_sparse_failures(m, support, violating, run):
     """The PreconditionError messages of ``run`` on a support above 1/8
-    (every ``valid`` label) and on one well below it, both holding the
-    ``violating`` label; each state must come back untouched."""
+    (every label of ``support``) and on one well below it (its first two
+    labels), both holding the ``violating`` label; each state must come
+    back untouched."""
     rng = np.random.default_rng(3)
-    assert len(valid) + 1 > SUPPORT_PATH_MAX_SHARE * 2**m > 3
+    assert len(support) + 1 > SUPPORT_PATH_MAX_SHARE * 2**m > 3
     messages = []
-    for labels in (list(valid), list(valid[:2])):
+    for labels in (list(support), list(support[:2])):
         state = _state_on(m, labels + [violating], rng)
         before = state.amplitudes.copy()
         with pytest.raises(PreconditionError) as excinfo:
@@ -294,20 +324,29 @@ def test_dense_shift_names_the_violated_control_like_the_support_path():
     assert messages == ["control wire 'c' must be zero on every supported basis state"] * 2
 
 
-@pytest.mark.parametrize("violated", ["a", "c"])
+@pytest.mark.parametrize("violated", ["a", "c", "B"])
 def test_dense_select_qubit_names_the_violated_check_like_the_support_path(violated):
-    layout = shift_layout(4, 3)
+    if violated == "B":
+        # A multiplier answers its zero checks the same way. Here A, C, B
+        # and ancA are free, so B is superposed over more than 1/8 of the labels.
+        spec = MulQuantumSpec(1, 1, 1, 1, 2)
+        layout = mul_quantum_layout(spec)
+        blocked = layout.wires("ancC") + layout.wires("carry") + layout.wires("c")
+        bad = (1 << layout.wires("B")[0]) | (1 << layout.wires("c")[0])
+        run = lambda state: multiply_registers(state, spec, layout)
+    else:
+        layout = shift_layout(4, 3)
+        top_a = layout.wires("a")[1:]
+        blocked = top_a + layout.wires("c")
+        # A label violating both checks must be named by the first, as on the support path.
+        bad = (1 << top_a[-1]) | (1 << layout.wires("c")[0]) if violated == "a" else 1 << layout.wires("c")[0]
+        run = lambda state: select_qubit(state, layout, "b", 3, ancilla="a")
     m = layout.num_wires
-    top_a = layout.wires("a")[1:]
-    blocked = top_a + layout.wires("c")
-    valid = [label for label in range(2**m) if not any((label >> w) & 1 for w in blocked)]
-    # A label violating both checks must be named by the first, as on the support path.
-    bad = (1 << top_a[-1]) | (1 << layout.wires("c")[0]) if violated == "a" else 1 << layout.wires("c")[0]
-    messages = _dense_and_sparse_failures(
-        m, valid, bad, lambda state: select_qubit(state, layout, "b", 3, ancilla="a")
-    )
+    support = [label for label in range(2**m) if not any((label >> w) & 1 for w in blocked)]
+    messages = _dense_and_sparse_failures(m, support, bad, run)
     want = {
         "a": "top 2 slots of ancilla 'a' must be zero on every supported basis state",
         "c": "shift control wire must be zero on every supported basis state",
+        "B": "accumulator B must be zero on every supported basis state",
     }[violated]
     assert messages == [want] * 2
