@@ -8,21 +8,28 @@ A permutation circuit runs on its basis support when the support is small
 (at most ``SUPPORT_PATH_MAX_SHARE`` of the labels) and on the dense array
 otherwise. The support scan reads the array in cache-sized blocks and stops
 as soon as the support is too large for the label path; the dense path then
-answers the precondition checks on the array itself. On the dense path a
-run of consecutive SWAP gates only relabels wires, so it runs as one wire
-permutation of the amplitude tensor instead of one slice exchange per gate.
+answers the precondition checks on the array itself.
+
+On the dense path a run of consecutive SWAP, CSWAP and X gates that leaves
+its (at most two) control wires in place is one wire permutation per
+assignment of them
+(transposes of the amplitude tensor on at most a quarter of the array);
+a shift or rotate pass is one such run. Every other gate is one slice
+exchange.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError
-from .gates import Circuit, Gate, apply_gate_to_labels
+from .gates import Circuit, Gate, GateMasks, apply_gate_to_labels
 
 NORM_TOL = 1e-12
 SCHMIDT_TOL = 1e-10
@@ -43,12 +50,16 @@ SUPPORT_PATH_MAX_SHARE = 1 / 8
 # was slower (2 cores, numpy 2.4).
 _SCAN_BLOCK = 1 << 14
 
-# A fused SWAP run permutes one chunk of the tensor at a time, fixing this
-# many wires that the run leaves in place, so that its temporary holds
-# 2**(m-2) amplitudes: no more than one SWAP's slice exchange. Permuting
-# half-arrays cut the dense shift pass as much but raised the benchmark's
-# peak RSS by 9%.
-_CHUNK_WIRES = 2
+# A compiled wire permutation permutes one chunk of the tensor at a time,
+# fixing at least this many wires (the run's control wires, then wires it
+# leaves in place), so that its temporary holds at most 2**(m-2)
+# amplitudes: no more than one SWAP's slice exchange. Permuting half-arrays
+# cut the dense shift pass as much but raised the benchmark's peak RSS by 9%.
+_FIXED_WIRES = 2
+
+# Gate kinds that only relabel wires once their control bits are fixed; a
+# run of them compiles into wire permutations on the dense path.
+_RUN_KINDS = frozenset({"SWAP", "CSWAP", "X"})
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -107,16 +118,23 @@ class StateVector:
         """Sorted labels of the nonzero amplitudes, as ``np.flatnonzero`` gives them.
 
         With ``limit``, return None as soon as more than ``limit`` labels
-        are found, without scanning the rest of the array.
+        are found, without scanning the rest of the array. Without one, the
+        scan is one whole-array ``np.flatnonzero``: at 20 wires with every
+        label supported a blocked scan took 19.8-21.7 ms and peaked at
+        16.8 MB, holding the labels twice while it joined its blocks,
+        against 8.5-8.8 ms and 8.4 MB; at half support the two took the
+        same time (2 cores, numpy 2.4).
         """
         amps = self.amplitudes
+        if limit is None:
+            return np.flatnonzero(amps)
         found = []
         count = 0
         for start in range(0, amps.size, _SCAN_BLOCK):
             block = np.flatnonzero(amps[start:start + _SCAN_BLOCK])
             if block.size:
                 count += block.size
-                if limit is not None and count > limit:
+                if count > limit:
                     return None
                 block += start
                 found.append(block)
@@ -202,75 +220,167 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return state
 
 
-def _swap_segments(swaps: list[Gate], max_wires: int) -> list[list[Gate]]:
-    """Split a run of consecutive SWAPs into segments touching at most ``max_wires`` wires.
+class _Transpose(NamedTuple):
+    """One compiled dense step: for each of ``labels``, the sub-tensor that
+    fixes ``wires`` to that label's bits has its axes permuted by ``axes``."""
 
-    A greedy cut finds the fewest segments; the run is then cut into that
+    wires: tuple[int, ...]
+    labels: tuple[int, ...]
+    axes: tuple[int, ...]
+
+
+def _dense_steps(circuit: Circuit) -> list[Gate | _Transpose]:
+    """The circuit as dense steps: gates to run as slice exchanges, and transposes.
+
+    Each run of consecutive SWAP, CSWAP and X gates goes through
+    :func:`_compile_run`; every other gate is a step of its own.
+    """
+    steps: list[Gate | _Transpose] = []
+    for compiles, gates in itertools.groupby(circuit, key=lambda gate: gate.kind in _RUN_KINDS):
+        steps.extend(_compile_run(list(gates), circuit.num_wires) if compiles else gates)
+    return steps
+
+
+def _compile_run(gates: list[Gate], m: int) -> list[Gate | _Transpose]:
+    """A run of SWAP, CSWAP and X gates as one wire permutation per control slice.
+
+    The run's control wires are its CSWAP controls and X targets. When no
+    gate swaps a control wire and each control wire gets an even number of
+    X gates, every label keeps its control bits, and on each assignment of
+    them the run only relabels the other wires. Only runs on at most
+    ``_FIXED_WIRES`` control wires compile, as compiling walks the run once
+    per control slice. A run that does not qualify runs its plain SWAP runs
+    compiled and every other gate alone; so does a lone gate, which is
+    cheaper as a slice exchange: at 20 wires one SWAP took 1.8-4.3 ms,
+    depending on its wires, against 3.3-6.7 ms as a permutation, while runs
+    of 3 SWAPs ran 1.7-3.8 times faster as one (2 cores, numpy 2.4).
+    """
+    if len(gates) < 2:
+        return gates
+    masks = [gate.masks for gate in gates]
+    controls = swapped = parity = 0
+    for control, flip, pattern in masks:
+        if pattern:  # SWAP or CSWAP: flips two bits where they differ
+            controls |= control
+            swapped |= flip
+        else:  # X
+            controls |= flip
+            parity ^= flip
+    # A segment may touch m - _FIXED_WIRES wires, and needs two to swap.
+    too_many = controls.bit_count() > _FIXED_WIRES or m - _FIXED_WIRES < 2
+    if too_many or swapped & controls or parity:
+        if all(gate.kind == "SWAP" for gate in gates):
+            return gates
+        return [
+            step
+            for is_swap, part in itertools.groupby(gates, key=lambda gate: gate.kind == "SWAP")
+            for step in (_compile_run(list(part), m) if is_swap else part)
+        ]
+    control_wires = [w for w in range(m) if (controls >> w) & 1]
+    steps: list[Gate | _Transpose] = []
+    for bits in _assignments(control_wires):
+        for segment in _segments(_slice_swaps(masks, bits), m - _FIXED_WIRES):
+            step = _transpose(m, control_wires, bits, segment)
+            if step is not None:
+                steps.append(step)
+    return steps
+
+
+def _assignments(wires: Sequence[int]) -> list[int]:
+    """Every label whose set bits all lie on ``wires``."""
+    return [sum(((n >> i) & 1) << w for i, w in enumerate(wires)) for n in range(1 << len(wires))]
+
+
+def _slice_swaps(masks: list[GateMasks], bits: int) -> list[int]:
+    """The wire swaps, as two-bit masks, that a qualifying run makes on the
+    labels whose control wires read ``bits``, with adjacent pairs that
+    cancel dropped."""
+    swaps: list[int] = []
+    for control, flip, pattern in masks:
+        if not pattern:
+            bits ^= flip
+        elif bits & control == control:
+            if swaps and swaps[-1] == flip:
+                swaps.pop()
+            else:
+                swaps.append(flip)
+    return swaps
+
+
+def _segments(swaps: list[int], max_wires: int) -> list[list[int]]:
+    """Split a list of swap masks into segments touching at most ``max_wires`` wires.
+
+    A greedy cut finds the fewest segments; the list is then cut into that
     many segments of equal length when each still fits. At 20 wires a cycle
     of four shift and rotate passes (18 SWAPs each, so 2 segments) took
     58.6-60.2 ms with equal segments and 62.7-69.4 ms with the greedy ones,
     which leave the right passes a lone SWAP (2 cores, numpy 2.4).
     """
-    greedy: list[list[Gate]] = []
-    touched: set[int] = set()
-    for gate in swaps:
-        grown = touched.union(gate.wires)
-        if greedy and len(grown) <= max_wires:
-            greedy[-1].append(gate)
-            touched = grown
+    if not swaps:
+        return []
+    greedy: list[list[int]] = []
+    touched = 0
+    for flip in swaps:
+        if greedy and (touched | flip).bit_count() <= max_wires:
+            greedy[-1].append(flip)
+            touched |= flip
         else:
-            greedy.append([gate])
-            touched = set(gate.wires)
+            greedy.append([flip])
+            touched = flip
     size = -(-len(swaps) // len(greedy))
     even = [swaps[i:i + size] for i in range(0, len(swaps), size)]
-    if all(len({w for gate in segment for w in gate.wires}) <= max_wires for segment in even):
+    if all(functools.reduce(operator.or_, segment).bit_count() <= max_wires for segment in even):
         return even
     return greedy
 
 
-def _dense_steps(circuit: Circuit) -> list[Gate | list[Gate]]:
-    """The circuit as dense steps: a gate, or a list of SWAPs to run as one wire permutation.
+def _transpose(m: int, controls: list[int], bits: int, swaps: list[int]) -> Gate | _Transpose | None:
+    """The step that runs ``swaps`` on the control slice ``bits``: None when
+    they compose to the identity, a SWAP gate when a run without controls
+    composes to one swap (cheaper as a slice exchange), else a transpose.
 
-    Runs of two or more SWAPs fuse, in segments that touch at most m-2
-    wires. A lone SWAP is cheaper as a slice exchange: at 20 wires one took
-    1.8-4.3 ms, depending on its wires, against 3.3-6.7 ms as a permutation,
-    while runs of 3 SWAPs ran 1.7-3.8 times faster fused (2 cores, numpy 2.4).
+    The transpose fixes the control wires and, below ``_FIXED_WIRES`` of
+    them, the highest wires the swaps map to themselves, one chunk per
+    assignment.
     """
-    steps: list[Gate | list[Gate]] = []
-    for is_swap, gates in itertools.groupby(circuit, key=lambda gate: gate.kind == "SWAP"):
-        if not is_swap:
-            steps.extend(gates)
-            continue
-        for segment in _swap_segments(list(gates), circuit.num_wires - _CHUNK_WIRES):
-            steps.append(segment if len(segment) > 1 else segment[0])
-    return steps
+    src = list(range(m))  # src[w]: the wire whose bit ends up on wire w
+    for flip in swaps:
+        a, b = (flip & -flip).bit_length() - 1, flip.bit_length() - 1
+        src[a], src[b] = src[b], src[a]
+    moved = [w for w in range(m) if src[w] != w]
+    if not moved:
+        return None
+    if not controls and len(moved) == 2:
+        return Gate.swap(*moved)
+    still = [w for w in reversed(range(m)) if src[w] == w and w not in controls]
+    chunk = still[:_FIXED_WIRES - len(controls)]
+    wires = (*controls, *chunk)
+    # Wires of the chunk's sub-tensor in axis order (axis 0 holds the top wire).
+    rest = [w for w in reversed(range(m)) if w not in wires]
+    axis = {w: i for i, w in enumerate(rest)}
+    gather = [axis[src[w]] for w in rest]
+    labels = tuple(bits | extra for extra in _assignments(chunk))
+    return _Transpose(wires, labels, tuple(int(a) for a in np.argsort(gather)))
 
 
-def _permute_wires(state: StateVector, swaps: list[Gate]) -> None:
-    """Apply a run of SWAPs in place as one transpose of the amplitude tensor.
+def _apply_transpose(state: StateVector, step: _Transpose) -> None:
+    """Run a compiled step in place: copy each chunk, then scatter the copy
+    through the permuted axes.
 
-    ``src[w]`` is the wire whose bit ends up on wire ``w``. The transpose
-    runs one chunk at a time over the ``_CHUNK_WIRES`` highest wires the
-    run maps to themselves; an identity permutation does nothing.
+    Scattering timed as fast as gathering with ``sub[...] =
+    sub.transpose(gather).copy()`` or faster: in six rounds at 20 wires
+    with half the labels supported, a left shift pass took 7.4-9.2 ms
+    against 7.5-10.6 ms, a right one 10.3-12.0 against 10.4-14.2 ms, and
+    four right passes as one run 45-54 against 45-71 ms (scan and checks
+    included; 2 cores, numpy 2.4).
     """
     m = state.num_wires
-    src = list(range(m))
-    for gate in swaps:
-        a, b = gate.wires
-        src[a], src[b] = src[b], src[a]
-    fixed = [w for w in reversed(range(m)) if src[w] == w]
-    if len(fixed) == m:
-        return
-    chunk = fixed[:_CHUNK_WIRES]
-    # Wires of the chunk's sub-tensor in axis order (axis 0 holds the top wire).
-    rest = [w for w in reversed(range(m)) if w not in chunk]
-    axis = {w: i for i, w in enumerate(rest)}
-    perm = [axis[src[w]] for w in rest]
     t = state._tensor()
-    for n in range(1 << len(chunk)):
-        bits = sum(((n >> i) & 1) << w for i, w in enumerate(chunk))
-        sub = t[_slice_index(m, chunk, bits)]
-        sub[...] = sub.transpose(perm).copy()
+    for bits in step.labels:
+        sub = t[_slice_index(m, step.wires, bits)]
+        tmp = sub.copy()
+        sub.transpose(step.axes)[...] = tmp
+        del tmp  # so that the next chunk's copy does not sit beside it
 
 
 def _support(state: StateVector, circuit: Circuit) -> np.ndarray | None:
@@ -296,16 +406,16 @@ def run_on_support(state: StateVector, circuit: Circuit, labels: np.ndarray | No
     ``labels`` needs an H-free circuit: its labels are permuted gate by
     gate, then each amplitude moves once to its final label. Amplitudes off
     the support stay where they are, so a -0.0 there is not moved as the
-    dense kernel would move it. The dense path runs each run of SWAPs as one
-    wire permutation, which moves every amplitude exactly as the gates one
-    by one would.
+    dense kernel would move it. The dense path runs the steps of
+    :func:`_dense_steps`, whose wire permutations move every amplitude
+    exactly as the gates one by one would.
     """
     if labels is None:
         for step in _dense_steps(circuit):
             if isinstance(step, Gate):
                 apply_gate(state, step)
             else:
-                _permute_wires(state, step)
+                _apply_transpose(state, step)
         return state
     moved = labels
     for gate in circuit:

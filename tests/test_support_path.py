@@ -34,6 +34,7 @@ from qshift.state import (
     SUPPORT_PATH_MAX_SHARE,
     _dense_steps,
     _support,
+    _Transpose,
     run_on_support,
 )
 
@@ -174,10 +175,37 @@ def _gate_of(kind, m):
 
 
 @st.composite
+def controlled_runs(draw, m):
+    """A run of SWAP, CSWAP and X gates on 1-3 control wires: CSWAPs on any
+    of the controls and SWAPs on the other wires, with X pairs on controls
+    inserted around parts of the run, and sometimes an odd X on a control or
+    a SWAP that moves one: those two must not compile."""
+    wires = draw(st.permutations(range(m)))
+    split = draw(st.integers(1, min(3, m - 2)))
+    controls, others = wires[:split], wires[split:]
+    control = st.sampled_from(controls)
+    pair = st.permutations(others).map(lambda ws: ws[:2])
+    gate = st.one_of(
+        pair.map(lambda ab: Gate.swap(*ab)),
+        st.tuples(control, pair).map(lambda cp: Gate.cswap(cp[0], *cp[1])),
+    )
+    run = draw(st.lists(gate, min_size=1, max_size=10))
+    inserts = [Gate.x(c) for c in draw(st.lists(control, max_size=2)) for _ in range(2)]
+    if draw(st.integers(0, 3)) == 0:
+        inserts.append(Gate.x(draw(control)))
+    if draw(st.integers(0, 3)) == 0:
+        inserts.append(Gate.swap(draw(control), draw(st.sampled_from(others))))
+    for extra in inserts:
+        run.insert(draw(st.integers(0, len(run))), extra)
+    return run
+
+
+@st.composite
 def swap_run_circuits(draw):
     """A permutation circuit made mostly of SWAP runs (random pairs, one pair
-    repeated, or a cascade over every wire), broken by single X, CNOT,
-    TOFFOLI or CSWAP gates, and a state with -0.0 on some labels and parts."""
+    repeated, or a cascade over every wire) and controlled runs, broken by
+    single X, CNOT, TOFFOLI or CSWAP gates, and a state with -0.0 on some
+    labels and parts."""
     m = draw(st.integers(1, 10))
     breakers = [_gate_of(kind, m).map(lambda g: [g])
                 for kind in ("X", "CNOT", "TOFFOLI", "CSWAP") if GATE_ARITY[kind] <= m]
@@ -195,6 +223,11 @@ def swap_run_circuits(draw):
             cascade,
             cascade.map(lambda gates: gates[::-1]),
         ]
+    if m >= 3:
+        # A CNOT on each side keeps a controlled run from merging with its
+        # neighbours into a run that cannot compile.
+        cnot = _gate_of("CNOT", m)
+        pieces += [st.tuples(cnot, controlled_runs(m), cnot).map(lambda t: [t[0], *t[1], t[2]])] * 2
     circuit = Circuit(m, [g for piece in draw(st.lists(st.one_of(pieces), max_size=8)) for g in piece])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amps = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
@@ -204,32 +237,105 @@ def swap_run_circuits(draw):
     return circuit, StateVector(amps / np.linalg.norm(amps))
 
 
+def _gate_by_gate(state, circuit):
+    for gate in circuit:
+        apply_gate(state, gate)
+    return state
+
+
 @settings(max_examples=300, deadline=None)
 @given(swap_run_circuits())
 def test_fused_dense_path_matches_gate_by_gate(case):
     circuit, state = case
-    reference = state.copy()
-    for gate in circuit:
-        apply_gate(reference, gate)
+    reference = _gate_by_gate(state.copy(), circuit)
     fused = run_on_support(state.copy(), circuit, None)
     assert np.array_equal(_bits(fused.amplitudes), _bits(reference.amplitudes))
-    # Each fused run leaves at least two wires to chunk over.
+    # Each compiled step fixes at least two wires, so the chunks it permutes,
+    # and its temporary, hold at most 2**(m-2) amplitudes.
+    m = circuit.num_wires
     for step in _dense_steps(circuit):
-        if not isinstance(step, Gate):
-            assert len(step) > 1
-            assert len({w for gate in step for w in gate.wires}) <= circuit.num_wires - 2
+        if isinstance(step, _Transpose):
+            assert len(step.wires) >= 2
+            assert sorted(step.axes) == list(range(m - len(step.wires)))
+            moved = sum(axis != i for i, axis in enumerate(step.axes))
+            assert moved >= 2
+            # A step over four chunks fixes no control wire; one swap there
+            # runs as a slice exchange, which is cheaper.
+            if len(step.labels) == 4:
+                assert moved > 2
+
+
+def _left_kinds(circuit):
+    """Kinds of the gates that the dense path still runs one by one."""
+    return [step.kind for step in _dense_steps(circuit) if isinstance(step, Gate)]
+
+
+def test_runs_compile_only_when_their_controls_stay_put():
+    m = 7
+    swaps = [Gate.swap(0, 1), Gate.swap(1, 2), Gate.swap(2, 3)]
+    compiled = [
+        # CSWAPs sharing a control, with X pairs on it.
+        [Gate.x(6), *swaps, Gate.cswap(6, 0, 1), Gate.x(6), Gate.cswap(6, 2, 4), Gate.x(6), Gate.x(6)],
+        # CSWAPs with different controls: four control slices.
+        [Gate.cswap(5, 0, 1), *swaps, Gate.cswap(6, 3, 4), Gate.x(5), Gate.x(5)],
+        swaps,
+    ]
+    for gates in compiled:
+        assert _left_kinds(Circuit(m, gates)) == []
+    fixed = {step.wires[:2] for step in _dense_steps(Circuit(m, compiled[1]))}
+    assert fixed == {(5, 6)}
+    # Without controls, a segment that composes to one swap is a SWAP gate.
+    split = _dense_steps(Circuit(4, [Gate.swap(0, 1), Gate.swap(2, 3)]))
+    assert split == [Gate.swap(0, 1), Gate.swap(2, 3)]
+    assert _dense_steps(Circuit(m, [Gate.swap(0, 1), Gate.swap(1, 2), Gate.swap(0, 1)])) == [Gate.swap(0, 2)]
+    # Runs that compose to the identity on every slice leave no step.
+    assert _dense_steps(Circuit(m, [Gate.swap(0, 1), Gate.swap(1, 2)] * 3)) == []
+    assert _dense_steps(Circuit(m, [Gate.x(6), Gate.cswap(6, 0, 1), Gate.x(6)] * 2)) == []
+    falls_back = {
+        # An odd number of X gates on a control.
+        ("X", "CSWAP"): [Gate.x(6), *swaps, Gate.cswap(6, 0, 1)],
+        ("X", "X", "X"): [Gate.x(6), *swaps, Gate.x(6), Gate.x(6)],
+        # A control wire that a later SWAP moves.
+        ("CSWAP",): [Gate.cswap(6, 0, 1), *swaps, Gate.swap(6, 5)],
+        ("CSWAP", "CSWAP"): [Gate.cswap(6, 0, 1), Gate.cswap(1, 6, 2), *swaps],
+        # An X target is a control wire too, CSWAP or not.
+        ("X", "X"): [Gate.x(6), Gate.swap(6, 0), *swaps, Gate.x(6)],
+        # More control wires than a chunk fixes: compiling would walk the
+        # run once per control slice.
+        ("CSWAP", "CSWAP", "CSWAP"): [Gate.cswap(4, 0, 1), *swaps, Gate.cswap(5, 0, 2), Gate.cswap(6, 1, 2)],
+        ("X", "X", "X", "X", "X", "X"): [Gate.x(4), Gate.x(5), Gate.x(6), *swaps, Gate.x(4), Gate.x(5), Gate.x(6)],
+    }
+    rng = np.random.default_rng(1)
+    for left, gates in falls_back.items():
+        circuit = Circuit(m, gates)
+        assert tuple(_left_kinds(circuit)) == left
+        # The plain SWAP runs between them still compile.
+        assert any(isinstance(step, _Transpose) for step in _dense_steps(circuit))
+    for gates in [*compiled, *falls_back.values()]:
+        circuit = Circuit(m, gates)
+        state = _state_on(m, list(range(2**m)), rng)
+        want = _gate_by_gate(state.copy(), circuit)
+        got = run_on_support(state, circuit, None)
+        assert np.array_equal(_bits(got.amplitudes), _bits(want.amplitudes))
 
 
 def test_shift_passes_fuse_their_swap_cascades():
     layout = shift_layout(10, 5)
-    a, b, c = layout.wires("a"), layout.wires("b"), layout.wires("c")[0]
-    left = Circuit(layout.num_wires, shift_cascade(a, b, c))
-    right = left.reversed()
-    kinds = lambda circuit: [s.kind if isinstance(s, Gate) else len(s) for s in _dense_steps(circuit)]
-    assert kinds(left) == [7, 7, "CSWAP"]
-    assert kinds(right) == ["CSWAP", 7, 7]
+    m, c = layout.num_wires, layout.wires("c")[0]
+    left = shift_cascade(layout.wires("a"), layout.wires("b"), c)
+    rotate_left = [Gate.x(c), *left, Gate.x(c)]
+    passes = [left, left[::-1], rotate_left, rotate_left[::-1], left[::-1] * 3]
+    for gates in passes:
+        steps = _dense_steps(Circuit(m, gates))
+        # No X or CSWAP is left: every step permutes the wires of one
+        # control slice, a quarter of the array at a time.
+        assert steps and all(isinstance(step, _Transpose) for step in steps)
+        assert {step.wires[0] for step in steps} == {c}
+        assert {len(step.labels) for step in steps} == {2}
+    # Each pass is two segments on each of its two control slices.
+    assert [len(_dense_steps(Circuit(m, gates))) for gates in passes[:4]] == [4, 4, 4, 4]
     # Below four wires no run can leave two wires to chunk over.
-    assert kinds(Circuit(3, [Gate.swap(0, 1), Gate.swap(1, 2)])) == ["SWAP", "SWAP"]
+    assert _left_kinds(Circuit(3, [Gate.swap(0, 1), Gate.swap(1, 2)])) == ["SWAP", "SWAP"]
 
 
 def _peak_bytes(fn) -> int:
@@ -261,6 +367,50 @@ def test_fused_pass_peak_memory_at_most_gate_by_gate(rotating, monkeypatch):
     assert np.array_equal(_bits(state.amplitudes), _bits(reference.amplitudes))
 
 
+def _select_qubit_input(layout, slot, rng):
+    """A state on every label that select_qubit's checks allow, with -0.0
+    imaginary parts on some labels and -0.0 off the support."""
+    m, anc = layout.num_wires, layout.wires("a")
+    blocked = anc[len(anc) - (slot - 1):] + layout.wires("c")
+    support = [label for label in range(2**m) if not any((label >> w) & 1 for w in blocked)]
+    state = _state_on(m, support, rng)
+    state.amplitudes.imag[support[::3]] = -0.0
+    return state
+
+
+@pytest.mark.parametrize("slot", [3, 4])
+def test_dense_select_qubit_matches_gate_by_gate(slot, monkeypatch):
+    # Slot 3 or more leaves at most 1/8 of the labels free, so a valid
+    # input takes the support path; a zero share sends it to the dense array.
+    monkeypatch.setattr(state_module, "SUPPORT_PATH_MAX_SHARE", 0.0)
+    layout = shift_layout(6, 4)
+    state = _select_qubit_input(layout, slot, np.random.default_rng(slot))
+    passes = shift_cascade(layout.wires("a"), layout.wires("b"), layout.wires("c")[0], "right")
+    circuit = Circuit(layout.num_wires, passes * (slot - 1))
+    assert _support(state, circuit) is None
+    want = _gate_by_gate(state.copy(), circuit)
+    select_qubit(state, layout, "b", slot, ancilla="a")
+    assert np.array_equal(_bits(state.amplitudes), _bits(want.amplitudes))
+
+
+@pytest.mark.parametrize("run", ["shift right", "rotate left", "rotate right", "select_qubit"])
+def test_compiled_passes_peak_under_one_chunk(run, monkeypatch):
+    layout = shift_layout(10, 5)
+    m, c = layout.num_wires, layout.wires("c")[0]
+    rng = np.random.default_rng(5)
+    if run == "select_qubit":
+        monkeypatch.setattr(state_module, "SUPPORT_PATH_MAX_SHARE", 0.0)
+        state = _select_qubit_input(layout, 3, rng)
+        go = lambda: select_qubit(state, layout, "b", 3, ancilla="a")
+    else:
+        state = _state_on(m, list(range(1 << c)), rng)
+        kind, direction = run.split()
+        go = lambda: {"shift": shift, "rotate": rotate}[kind](state, layout, direction)
+    # The largest temporary is one chunk of 2**(m-2) amplitudes; the rest
+    # of the peak is the run's few small objects.
+    assert _peak_bytes(go) < 2 ** (m - 2) * state.amplitudes.itemsize * 1.125
+
+
 @pytest.mark.parametrize("m", [13, 14, 16])
 def test_blocked_scan_matches_flatnonzero(m):
     size = 2**m
@@ -279,14 +429,15 @@ def test_blocked_scan_matches_flatnonzero(m):
         amps.imag[rng.random(size) < 0.5] = -0.0
         amps[support] = 1.0 + 1j * rng.integers(0, 2, size=len(support))
         want = np.flatnonzero(amps)
-        got = state.nonzero_labels()
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        for limit in (0, want.size - 1, want.size, want.size + 1):
-            limited = state.nonzero_labels(limit=limit)
-            if want.size > limit:
-                assert limited is None
+        for limit in (None, 0, want.size - 1, want.size, want.size + 1):
+            got = state.nonzero_labels(limit=limit)
+            if limit is not None and want.size > limit:
+                assert got is None
             else:
-                assert np.array_equal(limited, want)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        # Without a limit the labels are held once, not once per block and
+        # again joined.
+        assert _peak_bytes(state.nonzero_labels) < want.nbytes + 4096
 
 
 def _state_on(m, labels, rng):
