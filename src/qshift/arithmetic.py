@@ -178,9 +178,13 @@ def oracle_add(state: StateVector, reg_a: Sequence[int], reg_b: Sequence[int]) -
     """
     a = tuple(int(w) for w in reg_a)
     b = tuple(int(w) for w in reg_b)
+    m = state.num_wires
+    for name, wires in (("addend", a), ("target", b)):
+        if not wires:
+            raise PreconditionError(f"{name} register must have at least one wire")
+        if min(wires) < 0 or max(wires) >= m:
+            raise PreconditionError(f"{name} register wires {list(wires)} are not all in 0..{m - 1}")
     _check_disjoint({"addend": a, "target": b})
-    if max(a + b) >= state.num_wires:
-        raise PreconditionError("register wires exceed the state")
     labels = np.arange(state.amplitudes.size, dtype=np.int64)
     a_val = np.zeros_like(labels)
     for slot, wire in enumerate(a):
@@ -551,9 +555,11 @@ def cost_report(
         raise PreconditionError("register widths must be at least 1")
     if multiplier < 0:
         raise PreconditionError("multiplier must be nonnegative")
-    shifts = num_shifts(multiplier)
     if num_values is None:
         num_values = 1 << a_width
+    elif num_values < 1:
+        raise PreconditionError(f"num_values must be at least 1, got {num_values}")
+    shifts = num_shifts(multiplier)
     per_shift = a_width + a_ancilla - 1
     return CostReport(
         a_width=a_width,

@@ -12,24 +12,22 @@ answers the precondition checks on the array itself.
 
 On the dense path a run of consecutive SWAP, CSWAP and X gates that leaves
 its (at most two) control wires in place is one wire permutation per
-assignment of them
-(transposes of the amplitude tensor on at most a quarter of the array);
-a shift or rotate pass is one such run. Every other gate is one slice
-exchange.
+assignment of them: one transpose of the amplitude tensor, a quarter of the
+array at a time, then a slice exchange for each swap peeled off so that the
+transpose leaves two wires in place. A shift or rotate pass is one such run.
+Every other gate is one slice exchange.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError
-from .gates import Circuit, Gate, GateMasks, apply_gate_to_labels
+from .gates import Circuit, Gate, apply_gate_to_labels
 
 NORM_TOL = 1e-12
 SCHMIDT_TOL = 1e-10
@@ -51,10 +49,11 @@ SUPPORT_PATH_MAX_SHARE = 1 / 8
 _SCAN_BLOCK = 1 << 14
 
 # A compiled wire permutation permutes one chunk of the tensor at a time,
-# fixing at least this many wires (the run's control wires, then wires it
-# leaves in place), so that its temporary holds at most 2**(m-2)
-# amplitudes: no more than one SWAP's slice exchange. Permuting half-arrays
-# cut the dense shift pass as much but raised the benchmark's peak RSS by 9%.
+# fixing this many wires (the run's control wires, then wires it leaves in
+# place, with swaps peeled off until enough are), so that its temporary
+# holds at most 2**(m-2) amplitudes: no more than one SWAP's slice exchange.
+# Permuting half-arrays cut the dense shift pass as much but raised the
+# benchmark's peak RSS by 9%.
 _FIXED_WIRES = 2
 
 # Gate kinds that only relabel wires once their control bits are fixed; a
@@ -185,10 +184,23 @@ def _slice_index(m: int, wires: Sequence[int], bits: int) -> tuple:
     return tuple(idx)
 
 
-def _exchange_slices(tensor: np.ndarray, idx_a: tuple, idx_b: tuple) -> None:
-    tmp = tensor[idx_a].copy()
-    tensor[idx_a] = tensor[idx_b]
-    tensor[idx_b] = tmp
+class _Exchange(NamedTuple):
+    """A slice exchange: the sub-tensors that fix ``wires`` to the bits of
+    label ``a`` and to those of label ``b`` trade places."""
+
+    wires: tuple[int, ...]
+    a: int
+    b: int
+
+
+def _apply_exchange(state: StateVector, step: _Exchange) -> None:
+    m = state.num_wires
+    t = state._tensor()
+    idx_a = _slice_index(m, step.wires, step.a)
+    idx_b = _slice_index(m, step.wires, step.b)
+    tmp = t[idx_a].copy()
+    t[idx_a] = t[idx_b]
+    t[idx_b] = tmp
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -202,8 +214,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     ws = gate.wires
     if max(ws) >= m:
         raise PreconditionError(f"gate {gate.kind}{ws} exceeds {m} wires")
-    t = state._tensor()
     if gate.kind == "H":
+        t = state._tensor()
         lo = _slice_index(m, ws, 0)
         hi = _slice_index(m, ws, 1 << ws[0])
         a = t[lo].copy()
@@ -212,11 +224,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         t[hi] = (a - b) * _SQRT_HALF
         return state
     control, flip, pattern = gate.masks
-    _exchange_slices(
-        t,
-        _slice_index(m, ws, control | pattern),
-        _slice_index(m, ws, control | (pattern ^ flip)),
-    )
+    _apply_exchange(state, _Exchange(ws, control | pattern, control | (pattern ^ flip)))
     return state
 
 
@@ -229,19 +237,19 @@ class _Transpose(NamedTuple):
     axes: tuple[int, ...]
 
 
-def _dense_steps(circuit: Circuit) -> list[Gate | _Transpose]:
-    """The circuit as dense steps: gates to run as slice exchanges, and transposes.
+def _dense_steps(circuit: Circuit) -> list[Gate | _Transpose | _Exchange]:
+    """The circuit as dense steps: gates, slice exchanges and transposes.
 
     Each run of consecutive SWAP, CSWAP and X gates goes through
     :func:`_compile_run`; every other gate is a step of its own.
     """
-    steps: list[Gate | _Transpose] = []
+    steps: list[Gate | _Transpose | _Exchange] = []
     for compiles, gates in itertools.groupby(circuit, key=lambda gate: gate.kind in _RUN_KINDS):
         steps.extend(_compile_run(list(gates), circuit.num_wires) if compiles else gates)
     return steps
 
 
-def _compile_run(gates: list[Gate], m: int) -> list[Gate | _Transpose]:
+def _compile_run(gates: list[Gate], m: int) -> list[Gate | _Transpose | _Exchange]:
     """A run of SWAP, CSWAP and X gates as one wire permutation per control slice.
 
     The run's control wires are its CSWAP controls and X targets. When no
@@ -250,13 +258,8 @@ def _compile_run(gates: list[Gate], m: int) -> list[Gate | _Transpose]:
     them the run only relabels the other wires. Only runs on at most
     ``_FIXED_WIRES`` control wires compile, as compiling walks the run once
     per control slice. A run that does not qualify runs its plain SWAP runs
-    compiled and every other gate alone; so does a lone gate, which is
-    cheaper as a slice exchange: at 20 wires one SWAP took 1.8-4.3 ms,
-    depending on its wires, against 3.3-6.7 ms as a permutation, while runs
-    of 3 SWAPs ran 1.7-3.8 times faster as one (2 cores, numpy 2.4).
+    compiled and every other gate alone.
     """
-    if len(gates) < 2:
-        return gates
     masks = [gate.masks for gate in gates]
     controls = swapped = parity = 0
     for control, flip, pattern in masks:
@@ -266,23 +269,24 @@ def _compile_run(gates: list[Gate], m: int) -> list[Gate | _Transpose]:
         else:  # X
             controls |= flip
             parity ^= flip
-    # A segment may touch m - _FIXED_WIRES wires, and needs two to swap.
-    too_many = controls.bit_count() > _FIXED_WIRES or m - _FIXED_WIRES < 2
-    if too_many or swapped & controls or parity:
-        if all(gate.kind == "SWAP" for gate in gates):
-            return gates
+    if controls.bit_count() > _FIXED_WIRES or swapped & controls or parity:
         return [
             step
             for is_swap, part in itertools.groupby(gates, key=lambda gate: gate.kind == "SWAP")
             for step in (_compile_run(list(part), m) if is_swap else part)
         ]
     control_wires = [w for w in range(m) if (controls >> w) & 1]
-    steps: list[Gate | _Transpose] = []
+    steps: list[Gate | _Transpose | _Exchange] = []
     for bits in _assignments(control_wires):
-        for segment in _segments(_slice_swaps(masks, bits), m - _FIXED_WIRES):
-            step = _transpose(m, control_wires, bits, segment)
-            if step is not None:
-                steps.append(step)
+        src = list(range(m))  # src[w]: the wire whose bit ends up on wire w
+        now = bits  # the control bits as the X gates leave them
+        for control, flip, pattern in masks:
+            if not pattern:
+                now ^= flip
+            elif now & control == control:
+                a, b = (flip & -flip).bit_length() - 1, flip.bit_length() - 1
+                src[a], src[b] = src[b], src[a]
+        steps.extend(_permute_slice(m, control_wires, bits, src))
     return steps
 
 
@@ -291,76 +295,47 @@ def _assignments(wires: Sequence[int]) -> list[int]:
     return [sum(((n >> i) & 1) << w for i, w in enumerate(wires)) for n in range(1 << len(wires))]
 
 
-def _slice_swaps(masks: list[GateMasks], bits: int) -> list[int]:
-    """The wire swaps, as two-bit masks, that a qualifying run makes on the
-    labels whose control wires read ``bits``, with adjacent pairs that
-    cancel dropped."""
-    swaps: list[int] = []
-    for control, flip, pattern in masks:
-        if not pattern:
-            bits ^= flip
-        elif bits & control == control:
-            if swaps and swaps[-1] == flip:
-                swaps.pop()
-            else:
-                swaps.append(flip)
-    return swaps
+def _permute_slice(
+    m: int, controls: list[int], bits: int, src: list[int]
+) -> list[_Transpose | _Exchange]:
+    """The steps that relabel the wires of the control slice ``bits`` by
+    ``src``: at most one transpose, then slice exchanges.
 
-
-def _segments(swaps: list[int], max_wires: int) -> list[list[int]]:
-    """Split a list of swap masks into segments touching at most ``max_wires`` wires.
-
-    A greedy cut finds the fewest segments; the list is then cut into that
-    many segments of equal length when each still fits. At 20 wires a cycle
-    of four shift and rotate passes (18 SWAPs each, so 2 segments) took
-    58.6-60.2 ms with equal segments and 62.7-69.4 ms with the greedy ones,
-    which leave the right passes a lone SWAP (2 cores, numpy 2.4).
+    The transpose permutes chunks that fix the control wires and the
+    highest wires ``src`` leaves in place, ``_FIXED_WIRES`` in all. While
+    fewer are left in place, one swap is peeled off ``src`` so that it
+    fixes its highest moved wire; the peeled swaps run after the transpose,
+    last peeled first, each as a slice exchange. A permutation that moves
+    only two wires is one slice exchange too, which is cheaper: at 20 wires
+    a single swap on a control slice took 0.8-2.6 ms as an exchange against
+    1.6-3.5 ms as a transpose over two chunks, depending on its wires, and
+    with no control 1.6-5.8 ms against 3.2-8.4 ms over four chunks, except
+    on wires 0 and 1: 8.5 ms against 6.0 ms (2 cores, numpy 2.4).
     """
-    if not swaps:
-        return []
-    greedy: list[list[int]] = []
-    touched = 0
-    for flip in swaps:
-        if greedy and (touched | flip).bit_count() <= max_wires:
-            greedy[-1].append(flip)
-            touched |= flip
-        else:
-            greedy.append([flip])
-            touched = flip
-    size = -(-len(swaps) // len(greedy))
-    even = [swaps[i:i + size] for i in range(0, len(swaps), size)]
-    if all(functools.reduce(operator.or_, segment).bit_count() <= max_wires for segment in even):
-        return even
-    return greedy
-
-
-def _transpose(m: int, controls: list[int], bits: int, swaps: list[int]) -> Gate | _Transpose | None:
-    """The step that runs ``swaps`` on the control slice ``bits``: None when
-    they compose to the identity, a SWAP gate when a run without controls
-    composes to one swap (cheaper as a slice exchange), else a transpose.
-
-    The transpose fixes the control wires and, below ``_FIXED_WIRES`` of
-    them, the highest wires the swaps map to themselves, one chunk per
-    assignment.
-    """
-    src = list(range(m))  # src[w]: the wire whose bit ends up on wire w
-    for flip in swaps:
-        a, b = (flip & -flip).bit_length() - 1, flip.bit_length() - 1
-        src[a], src[b] = src[b], src[a]
+    peeled: list[tuple[int, int]] = []
     moved = [w for w in range(m) if src[w] != w]
-    if not moved:
-        return None
-    if not controls and len(moved) == 2:
-        return Gate.swap(*moved)
-    still = [w for w in reversed(range(m)) if src[w] == w and w not in controls]
-    chunk = still[:_FIXED_WIRES - len(controls)]
-    wires = (*controls, *chunk)
-    # Wires of the chunk's sub-tensor in axis order (axis 0 holds the top wire).
-    rest = [w for w in reversed(range(m)) if w not in wires]
-    axis = {w: i for i, w in enumerate(rest)}
-    gather = [axis[src[w]] for w in rest]
-    labels = tuple(bits | extra for extra in _assignments(chunk))
-    return _Transpose(wires, labels, tuple(int(a) for a in np.argsort(gather)))
+    while moved and m - len(moved) < _FIXED_WIRES:
+        x = moved[-1]
+        y = src.index(x)  # the wire that x's bit ends up on
+        src[x], src[y] = x, src[x]
+        peeled.append((x, y))
+        moved = [w for w in range(m) if src[w] != w]
+    steps: list[_Transpose | _Exchange] = []
+    if len(moved) == 2:  # one swap is left
+        peeled.append((moved[0], moved[1]))
+    elif moved:
+        still = [w for w in reversed(range(m)) if src[w] == w and w not in controls]
+        chunk = still[:_FIXED_WIRES - len(controls)]
+        wires = (*controls, *chunk)
+        # Wires of the chunk's sub-tensor in axis order (axis 0 holds the top wire).
+        rest = [w for w in reversed(range(m)) if w not in wires]
+        axis = {w: i for i, w in enumerate(rest)}
+        gather = [axis[src[w]] for w in rest]
+        labels = tuple(bits | extra for extra in _assignments(chunk))
+        steps.append(_Transpose(wires, labels, tuple(int(a) for a in np.argsort(gather))))
+    for x, y in reversed(peeled):
+        steps.append(_Exchange((*controls, x, y), bits | 1 << x, bits | 1 << y))
+    return steps
 
 
 def _apply_transpose(state: StateVector, step: _Transpose) -> None:
@@ -414,6 +389,8 @@ def run_on_support(state: StateVector, circuit: Circuit, labels: np.ndarray | No
         for step in _dense_steps(circuit):
             if isinstance(step, Gate):
                 apply_gate(state, step)
+            elif isinstance(step, _Exchange):
+                _apply_exchange(state, step)
             else:
                 _apply_transpose(state, step)
         return state

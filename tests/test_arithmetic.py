@@ -1,6 +1,7 @@
 """Adders and multiplication pipelines against integer-arithmetic oracles."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,16 @@ def test_add_width_and_carry_preconditions():
     dirty = StateVector.from_label(lay.num_wires, embed(lay, carry=1))
     with pytest.raises(PreconditionError):
         add(dirty, lay, "A", "B", "carry")
+    # The gate-free oracle adder refuses empty and out-of-range registers too.
+    for reg_a, reg_b, message in [
+        ([-1], [0], "addend register wires [-1]"),
+        ([], [], "addend register must have"),
+        ([0], [-2, 1], "target register wires [-2, 1]"),
+        ([0], [], "target register must have"),
+        ([0], [lay.num_wires], f"are not all in 0..{lay.num_wires - 1}"),
+    ]:
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            oracle_add(dirty.copy(), reg_a, reg_b)
 
 
 def test_add_superposed_addend(rng):
@@ -510,3 +521,6 @@ def test_cost_quantum_count_independent_of_values():
     assert small.swap_gates == big.swap_gates
     assert small.additions == big.additions
     assert big.classical_operations == 2 * (1 << 10)
+    for bad in (0, -5):
+        with pytest.raises(PreconditionError, match="num_values must be at least 1"):
+            cost_report(4, 3, 0b110, num_values=bad)

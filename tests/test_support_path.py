@@ -33,6 +33,7 @@ from qshift.state import (
     _SCAN_BLOCK,
     SUPPORT_PATH_MAX_SHARE,
     _dense_steps,
+    _Exchange,
     _support,
     _Transpose,
     run_on_support,
@@ -253,16 +254,23 @@ def test_fused_dense_path_matches_gate_by_gate(case):
     # Each compiled step fixes at least two wires, so the chunks it permutes,
     # and its temporary, hold at most 2**(m-2) amplitudes.
     m = circuit.num_wires
+    transposed = set()  # control slices with a transpose in the current run
     for step in _dense_steps(circuit):
-        if isinstance(step, _Transpose):
+        if isinstance(step, Gate):  # runs are separated by other gates
+            transposed.clear()
+        elif isinstance(step, _Exchange):
+            assert len(step.wires) >= 2
+        else:
             assert len(step.wires) >= 2
             assert sorted(step.axes) == list(range(m - len(step.wires)))
-            moved = sum(axis != i for i, axis in enumerate(step.axes))
-            assert moved >= 2
-            # A step over four chunks fixes no control wire; one swap there
-            # runs as a slice exchange, which is cheaper.
-            if len(step.labels) == 4:
-                assert moved > 2
+            # Two wires or fewer would be a slice exchange, which is cheaper.
+            assert sum(axis != i for i, axis in enumerate(step.axes)) >= 3
+            # The chunks fix the control wires, then wires the step leaves
+            # in place; the first chunk's label is the control slice's.
+            controls = step.wires[: len(step.wires) - (len(step.labels).bit_length() - 1)]
+            slice_ = (controls, step.labels[0])
+            assert slice_ not in transposed
+            transposed.add(slice_)
 
 
 def _left_kinds(circuit):
@@ -284,10 +292,13 @@ def test_runs_compile_only_when_their_controls_stay_put():
         assert _left_kinds(Circuit(m, gates)) == []
     fixed = {step.wires[:2] for step in _dense_steps(Circuit(m, compiled[1]))}
     assert fixed == {(5, 6)}
-    # Without controls, a segment that composes to one swap is a SWAP gate.
+    # A permutation of two wires is a slice exchange, and so is a swap peeled
+    # off to leave two wires in place; a lone CSWAP is the exchange that
+    # apply_gate makes.
     split = _dense_steps(Circuit(4, [Gate.swap(0, 1), Gate.swap(2, 3)]))
-    assert split == [Gate.swap(0, 1), Gate.swap(2, 3)]
-    assert _dense_steps(Circuit(m, [Gate.swap(0, 1), Gate.swap(1, 2), Gate.swap(0, 1)])) == [Gate.swap(0, 2)]
+    assert split == [_Exchange((0, 1), 0b0001, 0b0010), _Exchange((3, 2), 0b1000, 0b0100)]
+    assert _dense_steps(Circuit(m, [Gate.swap(0, 1), Gate.swap(1, 2), Gate.swap(0, 1)])) == [_Exchange((0, 2), 1, 4)]
+    assert _dense_steps(Circuit(m, [Gate.cswap(6, 0, 1)])) == [_Exchange((6, 0, 1), 65, 66)]
     # Runs that compose to the identity on every slice leave no step.
     assert _dense_steps(Circuit(m, [Gate.swap(0, 1), Gate.swap(1, 2)] * 3)) == []
     assert _dense_steps(Circuit(m, [Gate.x(6), Gate.cswap(6, 0, 1), Gate.x(6)] * 2)) == []
@@ -327,15 +338,20 @@ def test_shift_passes_fuse_their_swap_cascades():
     passes = [left, left[::-1], rotate_left, rotate_left[::-1], left[::-1] * 3]
     for gates in passes:
         steps = _dense_steps(Circuit(m, gates))
-        # No X or CSWAP is left: every step permutes the wires of one
-        # control slice, a quarter of the array at a time.
-        assert steps and all(isinstance(step, _Transpose) for step in steps)
-        assert {step.wires[0] for step in steps} == {c}
-        assert {len(step.labels) for step in steps} == {2}
-    # Each pass is two segments on each of its two control slices.
-    assert [len(_dense_steps(Circuit(m, gates))) for gates in passes[:4]] == [4, 4, 4, 4]
-    # Below four wires no run can leave two wires to chunk over.
-    assert _left_kinds(Circuit(3, [Gate.swap(0, 1), Gate.swap(1, 2)])) == ["SWAP", "SWAP"]
+        # No gate is left: on each control slice the pass, and three right
+        # passes in one run, is one transpose over two quarters of the array
+        # and one slice exchange.
+        assert [type(step) for step in steps] == [_Transpose, _Exchange] * 2
+        for bit, (transpose, exchange) in enumerate((steps[:2], steps[2:])):
+            assert transpose.wires[0] == exchange.wires[0] == c
+            assert len(transpose.labels) == 2
+            assert transpose.labels[0] == exchange.a & exchange.b == bit << c
+    # Below four wires no transpose can fix two wires and move three: a run
+    # is slice exchanges only.
+    assert _dense_steps(Circuit(3, [Gate.swap(0, 1), Gate.swap(1, 2)])) == [
+        _Exchange((1, 0), 0b010, 0b001),
+        _Exchange((2, 1), 0b100, 0b010),
+    ]
 
 
 def _peak_bytes(fn) -> int:
