@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, integer
 from .gates import Circuit, Gate
 from .shift_register import shift_cascade
 from .state import (
@@ -135,7 +135,7 @@ def _resolve(layout: RegisterLayout | None, reg) -> tuple[int, ...]:
         if layout is None:
             raise PreconditionError("segment names need a layout")
         return layout.wires(reg)
-    return tuple(int(w) for w in reg)
+    return tuple(integer(w, "wire") for w in reg)
 
 
 def add(
@@ -168,7 +168,7 @@ def controlled_add(
     carries,
 ) -> StateVector:
     """Adds on control=1 basis components, identity on control=0 ones."""
-    return add(state, layout, reg_a, reg_b, carries, control=int(control))
+    return add(state, layout, reg_a, reg_b, carries, control=integer(control, "control wire"))
 
 
 def oracle_add(state: StateVector, reg_a: Sequence[int], reg_b: Sequence[int]) -> StateVector:
@@ -176,8 +176,8 @@ def oracle_add(state: StateVector, reg_a: Sequence[int], reg_b: Sequence[int]) -
 
     Relabels amplitudes directly from integer arithmetic; no gates.
     """
-    a = tuple(int(w) for w in reg_a)
-    b = tuple(int(w) for w in reg_b)
+    a = tuple(integer(w, "addend wire") for w in reg_a)
+    b = tuple(integer(w, "target wire") for w in reg_b)
     m = state.num_wires
     for name, wires in (("addend", a), ("target", b)):
         if not wires:
@@ -388,7 +388,7 @@ def _run_multiplier(
     must fit the accumulator B.
     """
     labels = _support(state, circuit)
-    require_zero(
+    marked = require_zero(
         state,
         labels,
         [(layout.wires(name), _ZERO_SEGMENT_NAMES[name]) for name, width in widths
@@ -400,7 +400,7 @@ def _run_multiplier(
     for name in factors:
         product *= int(layout.values(labels, name).max(initial=0))
     _capacity_check(product, layout.width("B"))
-    return run_on_support(state, circuit, labels)
+    return run_on_support(state, circuit, labels, marked)
 
 
 def multiply_by_constant(

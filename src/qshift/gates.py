@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, integer
 
 # Positions in Gate.wires of each permutation kind's control wires and of
 # the wires it flips.
@@ -61,7 +61,7 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_ARITY:
             raise PreconditionError(f"unknown gate kind {self.kind!r}")
-        wires = tuple(int(w) for w in self.wires)
+        wires = tuple(integer(w, "wire") for w in self.wires)
         object.__setattr__(self, "wires", wires)
         if len(wires) != GATE_ARITY[self.kind]:
             raise PreconditionError(

@@ -10,23 +10,23 @@ otherwise. The support scan reads the array in cache-sized blocks and stops
 as soon as the support is too large for the label path; the dense path then
 answers the precondition checks on the array itself.
 
-On the dense path a run of consecutive SWAP, CSWAP and X gates that leaves
-its (at most two) control wires in place is one wire permutation per
-assignment of them: one transpose of the amplitude tensor, a quarter of the
-array at a time, then a slice exchange for each swap peeled off so that the
-transpose leaves two wires in place. A shift or rotate pass is one such run.
-Every other gate is one slice exchange.
+On the dense path the wires that the circuit's zero checks proved 0 are
+marked, and only the slice where they read 0 is permuted. Consecutive
+SWAPs, CSWAPs on marked controls and X gates on marked wires compose into
+one wire permutation of that slice: one transpose of the amplitude tensor,
+at most a quarter of the array at a time, then a slice exchange for each
+swap peeled off so that the transpose leaves two wires in place. A shift or
+rotate pass is one such permutation. Every other gate is one slice exchange.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, integer
 from .gates import Circuit, Gate, apply_gate_to_labels
 
 NORM_TOL = 1e-12
@@ -49,16 +49,12 @@ SUPPORT_PATH_MAX_SHARE = 1 / 8
 _SCAN_BLOCK = 1 << 14
 
 # A compiled wire permutation permutes one chunk of the tensor at a time,
-# fixing this many wires (the run's control wires, then wires it leaves in
-# place, with swaps peeled off until enough are), so that its temporary
-# holds at most 2**(m-2) amplitudes: no more than one SWAP's slice exchange.
-# Permuting half-arrays cut the dense shift pass as much but raised the
-# benchmark's peak RSS by 9%.
+# fixing at least this many wires (the marked wires first, then wires it
+# leaves in place, with swaps peeled off until enough are), so that its
+# temporary holds at most 2**(m-2) amplitudes: no more than one SWAP's
+# slice exchange. Permuting half-arrays cut the dense shift pass as much
+# but raised the benchmark's peak RSS by 9%.
 _FIXED_WIRES = 2
-
-# Gate kinds that only relabel wires once their control bits are fixed; a
-# run of them compiles into wire permutations on the dense path.
-_RUN_KINDS = frozenset({"SWAP", "CSWAP", "X"})
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -92,6 +88,7 @@ class StateVector:
             raise PreconditionError("need at least one wire")
         if num_wires > max_wires:
             raise PreconditionError(f"{num_wires} wires exceeds the {max_wires}-wire ceiling")
+        label = integer(label, "label")
         if not 0 <= label < (1 << num_wires):
             raise PreconditionError(f"label {label} out of range for {num_wires} wires")
         amps = np.zeros(1 << num_wires, dtype=np.complex128)
@@ -237,57 +234,37 @@ class _Transpose(NamedTuple):
     axes: tuple[int, ...]
 
 
-def _dense_steps(circuit: Circuit) -> list[Gate | _Transpose | _Exchange]:
+def _dense_steps(circuit: Circuit, marked: int) -> list[Gate | _Transpose | _Exchange]:
     """The circuit as dense steps: gates, slice exchanges and transposes.
 
-    Each run of consecutive SWAP, CSWAP and X gates goes through
-    :func:`_compile_run`; every other gate is a step of its own.
+    ``marked`` holds wires that read 0 on every nonzero amplitude. One walk
+    keeps a wire map ``src`` and a mask of pending X flips. A SWAP goes into
+    the map, and so does a CSWAP on a marked control, swapping only while
+    that control is flipped; an X on a marked wire toggles its flip. A swap
+    that moves a marked wire unmarks it. Any other gate ends the map (see
+    :func:`_permute_slice`) and runs alone; it and the map's pending X gates
+    unmark the wires they write.
     """
+    m = circuit.num_wires
     steps: list[Gate | _Transpose | _Exchange] = []
-    for compiles, gates in itertools.groupby(circuit, key=lambda gate: gate.kind in _RUN_KINDS):
-        steps.extend(_compile_run(list(gates), circuit.num_wires) if compiles else gates)
-    return steps
-
-
-def _compile_run(gates: list[Gate], m: int) -> list[Gate | _Transpose | _Exchange]:
-    """A run of SWAP, CSWAP and X gates as one wire permutation per control slice.
-
-    The run's control wires are its CSWAP controls and X targets. When no
-    gate swaps a control wire and each control wire gets an even number of
-    X gates, every label keeps its control bits, and on each assignment of
-    them the run only relabels the other wires. Only runs on at most
-    ``_FIXED_WIRES`` control wires compile, as compiling walks the run once
-    per control slice. A run that does not qualify runs its plain SWAP runs
-    compiled and every other gate alone.
-    """
-    masks = [gate.masks for gate in gates]
-    controls = swapped = parity = 0
-    for control, flip, pattern in masks:
-        if pattern:  # SWAP or CSWAP: flips two bits where they differ
-            controls |= control
-            swapped |= flip
-        else:  # X
-            controls |= flip
-            parity ^= flip
-    if controls.bit_count() > _FIXED_WIRES or swapped & controls or parity:
-        return [
-            step
-            for is_swap, part in itertools.groupby(gates, key=lambda gate: gate.kind == "SWAP")
-            for step in (_compile_run(list(part), m) if is_swap else part)
-        ]
-    control_wires = [w for w in range(m) if (controls >> w) & 1]
-    steps: list[Gate | _Transpose | _Exchange] = []
-    for bits in _assignments(control_wires):
-        src = list(range(m))  # src[w]: the wire whose bit ends up on wire w
-        now = bits  # the control bits as the X gates leave them
-        for control, flip, pattern in masks:
-            if not pattern:
-                now ^= flip
-            elif now & control == control:
-                a, b = (flip & -flip).bit_length() - 1, flip.bit_length() - 1
+    src, flips = list(range(m)), 0  # src[w]: the wire whose bit ends up on wire w
+    for gate in circuit:
+        kind, wires = gate.kind, gate.wires
+        if kind == "X" and marked >> wires[0] & 1:
+            flips ^= 1 << wires[0]
+        elif kind == "SWAP" or kind == "CSWAP" and marked >> wires[0] & 1:
+            if kind == "SWAP" or flips >> wires[0] & 1:
+                a, b = wires[-2:]
                 src[a], src[b] = src[b], src[a]
-        steps.extend(_permute_slice(m, control_wires, bits, src))
-    return steps
+                if (flips >> a ^ flips >> b) & 1:
+                    flips ^= 1 << a | 1 << b
+                marked &= ~(1 << a | 1 << b)
+        else:
+            steps += _permute_slice(m, marked, src, flips)
+            marked &= ~(flips | (1 << wires[0] if kind == "H" else gate.masks.flip))
+            src, flips = list(range(m)), 0
+            steps.append(gate)
+    return steps + _permute_slice(m, marked, src, flips)
 
 
 def _assignments(wires: Sequence[int]) -> list[int]:
@@ -296,22 +273,27 @@ def _assignments(wires: Sequence[int]) -> list[int]:
 
 
 def _permute_slice(
-    m: int, controls: list[int], bits: int, src: list[int]
-) -> list[_Transpose | _Exchange]:
-    """The steps that relabel the wires of the control slice ``bits`` by
-    ``src``: at most one transpose, then slice exchanges.
+    m: int, marked: int, src: list[int], flips: int
+) -> list[Gate | _Transpose | _Exchange]:
+    """The steps that end a map: at most one transpose and then slice
+    exchanges relabel by ``src`` the slice where every ``marked`` wire
+    reads 0 (``src`` leaves those wires in place); then one X runs per
+    pending flip. The slices where a marked wire reads 1 hold only zeros,
+    and stay put.
 
-    The transpose permutes chunks that fix the control wires and the
-    highest wires ``src`` leaves in place, ``_FIXED_WIRES`` in all. While
-    fewer are left in place, one swap is peeled off ``src`` so that it
-    fixes its highest moved wire; the peeled swaps run after the transpose,
-    last peeled first, each as a slice exchange. A permutation that moves
-    only two wires is one slice exchange too, which is cheaper: at 20 wires
-    a single swap on a control slice took 0.8-2.6 ms as an exchange against
+    The transpose permutes chunks that fix the marked wires and, while
+    fewer than ``_FIXED_WIRES`` are fixed, the highest other wires ``src``
+    leaves in place. While fewer than ``_FIXED_WIRES`` wires are left in
+    place, one swap is peeled off ``src`` so that it fixes its highest
+    moved wire; the peeled swaps run after the transpose, last peeled
+    first, each as a slice exchange. A permutation that moves only two
+    wires is one slice exchange too, which is cheaper: at 20 wires a single
+    swap on a half-array slice took 0.8-2.6 ms as an exchange against
     1.6-3.5 ms as a transpose over two chunks, depending on its wires, and
-    with no control 1.6-5.8 ms against 3.2-8.4 ms over four chunks, except
-    on wires 0 and 1: 8.5 ms against 6.0 ms (2 cores, numpy 2.4).
+    on the whole array 1.6-5.8 ms against 3.2-8.4 ms over four chunks,
+    except on wires 0 and 1: 8.5 ms against 6.0 ms (2 cores, numpy 2.4).
     """
+    fixed = [w for w in range(m) if marked >> w & 1]
     peeled: list[tuple[int, int]] = []
     moved = [w for w in range(m) if src[w] != w]
     while moved and m - len(moved) < _FIXED_WIRES:
@@ -320,22 +302,22 @@ def _permute_slice(
         src[x], src[y] = x, src[x]
         peeled.append((x, y))
         moved = [w for w in range(m) if src[w] != w]
-    steps: list[_Transpose | _Exchange] = []
+    steps: list[Gate | _Transpose | _Exchange] = []
     if len(moved) == 2:  # one swap is left
         peeled.append((moved[0], moved[1]))
     elif moved:
-        still = [w for w in reversed(range(m)) if src[w] == w and w not in controls]
-        chunk = still[:_FIXED_WIRES - len(controls)]
-        wires = (*controls, *chunk)
+        still = [w for w in reversed(range(m)) if src[w] == w and w not in fixed]
+        chunk = still[:max(0, _FIXED_WIRES - len(fixed))]
+        wires = (*fixed, *chunk)
         # Wires of the chunk's sub-tensor in axis order (axis 0 holds the top wire).
         rest = [w for w in reversed(range(m)) if w not in wires]
         axis = {w: i for i, w in enumerate(rest)}
         gather = [axis[src[w]] for w in rest]
-        labels = tuple(bits | extra for extra in _assignments(chunk))
-        steps.append(_Transpose(wires, labels, tuple(int(a) for a in np.argsort(gather))))
+        axes = tuple(int(a) for a in np.argsort(gather))
+        steps.append(_Transpose(wires, tuple(_assignments(chunk)), axes))
     for x, y in reversed(peeled):
-        steps.append(_Exchange((*controls, x, y), bits | 1 << x, bits | 1 << y))
-    return steps
+        steps.append(_Exchange((*fixed, x, y), 1 << x, 1 << y))
+    return steps + [Gate.x(w) for w in range(m) if flips >> w & 1]
 
 
 def _apply_transpose(state: StateVector, step: _Transpose) -> None:
@@ -374,19 +356,23 @@ def _support(state: StateVector, circuit: Circuit) -> np.ndarray | None:
     return state.nonzero_labels(limit=SUPPORT_PATH_MAX_SHARE * state.amplitudes.size)
 
 
-def run_on_support(state: StateVector, circuit: Circuit, labels: np.ndarray | None) -> StateVector:
+def run_on_support(
+    state: StateVector, circuit: Circuit, labels: np.ndarray | None, marked: int
+) -> StateVector:
     """Apply a circuit of the state's wire count in place: on the basis
     support ``labels``, or densely when None.
 
     ``labels`` needs an H-free circuit: its labels are permuted gate by
-    gate, then each amplitude moves once to its final label. Amplitudes off
-    the support stay where they are, so a -0.0 there is not moved as the
-    dense kernel would move it. The dense path runs the steps of
-    :func:`_dense_steps`, whose wire permutations move every amplitude
-    exactly as the gates one by one would.
+    gate, then each amplitude moves once to its final label. The dense
+    path runs the steps of :func:`_dense_steps`, which leave in place the
+    slices where a ``marked`` wire reads 1; those must hold only zeros.
+
+    Both paths move every nonzero amplitude bit for bit as the gates one by
+    one would. A zero, ``-0.0`` included, may stay put where the gates
+    would move it: off the support, or where a marked wire reads 1.
     """
     if labels is None:
-        for step in _dense_steps(circuit):
+        for step in _dense_steps(circuit, marked):
             if isinstance(step, Gate):
                 apply_gate(state, step)
             elif isinstance(step, _Exchange):
@@ -412,11 +398,11 @@ def run_circuit(
     One scan of the basis support serves both: a permutation circuit runs
     on the support when it holds at most ``SUPPORT_PATH_MAX_SHARE`` of the
     labels, and densely otherwise, and both give the same amplitudes. The
-    checks (see :func:`require_zero`) fail before any gate runs.
+    checks (see :func:`require_zero`) fail before any gate runs; the dense
+    path then leaves alone the slices where a checked wire reads 1.
     """
     labels = _support(state, circuit)
-    require_zero(state, labels, checks)
-    return run_on_support(state, circuit, labels)
+    return run_on_support(state, circuit, labels, require_zero(state, labels, checks))
 
 
 def _wire_mask(wires: Iterable[int]) -> int:
@@ -428,9 +414,10 @@ def _wire_mask(wires: Iterable[int]) -> int:
 
 def require_zero(
     state: StateVector, labels: np.ndarray | None, checks: Iterable[tuple[Sequence[int], str]]
-) -> None:
+) -> int:
     """Raise PreconditionError naming the first ``(wires, what)`` check that
-    some supported basis state violates by having a 1 on one of the wires.
+    some supported basis state violates by having a 1 on one of the wires;
+    return the mask of the checked wires.
 
     ``labels`` is the state's support, or None to read the dense array one
     wire's 1-slice at a time. On the labels, all checks share one pass
@@ -438,11 +425,11 @@ def require_zero(
     """
     checks = list(checks)
     combined = _wire_mask(w for wires, _ in checks for w in wires)
-    if labels is not None and not np.any(labels & combined):
-        return
-    for wires, what in checks:
-        if _has_one(state, labels, wires):
-            raise _nonzero_error(what)
+    if labels is None or np.any(labels & combined):
+        for wires, what in checks:
+            if _has_one(state, labels, wires):
+                raise _nonzero_error(what)
+    return combined
 
 
 def _has_one(state: StateVector, labels: np.ndarray | None, wires: Sequence[int]) -> bool:
@@ -467,7 +454,7 @@ class RegisterLayout:
         self._segments: dict[str, tuple[int, ...]] = {}
         seen: set[int] = set()
         for name, wires in segments:
-            wires = tuple(int(w) for w in wires)
+            wires = tuple(integer(w, f"segment {name!r} wire") for w in wires)
             if not wires:
                 raise PreconditionError(f"segment {name!r} is empty")
             if name in self._segments:
@@ -580,7 +567,7 @@ class ProductCheck(NamedTuple):
 def schmidt_rank(state: StateVector, cut: Iterable[int], tol: float = SCHMIDT_TOL) -> int:
     """Number of singular values above ``tol`` across the given bipartition."""
     m = state.num_wires
-    cut_set = {int(w) for w in cut}
+    cut_set = {integer(w, "cut wire") for w in cut}
     if not cut_set or any(w < 0 or w >= m for w in cut_set):
         raise PreconditionError("cut must be a nonempty set of in-range wires")
     if len(cut_set) == m:

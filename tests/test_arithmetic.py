@@ -104,8 +104,14 @@ def test_add_width_and_carry_preconditions():
     dirty = StateVector.from_label(lay.num_wires, embed(lay, carry=1))
     with pytest.raises(PreconditionError):
         add(dirty, lay, "A", "B", "carry")
-    # The gate-free oracle adder refuses empty and out-of-range registers too.
+    with pytest.raises(PreconditionError, match=r"wire 1\.5 is not an integer"):
+        add(dirty.copy(), lay, [0, 1.5, 2, 3], "B", "carry")
+    with pytest.raises(PreconditionError, match=r"control wire 8\.5 is not an integer"):
+        controlled_add(dirty.copy(), lay, 8.5, "A", "B", "carry")
+    # The gate-free oracle adder refuses empty, out-of-range and non-integer registers too.
     for reg_a, reg_b, message in [
+        ([0.5], [1], "addend wire 0.5 is not an integer"),
+        ([0], [2.0], "target wire 2.0 is not an integer"),
         ([-1], [0], "addend register wires [-1]"),
         ([], [], "addend register must have"),
         ([0], [-2, 1], "target register wires [-2, 1]"),

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: exit codes, state files, branch tables, determinism."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -133,7 +135,7 @@ def test_shift_round_trip_files(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "shift", "--n", "3", "--k", "2", "--dir", "right",
                          "--in", b, "--out", c)
     assert code == 0
-    assert open(a).read() == open(c).read()
+    assert Path(a).read_text() == Path(c).read_text()
 
 
 def test_rotate_subcommand_matches_shift_rotate_flag(tmp_path, capsys):
@@ -146,7 +148,7 @@ def test_rotate_subcommand_matches_shift_rotate_flag(tmp_path, capsys):
             "--in", src, "--out", via_rotate)
     run_cli(capsys, "shift", "--n", "3", "--k", "1", "--dir", "left", "--rotate",
             "--in", src, "--out", via_flag)
-    assert open(via_rotate).read() == open(via_flag).read()
+    assert Path(via_rotate).read_text() == Path(via_flag).read_text()
 
 
 def test_gatecount_output(capsys):
@@ -239,7 +241,7 @@ def test_identical_invocations_byte_identical(tmp_path, capsys):
                 "--nB", "5", "--kind", "uniform A:1-2", "--out", src)
         run_cli(capsys, "mul-const", "--nA", "3", "--kA", "2", "--nB", "5",
                 "--l", "101", "--in", src, "--out", dst)
-        outs.append(open(dst).read())
+        outs.append(Path(dst).read_text())
     assert outs[0] == outs[1]
 
 

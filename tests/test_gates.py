@@ -28,6 +28,10 @@ def test_gate_validation():
         Gate("SWAP", (0, 1, 2))
     with pytest.raises(PreconditionError):
         Gate.toffoli(0, 1, 1)
+    # A wire that is not an integer is refused, not truncated.
+    with pytest.raises(PreconditionError, match="wire 1.5 is not an integer"):
+        Gate("X", (1.5,))
+    assert Gate.cnot(np.int64(0), np.uint8(1)).wires == (0, 1)
 
 
 def test_circuit_validation():

@@ -30,6 +30,9 @@ def test_new_basis_state():
         new_basis_state(2, "1")
     with pytest.raises(PreconditionError):
         new_basis_state(3, "10x")
+    with pytest.raises(PreconditionError, match="label 2.5 is not an integer"):
+        StateVector.from_label(3, 2.5)
+    assert StateVector.from_label(3, np.int64(5)).amplitude(5) == 1
 
 
 def test_state_vector_norm_enforced():
@@ -136,6 +139,8 @@ def test_register_layout_validation():
         RegisterLayout([("a", [0, 2])])  # gap
     with pytest.raises(PreconditionError):
         RegisterLayout([("a", [])])
+    with pytest.raises(PreconditionError, match="segment 'a' wire 0.7 is not an integer"):
+        RegisterLayout([("a", [0.7, 1.2])])
     layout = RegisterLayout([("a", [0, 1]), ("b", [2])])
     assert layout.num_wires == 3
     with pytest.raises(PreconditionError):
@@ -182,6 +187,8 @@ def test_schmidt_rank_basis_and_bell():
         schmidt_rank(bell, [])
     with pytest.raises(PreconditionError):
         schmidt_rank(bell, [0, 1])
+    with pytest.raises(PreconditionError, match="cut wire 0.5 is not an integer"):
+        schmidt_rank(bell, [0.5])
 
 
 def test_product_state_detected(rng):
