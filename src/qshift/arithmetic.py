@@ -23,14 +23,7 @@ import numpy as np
 from .errors import PreconditionError, integer
 from .gates import Circuit, Gate
 from .shift_register import shift_cascade
-from .state import (
-    RegisterLayout,
-    StateVector,
-    _support,
-    require_zero,
-    run_circuit,
-    run_on_support,
-)
+from .state import RegisterLayout, StateVector, run_circuit
 
 
 def _bits_lsb_first(value: int) -> list[int]:
@@ -355,13 +348,6 @@ def build_multiply_by_constant_circuit(
     return circuit
 
 
-def _capacity_check(max_product: int, b_width: int) -> None:
-    if max_product >= (1 << b_width):
-        raise PreconditionError(
-            f"accumulator of {b_width} wires cannot hold product {max_product}"
-        )
-
-
 # The names the multipliers' error messages give the segments that must be
 # zero on every supported branch: every segment of the spec but the factors.
 _ZERO_SEGMENT_NAMES = {
@@ -373,34 +359,24 @@ _ZERO_SEGMENT_NAMES = {
 }
 
 
-def _run_multiplier(
-    state: StateVector,
-    layout: RegisterLayout,
-    circuit: Circuit,
-    widths: Sequence[tuple[str, int]],
-    factors: Sequence[str],
-    constant: int,
-) -> StateVector:
-    """Check a multiplier's preconditions in one pass over the basis support, then run it.
+def _zero_checks(
+    layout: RegisterLayout, widths: Sequence[tuple[str, int]], factors: Sequence[str]
+) -> list[tuple[tuple[int, ...], str]]:
+    """The ``run_circuit`` checks that every segment of ``widths`` but the ``factors`` is zero."""
+    return [(layout.wires(name), _ZERO_SEGMENT_NAMES[name]) for name, width in widths
+            if width and name not in factors]
 
-    Every segment of ``widths`` but the ``factors`` must be zero, and
-    ``constant`` times the largest supported value of each factor segment
-    must fit the accumulator B.
+
+def _largest_on_zero_slice(state: StateVector, layout: RegisterLayout, name: str) -> int:
+    """Largest value of segment ``name`` on a nonzero amplitude whose other wires all read 0.
+
+    Those are the 2**width labels whose set bits all lie on the segment;
+    label i of the gather holds value i.
     """
-    labels = _support(state, circuit)
-    marked = require_zero(
-        state,
-        labels,
-        [(layout.wires(name), _ZERO_SEGMENT_NAMES[name]) for name, width in widths
-         if width and name not in factors],
-    )
-    # The zero segments hold at least 3 wires, so a support that passes
-    # their checks holds at most 1/8 of the labels: the scan returned it.
-    product = constant
-    for name in factors:
-        product *= int(layout.values(labels, name).max(initial=0))
-    _capacity_check(product, layout.width("B"))
-    return run_on_support(state, circuit, labels, marked)
+    labels = np.zeros(1, dtype=np.int64)
+    for wire in layout.wires(name):
+        labels = np.concatenate([labels, labels | (1 << wire)])
+    return int(np.flatnonzero(state.amplitudes[labels]).max(initial=0))
 
 
 def multiply_by_constant(
@@ -416,7 +392,17 @@ def multiply_by_constant(
     """
     layout = layout or mul_const_layout(spec)
     circuit = build_multiply_by_constant_circuit(spec, layout)
-    return _run_multiplier(state, layout, circuit, _mul_const_widths(spec), ("A",), spec.multiplier)
+    checks = _zero_checks(layout, _mul_const_widths(spec), ("A",))
+    if layout.num_wires == state.num_wires:
+        # A valid input's support lies on A's zero slice, so its largest A
+        # value is read there; an invalid one fails a check first.
+        product = spec.multiplier * _largest_on_zero_slice(state, layout, "A")
+        if product >= 1 << spec.b_width:
+            run_circuit(state, Circuit(layout.num_wires), checks)
+            raise PreconditionError(
+                f"accumulator of {spec.b_width} wires cannot hold product {product}"
+            )
+    return run_circuit(state, circuit, checks)
 
 
 def build_multiply_registers_circuit(
@@ -456,7 +442,9 @@ def multiply_registers(
     """
     layout = layout or mul_quantum_layout(spec)
     circuit = build_multiply_registers_circuit(spec, layout)
-    return _run_multiplier(state, layout, circuit, _mul_quantum_widths(spec), ("A", "C"), 1)
+    # No capacity check: the spec makes B at least a_width + c_width wires,
+    # so every product of an A and a C value fits.
+    return run_circuit(state, circuit, _zero_checks(layout, _mul_quantum_widths(spec), ("A", "C")))
 
 
 def select_qubit(

@@ -23,9 +23,9 @@ from .arithmetic import (
     multiply_registers,
 )
 from .errors import PreconditionError
-from .gates import Gate
+from .gates import Circuit, Gate
 from .shift_register import ShiftSpec, gate_count, rotate, shift, shift_layout
-from .state import NORM_TOL, RegisterLayout, StateVector, apply_gate
+from .state import NORM_TOL, RegisterLayout, StateVector, run_circuit
 from .statefile import read_state, write_state
 
 
@@ -190,9 +190,8 @@ def prepare_state(kind: str, layout: RegisterLayout) -> StateVector:
         return StateVector.from_label(layout.num_wires, layout.label_from_display(words[1]))
     if len(words) == 2 and words[0] == "uniform":
         state = StateVector.from_label(layout.num_wires, 0)
-        for wire in _segment_wires(layout, words[1]):
-            apply_gate(state, Gate.h(wire))
-        return state
+        gates = [Gate.h(wire) for wire in _segment_wires(layout, words[1])]
+        return run_circuit(state, Circuit(layout.num_wires, gates))
     raise PreconditionError(f"malformed preparation kind {kind!r}")
 
 

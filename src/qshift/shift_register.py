@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, integer
 from .gates import Circuit, Gate, expand_cswaps, expand_swaps
 from .state import RegisterLayout, StateVector, run_circuit
 
@@ -95,10 +95,10 @@ def classical_shift_oracle(
     """
     if direction not in DIRECTIONS:
         raise PreconditionError(f"direction must be one of {DIRECTIONS}")
-    if c_bit not in (0, 1):
+    if integer(c_bit, "control bit") not in (0, 1):
         raise PreconditionError("control bit must be 0 or 1")
-    a = tuple(int(x) for x in a_bits)
-    b = tuple(int(x) for x in b_bits)
+    a = tuple(integer(x, "bit") for x in a_bits)
+    b = tuple(integer(x, "bit") for x in b_bits)
     if not a or not b or set(a + b) - {0, 1}:
         raise PreconditionError("bit vectors must be nonempty and 0/1 valued")
     if direction == "left":

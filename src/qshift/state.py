@@ -35,10 +35,15 @@ DEFAULT_MAX_WIRES = 24
 
 # A permutation circuit runs on the basis support when the support holds at
 # most this share of the 2**m labels, and densely otherwise: the label path
-# costs grow with the support, the dense path's with 2**m. On one 19-gate
-# shift pass at 20 wires (2 cores, numpy 2.4) the label path took 18-21 ms
-# at 1/8 support, 36-41 ms at 1/4 and 73-87 ms at 1/2, while the dense path
-# took 43-95 ms whatever the support, depending on the array's allocation.
+# costs grow with the support, the dense path's with 2**m. On one checked
+# left shift pass at 20 wires (shift_layout(12, 7), scan and checks
+# excluded; medians of 9, 2 cores, numpy 2.4) the label path took 3.8-4.4 ms
+# at 1/64 support, 7.1 ms at 1/32, 14 ms at 1/16, 30 ms at 1/8, 54-56 ms at
+# 1/4 and 138-141 ms at 1/2, while the dense path took 4.6-5.1 ms whatever
+# the support. The dense pass wins above about 1/64, but 1/8 stays until a
+# rule that also weighs the circuit's gate mix is measured on every
+# workload: on the dense path an adder's TOFFOLIs and CNOTs each run as one
+# slice exchange over the array.
 SUPPORT_PATH_MAX_SHARE = 1 / 8
 
 # The support scan runs np.flatnonzero over blocks of this many amplitudes
@@ -340,23 +345,7 @@ def _apply_transpose(state: StateVector, step: _Transpose) -> None:
         del tmp  # so that the next chunk's copy does not sit beside it
 
 
-def _support(state: StateVector, circuit: Circuit) -> np.ndarray | None:
-    """Check the circuit's wire count against the state, then return the labels
-    to run it on: the basis support, or None to run it densely.
-
-    The scan stops once the support holds more than ``SUPPORT_PATH_MAX_SHARE``
-    of the labels; a circuit with an H gate is not scanned.
-    """
-    if circuit.num_wires != state.num_wires:
-        raise PreconditionError(
-            f"circuit has {circuit.num_wires} wires, state has {state.num_wires}"
-        )
-    if not circuit.is_permutation():
-        return None
-    return state.nonzero_labels(limit=SUPPORT_PATH_MAX_SHARE * state.amplitudes.size)
-
-
-def run_on_support(
+def _run_on_support(
     state: StateVector, circuit: Circuit, labels: np.ndarray | None, marked: int
 ) -> StateVector:
     """Apply a circuit of the state's wire count in place: on the basis
@@ -395,14 +384,23 @@ def run_circuit(
 ) -> StateVector:
     """Apply a circuit's gates in order (in place), after its ``(wires, what)`` zero checks.
 
-    One scan of the basis support serves both: a permutation circuit runs
-    on the support when it holds at most ``SUPPORT_PATH_MAX_SHARE`` of the
-    labels, and densely otherwise, and both give the same amplitudes. The
-    checks (see :func:`require_zero`) fail before any gate runs; the dense
-    path then leaves alone the slices where a checked wire reads 1.
+    Every pipeline runs its circuit here, and only here is the basis
+    support scanned and the path chosen. A permutation circuit runs on the
+    support when it holds at most ``SUPPORT_PATH_MAX_SHARE`` of the labels,
+    and densely otherwise (the scan stops there; a circuit with an H gate
+    is not scanned); both give the same amplitudes. One scan serves the
+    checks too (see :func:`_require_zero`): a wire-count mismatch fails
+    first, then the checks, all before any gate runs. The dense path then
+    leaves alone the slices where a checked wire reads 1.
     """
-    labels = _support(state, circuit)
-    return run_on_support(state, circuit, labels, require_zero(state, labels, checks))
+    if circuit.num_wires != state.num_wires:
+        raise PreconditionError(
+            f"circuit has {circuit.num_wires} wires, state has {state.num_wires}"
+        )
+    labels = None
+    if circuit.is_permutation():
+        labels = state.nonzero_labels(limit=SUPPORT_PATH_MAX_SHARE * state.amplitudes.size)
+    return _run_on_support(state, circuit, labels, _require_zero(state, labels, checks))
 
 
 def _wire_mask(wires: Iterable[int]) -> int:
@@ -412,7 +410,7 @@ def _wire_mask(wires: Iterable[int]) -> int:
     return mask
 
 
-def require_zero(
+def _require_zero(
     state: StateVector, labels: np.ndarray | None, checks: Iterable[tuple[Sequence[int], str]]
 ) -> int:
     """Raise PreconditionError naming the first ``(wires, what)`` check that

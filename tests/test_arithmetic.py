@@ -278,17 +278,34 @@ def test_multiply_by_constant_recover_input_by_right_shifts():
     assert got == snapshot_dist
 
 
+def _branches(m, labels):
+    """Equal superposition of the given basis labels on m wires."""
+    amps = np.zeros(1 << m, dtype=complex)
+    amps[labels] = 1 / np.sqrt(len(labels))
+    return StateVector(amps)
+
+
 def test_multiply_by_constant_capacity_error_before_gates():
+    # Refusals come in order: wire count, then zero checks, then capacity.
     spec = MulConstSpec(4, 2, 4, 0b111)
     lay = mul_const_layout(spec)
-    amps = np.zeros(1 << lay.num_wires, dtype=complex)
-    for a in range(16):
-        amps[lay.label_with_value(0, "A", a)] = 0.25
-    state = StateVector(amps)
-    snap = state.copy()
-    with pytest.raises(PreconditionError):
-        multiply_by_constant(state, spec, lay)  # 15 * 7 needs 7 bits
-    assert (state.amplitudes == snap.amplitudes).all()
+    every_a = [lay.label_with_value(0, "A", a) for a in range(16)]
+    dirty_b = lay.label_with_value(every_a[15], "B", 1)
+    # A on the top wires, so a state one wire short has no label for A = 3.
+    top = RegisterLayout([("B", range(3)), ("ancA", [3]), ("carry", [4, 5]), ("c", [6]), ("A", [7, 8])])
+    cases = [
+        (top, MulConstSpec(2, 1, 3, 0b11), _branches(8, [0, 0xFF]), "circuit has 9 wires, state has 8"),
+        # A = 15 overflows B too, but the dirty B is named first.
+        (lay, spec, _branches(lay.num_wires, [every_a[15], dirty_b]),
+         "accumulator B must be zero on every supported basis state"),
+        # 15 * 7 needs 7 bits.
+        (lay, spec, _branches(lay.num_wires, every_a), "accumulator of 4 wires cannot hold product 105"),
+    ]
+    for layout, run_spec, state, message in cases:
+        before = state.amplitudes.copy()
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            multiply_by_constant(state, run_spec, layout)
+        assert np.array_equal(state.amplitudes, before)
 
 
 def test_multiply_by_constant_rejects_dirty_registers():

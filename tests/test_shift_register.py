@@ -67,6 +67,10 @@ def test_spec_validation():
         ShiftSpec(0, 1)
     with pytest.raises(PreconditionError):
         ShiftSpec(1, 1, "sideways")
+    # The oracle refuses non-integer bits instead of truncating them.
+    for a, b, c in [((0.5, 1), (1, 0), 0), ((0, 1), (1.7, 0), 0), ((0, 1), (1, 0), 0.0)]:
+        with pytest.raises(PreconditionError, match="is not an integer"):
+            classical_shift_oracle(a, b, c)
 
 
 def test_classical_oracle_spec_cases():

@@ -1,6 +1,8 @@
 """Properties of the support path: permutation circuits run on the nonzero labels only."""
 
+import sys
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,12 +15,20 @@ from qshift import (
     MulQuantumSpec,
     PreconditionError,
     RegisterLayout,
+    ShiftSpec,
     StateVector,
+    add,
     apply_circuit_to_label,
     apply_gate,
+    build_adder_circuit,
+    build_multiply_by_constant_circuit,
+    build_multiply_registers_circuit,
+    build_shift_circuit,
+    controlled_add,
     extended_addend,
     mul_const_layout,
     mul_quantum_layout,
+    multiply_by_constant,
     multiply_registers,
     rotate,
     run_circuit,
@@ -27,6 +37,7 @@ from qshift import (
     shift_layout,
 )
 from qshift import state as state_module
+from qshift.cli import prepare_state
 from qshift.gates import GATE_ARITY
 from qshift.shift_register import shift_cascade
 from qshift.state import (
@@ -34,9 +45,8 @@ from qshift.state import (
     SUPPORT_PATH_MAX_SHARE,
     _dense_steps,
     _Exchange,
-    _support,
+    _run_on_support,
     _Transpose,
-    run_on_support,
 )
 
 PERMUTATION_KINDS = ("X", "CNOT", "SWAP", "TOFFOLI", "CSWAP")
@@ -44,6 +54,23 @@ PERMUTATION_KINDS = ("X", "CNOT", "SWAP", "TOFFOLI", "CSWAP")
 
 def _bits(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes.view(np.uint64)
+
+
+@contextmanager
+def _observed_runs():
+    """Record ``(caller, circuit, labels)`` for each run that reaches
+    ``state._run_on_support``: ``labels`` is the support it runs on, or None
+    on the dense path."""
+    runs = []
+    run = state_module._run_on_support
+
+    def spy(state, circuit, labels, marked):
+        runs.append((sys._getframe(1).f_code.co_name, circuit, labels))
+        return run(state, circuit, labels, marked)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(state_module, "_run_on_support", spy)
+        yield runs
 
 
 @st.composite
@@ -74,16 +101,19 @@ def permutation_cases(draw):
 def test_support_path_matches_dense_and_label_kernels(case):
     circuit, state, sparse = case
     labels = state.nonzero_labels()
-    assert (_support(state, circuit) is not None) == sparse
-    dense = run_on_support(state.copy(), circuit, None, 0)
-    on_support = run_on_support(state.copy(), circuit, labels, 0)
+    with _observed_runs() as runs:
+        checked = run_circuit(state.copy(), circuit)
+    ((_, _, path),) = runs
+    assert (path is not None) == sparse
+    dense = _run_on_support(state.copy(), circuit, None, 0)
+    on_support = _run_on_support(state.copy(), circuit, labels, 0)
     assert np.array_equal(on_support.amplitudes, dense.amplitudes)
     nonzero = dense.nonzero_labels()
     assert np.array_equal(on_support.nonzero_labels(), nonzero)
     assert np.array_equal(_bits(on_support.amplitudes[nonzero]), _bits(dense.amplitudes[nonzero]))
     images = [apply_circuit_to_label(circuit, int(label)) for label in labels]
     assert np.array_equal(_bits(on_support.amplitudes[images]), _bits(state.amplitudes[labels]))
-    assert np.array_equal(run_circuit(state.copy(), circuit).amplitudes, dense.amplitudes)
+    assert np.array_equal(checked.amplitudes, dense.amplitudes)
 
 
 @st.composite
@@ -164,11 +194,78 @@ def multiplier_layouts(draw):
 @given(multiplier_layouts())
 def test_valid_multiplier_inputs_fit_the_support_path(case):
     # Every segment but the factors must be zero, so a valid input's
-    # support holds at most 2**(factor wires) labels; the multipliers rely
-    # on that to run every valid input on the support path.
+    # support holds at most 2**(factor wires) labels: run_circuit runs every
+    # valid multiplier input on the support path.
     layout, factors = case
     factor_wires = sum(layout.width(name) for name in factors)
     assert 2**factor_wires <= SUPPORT_PATH_MAX_SHARE * 2**layout.num_wires
+
+
+def _reordered(layout):
+    """The layout's segments in reverse order, each on mirrored wires."""
+    m = layout.num_wires
+    return RegisterLayout(
+        [(name, [m - 1 - w for w in layout.wires(name)]) for name in reversed(layout.segment_names)]
+    )
+
+
+def _pipeline_runs():
+    """Each pipeline as (run, layout, the gates it must run): the gates come
+    from its circuit builder where it has one."""
+    lay = shift_layout(3, 2)
+    a, b, c = lay.wires("a"), lay.wires("b"), lay.wires("c")[0]
+    adder = RegisterLayout([("A", range(2)), ("B", range(2, 5)), ("carry", range(5, 7)), ("ctl", [7])])
+    wires = [adder.wires(name) for name in ("A", "B", "carry")]
+    const, registers = MulConstSpec(2, 1, 3, 0b11), MulQuantumSpec(1, 1, 2, 1, 3)
+    runs = {}
+    for direction in ("left", "right"):
+        passes = list(build_shift_circuit(ShiftSpec(3, 2, direction)))
+        runs[f"shift {direction}"] = (lambda s, lay, d=direction: shift(s, lay, d), lay, passes)
+        runs[f"rotate {direction}"] = (
+            lambda s, lay, d=direction: rotate(s, lay, d), lay, [Gate.x(c), *passes, Gate.x(c)]
+        )
+    runs["select_qubit"] = (
+        lambda s, lay: select_qubit(s, lay, "b", 3, ancilla="a"), lay,
+        shift_cascade(a, b, c, "right") * 2,
+    )
+    runs["add"] = (
+        lambda s, lay: add(s, lay, "A", "B", "carry"), adder,
+        list(build_adder_circuit(adder.num_wires, *wires)),
+    )
+    runs["controlled_add"] = (
+        lambda s, lay: controlled_add(s, lay, lay.wires("ctl")[0], "A", "B", "carry"), adder,
+        list(build_adder_circuit(adder.num_wires, *wires, control=adder.wires("ctl")[0])),
+    )
+    for name, layout in (("canonical", mul_const_layout(const)),
+                         ("reordered", _reordered(mul_const_layout(const)))):
+        runs[f"multiply_by_constant {name}"] = (
+            lambda s, lay: multiply_by_constant(s, const, lay), layout,
+            list(build_multiply_by_constant_circuit(const, layout)),
+        )
+    for name, layout in (("canonical", mul_quantum_layout(registers)),
+                         ("reordered", _reordered(mul_quantum_layout(registers)))):
+        runs[f"multiply_registers {name}"] = (
+            lambda s, lay: multiply_registers(s, registers, lay), layout,
+            list(build_multiply_registers_circuit(registers, layout)),
+        )
+    runs["prepare_state uniform b"] = (
+        lambda s, lay: prepare_state("uniform b", lay), lay, [Gate.h(w) for w in b]
+    )
+    return runs
+
+
+_PIPELINE_RUNS = _pipeline_runs()
+
+
+@pytest.mark.parametrize("pipeline", sorted(_PIPELINE_RUNS))
+def test_every_pipeline_runs_its_circuit_once_through_run_circuit(pipeline):
+    run, layout, gates = _PIPELINE_RUNS[pipeline]
+    with _observed_runs() as runs:
+        run(StateVector.from_label(layout.num_wires, 0), layout)
+    ((caller, circuit, _),) = runs
+    assert caller == "run_circuit"
+    # The same gates in the same order, so the same counts() too.
+    assert circuit.num_wires == layout.num_wires and list(circuit) == gates
 
 
 def _gate_of(kind, m):
@@ -254,7 +351,7 @@ def _gate_by_gate(state, circuit):
 def test_fused_dense_path_matches_gate_by_gate(case):
     circuit, state, marked = case
     reference = _gate_by_gate(state.copy(), circuit)
-    fused = run_on_support(state.copy(), circuit, None, marked)
+    fused = _run_on_support(state.copy(), circuit, None, marked)
     if marked:
         # Zeros where a marked wire reads 1 may stay put.
         assert np.array_equal(fused.amplitudes, reference.amplitudes)
@@ -328,7 +425,7 @@ def test_runs_compile_only_when_their_controls_stay_put():
         assert _left_kinds(circuit, marked) == left
         state = _state_on(m, [label for label in range(2**m) if not label & marked], rng)
         want = _gate_by_gate(state.copy(), circuit)
-        got = run_on_support(state, circuit, None, marked)
+        got = _run_on_support(state, circuit, None, marked)
         assert np.array_equal(got.amplitudes, want.amplitudes)
         nonzero = want.nonzero_labels()
         assert np.array_equal(_bits(got.amplitudes[nonzero]), _bits(want.amplitudes[nonzero]))
@@ -435,9 +532,11 @@ def test_dense_select_qubit_matches_gate_by_gate(slot, monkeypatch):
     state = _select_qubit_input(layout, slot, np.random.default_rng(slot))
     passes = shift_cascade(layout.wires("a"), layout.wires("b"), layout.wires("c")[0], "right")
     circuit = Circuit(layout.num_wires, passes * (slot - 1))
-    assert _support(state, circuit) is None
     want = _gate_by_gate(state.copy(), circuit)
-    select_qubit(state, layout, "b", slot, ancilla="a")
+    with _observed_runs() as runs:
+        select_qubit(state, layout, "b", slot, ancilla="a")
+    ((_, ran, path),) = runs
+    assert list(ran) == list(circuit) and path is None
     assert np.array_equal(_bits(state.amplitudes), _bits(want.amplitudes))
 
 
