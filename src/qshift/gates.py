@@ -1,8 +1,8 @@
 """Gate and circuit records, standard decompositions, and basis-label evaluation.
 
 Gates are plain records over wire indices; all primitives except H act as
-permutations of the computational basis. Each permutation gate is described
-once, by the bit masks of :class:`GateMasks`; the dense kernel in
+permutations of the computational basis. Each permutation kind is described
+once, by its control and flipped wires in ``_ROLES``. The dense kernel in
 ``state.apply_gate`` and the label kernels here are all derived from them.
 """
 
@@ -213,14 +213,6 @@ def apply_gate_to_label(gate: Gate, label: int) -> int:
     return label
 
 
-def apply_gate_to_labels(gate: Gate, labels: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`apply_gate_to_label` over an int64 label array."""
-    control, flip, pattern = gate.masks
-    picked = (labels ^ pattern) & flip
-    hit = ((labels & control) == control) & ((picked == 0) | (picked == flip))
-    return np.where(hit, labels ^ flip, labels)
-
-
 def apply_circuit_to_label(circuit: Circuit, label: int) -> int:
     """Run an H-free circuit on a single basis label, gate by gate."""
     if not 0 <= label < (1 << circuit.num_wires):
@@ -228,3 +220,34 @@ def apply_circuit_to_label(circuit: Circuit, label: int) -> int:
     for gate in circuit:
         label = apply_gate_to_label(gate, label)
     return label
+
+
+def apply_circuit_to_labels(circuit: Circuit, labels: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`apply_circuit_to_label` over int64 labels (up to 63 wires).
+
+    One boolean plane per wire: a gate ANDs its controls' planes (and, for
+    a swap, the XOR of the swapped planes) and XORs that into each flipped
+    plane; an uncontrolled SWAP trades two planes. ``_ROLES`` is read, not
+    ``Gate.masks``: on 64 labels, building the masks made the 119 gates of
+    ``MulQuantumSpec(3, 2, 3, 2, 6)`` take 1.1 ms, against 0.3 ms (2 cores).
+    """
+    if not circuit.is_permutation():
+        raise PreconditionError("H is not a basis permutation")
+    planes = [(labels & (1 << w)) != 0 for w in range(circuit.num_wires)]
+    for gate in circuit:
+        (controls, flips), wires = _ROLES[gate.kind], gate.wires
+        hit = None
+        for p in controls:
+            hit = planes[wires[p]] if hit is None else hit & planes[wires[p]]
+        if len(flips) == 2:
+            a, b = wires[flips[0]], wires[flips[1]]
+            if hit is None:
+                planes[a], planes[b] = planes[b], planes[a]
+                continue
+            hit = hit & (planes[a] ^ planes[b])
+        for p in flips:
+            planes[wires[p]] ^= True if hit is None else hit
+    out = np.zeros(len(labels), dtype=np.int64)
+    for w, plane in enumerate(planes):
+        out |= plane.astype(np.int64) << w
+    return out

@@ -6,9 +6,10 @@ Displayed bitstrings are MSB-first within each segment.
 
 A permutation circuit runs on its basis support when the support is small
 (at most ``SUPPORT_PATH_MAX_SHARE`` of the labels) and on the dense array
-otherwise. The support scan reads the array in cache-sized blocks and stops
-as soon as the support is too large for the label path; the dense path then
-answers the precondition checks on the array itself.
+otherwise. Zero checks on enough wires, as a multiplier's, are answered by
+one sweep, and the support is gathered from their zero slice. Otherwise the
+support scan reads the array in cache-sized blocks and stops as soon as the
+support is too large for the label path; the dense path then sweeps.
 
 On the dense path the wires that the circuit's zero checks proved 0 are
 marked, and only the slice where they read 0 is permuted. Consecutive
@@ -27,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import PreconditionError, integer
-from .gates import Circuit, Gate, apply_gate_to_labels
+from .gates import Circuit, Gate, apply_circuit_to_labels
 
 NORM_TOL = 1e-12
 SCHMIDT_TOL = 1e-10
@@ -37,13 +38,13 @@ DEFAULT_MAX_WIRES = 24
 # most this share of the 2**m labels, and densely otherwise: the label path
 # costs grow with the support, the dense path's with 2**m. On one checked
 # left shift pass at 20 wires (shift_layout(12, 7), scan and checks
-# excluded; medians of 9, 2 cores, numpy 2.4) the label path took 3.8-4.4 ms
-# at 1/64 support, 7.1 ms at 1/32, 14 ms at 1/16, 30 ms at 1/8, 54-56 ms at
-# 1/4 and 138-141 ms at 1/2, while the dense path took 4.6-5.1 ms whatever
-# the support. The dense pass wins above about 1/64, but 1/8 stays until a
-# rule that also weighs the circuit's gate mix is measured on every
-# workload: on the dense path an adder's TOFFOLIs and CNOTs each run as one
-# slice exchange over the array.
+# excluded; medians of 9, three runs, 2 cores, numpy 2.4) the label path
+# took 1.6-2.1 ms at 1/64 support, 3.5-3.6 ms at 1/32, 5.0-6.3 ms at 1/16,
+# 11 ms at 1/8, 25-28 ms at 1/4 and 51 ms at 1/2, while the dense path took
+# 3.6-5.4 ms whatever the support. The dense pass wins above about 1/32,
+# but 1/8 stays until a rule that also weighs the circuit's gate mix is
+# measured on every workload: on the dense path an adder's TOFFOLIs and
+# CNOTs each run as one slice exchange over the array.
 SUPPORT_PATH_MAX_SHARE = 1 / 8
 
 # The support scan runs np.flatnonzero over blocks of this many amplitudes
@@ -272,9 +273,12 @@ def _dense_steps(circuit: Circuit, marked: int) -> list[Gate | _Transpose | _Exc
     return steps + _permute_slice(m, marked, src, flips)
 
 
-def _assignments(wires: Sequence[int]) -> list[int]:
-    """Every label whose set bits all lie on ``wires``."""
-    return [sum(((n >> i) & 1) << w for i, w in enumerate(wires)) for n in range(1 << len(wires))]
+def _assignments(wires: Sequence[int]) -> np.ndarray:
+    """Every label whose set bits all lie on ``wires``, ascending when ``wires`` is."""
+    labels = np.zeros(1, dtype=np.int64)
+    for wire in wires:
+        labels = np.concatenate([labels, labels | (1 << wire)])
+    return labels
 
 
 def _permute_slice(
@@ -319,7 +323,7 @@ def _permute_slice(
         axis = {w: i for i, w in enumerate(rest)}
         gather = [axis[src[w]] for w in rest]
         axes = tuple(int(a) for a in np.argsort(gather))
-        steps.append(_Transpose(wires, tuple(_assignments(chunk)), axes))
+        steps.append(_Transpose(wires, tuple(_assignments(chunk).tolist()), axes))
     for x, y in reversed(peeled):
         steps.append(_Exchange((*fixed, x, y), 1 << x, 1 << y))
     return steps + [Gate.x(w) for w in range(m) if flips >> w & 1]
@@ -351,8 +355,8 @@ def _run_on_support(
     """Apply a circuit of the state's wire count in place: on the basis
     support ``labels``, or densely when None.
 
-    ``labels`` needs an H-free circuit: its labels are permuted gate by
-    gate, then each amplitude moves once to its final label. The dense
+    ``labels`` needs an H-free circuit: :func:`apply_circuit_to_labels`
+    maps them, then each amplitude moves once to its final label. The dense
     path runs the steps of :func:`_dense_steps`, which leave in place the
     slices where a ``marked`` wire reads 1; those must hold only zeros.
 
@@ -369,9 +373,7 @@ def _run_on_support(
             else:
                 _apply_transpose(state, step)
         return state
-    moved = labels
-    for gate in circuit:
-        moved = apply_gate_to_labels(gate, moved)
+    moved = apply_circuit_to_labels(circuit, labels)
     amps = state.amplitudes
     values = amps[labels]
     amps[labels] = 0.0
@@ -384,57 +386,72 @@ def run_circuit(
 ) -> StateVector:
     """Apply a circuit's gates in order (in place), after its ``(wires, what)`` zero checks.
 
-    Every pipeline runs its circuit here, and only here is the basis
-    support scanned and the path chosen. A permutation circuit runs on the
-    support when it holds at most ``SUPPORT_PATH_MAX_SHARE`` of the labels,
-    and densely otherwise (the scan stops there; a circuit with an H gate
-    is not scanned); both give the same amplitudes. One scan serves the
-    checks too (see :func:`_require_zero`): a wire-count mismatch fails
-    first, then the checks, all before any gate runs. The dense path then
-    leaves alone the slices where a checked wire reads 1.
+    Every pipeline runs its circuit here, and only here is the path
+    chosen. A permutation circuit runs on the basis support when it holds
+    at most ``SUPPORT_PATH_MAX_SHARE`` of the labels, and densely otherwise.
+    Checks on enough wires (3 at 1/8) pin the support to their zero slice,
+    the labels whose checked wires all read 0: they are answered first and
+    the support is gathered there. Otherwise a scan that stops past the
+    share finds it (a circuit with an H gate is not scanned). A wire-count
+    mismatch fails first, then a check wire off the state, then the checks.
     """
-    if circuit.num_wires != state.num_wires:
-        raise PreconditionError(
-            f"circuit has {circuit.num_wires} wires, state has {state.num_wires}"
-        )
+    m = state.num_wires
+    if circuit.num_wires != m:
+        raise PreconditionError(f"circuit has {circuit.num_wires} wires, state has {m}")
+    checks = [(tuple(_check_wire(w, what, m) for w in wires), what) for wires, what in checks]
+    checked = _wire_mask(w for wires, _ in checks for w in wires)
+    permutes = circuit.is_permutation()
+    pinned = permutes and 2.0 ** -checked.bit_count() <= SUPPORT_PATH_MAX_SHARE
     labels = None
-    if circuit.is_permutation():
+    if permutes and not pinned:
         labels = state.nonzero_labels(limit=SUPPORT_PATH_MAX_SHARE * state.amplitudes.size)
-    return _run_on_support(state, circuit, labels, _require_zero(state, labels, checks))
+    _require_zero(state, labels, checks)
+    if pinned:
+        zero_slice = _assignments([w for w in range(m) if not checked >> w & 1])
+        labels = zero_slice[np.flatnonzero(state.amplitudes[zero_slice])]
+    return _run_on_support(state, circuit, labels, checked)
+
+
+def _check_wire(wire, what: str, num_wires: int) -> int:
+    wire = integer(wire, f"check {what!r} wire")
+    if 0 <= wire < num_wires:
+        return wire
+    raise PreconditionError(f"check {what!r} wire {wire} is off the state's {num_wires} wires")
 
 
 def _wire_mask(wires: Iterable[int]) -> int:
     mask = 0
     for wire in wires:
-        mask |= 1 << int(wire)
+        mask |= 1 << wire
     return mask
 
 
 def _require_zero(
-    state: StateVector, labels: np.ndarray | None, checks: Iterable[tuple[Sequence[int], str]]
-) -> int:
+    state: StateVector, labels: np.ndarray | None, checks: Sequence[tuple[Sequence[int], str]]
+) -> None:
     """Raise PreconditionError naming the first ``(wires, what)`` check that
-    some supported basis state violates by having a 1 on one of the wires;
-    return the mask of the checked wires.
+    some supported basis state violates by having a 1 on one of the wires.
 
-    ``labels`` is the state's support, or None to read the dense array one
-    wire's 1-slice at a time. On the labels, all checks share one pass
-    unless one fails.
+    ``labels`` is the state's support, or None to sweep the dense array.
+    One pass over every checked wire answers all the checks; only when it
+    finds a 1 do the checks run one by one, to name the first that fails.
     """
-    checks = list(checks)
-    combined = _wire_mask(w for wires, _ in checks for w in wires)
-    if labels is None or np.any(labels & combined):
+    if _has_one(state, labels, [w for wires, _ in checks for w in wires]):
         for wires, what in checks:
             if _has_one(state, labels, wires):
                 raise _nonzero_error(what)
-    return combined
 
 
 def _has_one(state: StateVector, labels: np.ndarray | None, wires: Sequence[int]) -> bool:
+    """Whether a supported label has a 1 on one of ``wires``: read from
+    ``labels``, or, when None, by a sweep of the disjoint slices where one
+    wire reads 1 and the wires above it 0, which reads each amplitude off
+    the zero slice once; as in ``np.flatnonzero``, ``-0.0`` is zero."""
     if labels is not None:
         return bool(np.any(labels & _wire_mask(wires)))
-    t = state._tensor()
-    return any(t[_slice_index(state.num_wires, (w,), 1 << w)].any() for w in wires)
+    t, top = state._tensor(), sorted(set(wires), reverse=True)
+    slices = (_slice_index(state.num_wires, top[:i + 1], 1 << w) for i, w in enumerate(top))
+    return any(t[idx].any() for idx in slices)
 
 
 def _nonzero_error(what: str) -> PreconditionError:

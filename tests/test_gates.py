@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshift import (
     Circuit,
@@ -16,6 +17,7 @@ from qshift import (
     expand_swaps,
     run_circuit,
 )
+from qshift.gates import GATE_ARITY, apply_circuit_to_labels
 from conftest import apply_circuit_matrix, random_circuit, random_state
 
 
@@ -129,6 +131,43 @@ def test_expand_swaps_and_cswaps_preserve_action(rng):
 def test_label_evaluation_rejects_h():
     with pytest.raises(PreconditionError):
         apply_circuit_to_label(Circuit(1, [Gate.h(0)]), 0)
+    with pytest.raises(PreconditionError):
+        apply_circuit_to_labels(Circuit(2, [Gate.x(1), Gate.h(0)]), np.zeros(1, dtype=np.int64))
+
+
+@st.composite
+def label_runs(draw):
+    """A circuit on 1-63 wires drawn from one of three gate mixes (all five
+    permutation kinds, SWAPs only, or mostly CSWAPs), and labels that
+    include one with the top wire set."""
+    m = draw(st.integers(1, 63))
+    mix = draw(st.sampled_from([
+        ("X", "CNOT", "TOFFOLI", "SWAP", "CSWAP"),
+        ("SWAP",),
+        ("CSWAP", "CSWAP", "CSWAP", "SWAP", "X"),
+    ]))
+    kinds = [kind for kind in mix if GATE_ARITY[kind] <= m] or ["X"]
+    gate = st.sampled_from(kinds).flatmap(
+        lambda kind: st.lists(
+            st.integers(0, m - 1), min_size=GATE_ARITY[kind], max_size=GATE_ARITY[kind], unique=True
+        ).map(lambda wires: Gate(kind, wires))
+    )
+    circuit = Circuit(m, draw(st.lists(gate, max_size=40)))
+    label = st.integers(0, 2**m - 1)
+    labels = draw(st.lists(label, min_size=1, max_size=20))
+    labels.append(draw(label) | 1 << (m - 1))
+    return circuit, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_runs())
+def test_plane_kernel_matches_label_by_label(case):
+    circuit, labels = case
+    array = np.array(labels, dtype=np.int64)
+    got = apply_circuit_to_labels(circuit, array)
+    assert got.dtype == np.int64
+    assert got.tolist() == [apply_circuit_to_label(circuit, label) for label in labels]
+    assert array.tolist() == labels
 
 
 def test_label_evaluation_matches_dense(rng):

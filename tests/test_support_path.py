@@ -73,36 +73,78 @@ def _observed_runs():
         yield runs
 
 
+@contextmanager
+def _counted_scans():
+    """Record the ``limit`` of each ``StateVector.nonzero_labels`` call."""
+    limits = []
+    scan = StateVector.nonzero_labels
+
+    def spy(self, limit=None):
+        limits.append(limit)
+        return scan(self, limit)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StateVector, "nonzero_labels", spy)
+        yield limits
+
+
 @st.composite
 def permutation_cases(draw):
-    """A random permutation circuit and a state whose support lies on a
-    drawn side of the support-path threshold, with -0.0 on some labels
-    off the support."""
+    """A random permutation circuit; zero checks on 0 to m random wires,
+    split into up to four groups; and a state on the checks' zero slice
+    whose support lies on a drawn side of the support-path threshold. Half
+    the time one label that violates a check is added, half of those in the
+    sweep's smallest slice (the lowest checked wire reads 1, the other
+    checked wires 0). Some labels off the support, checked wires set or
+    not, hold -0.0."""
     m = draw(st.integers(3, 9))
     gate = st.sampled_from(PERMUTATION_KINDS).flatmap(
         lambda kind: st.permutations(range(m)).map(lambda ws: Gate(kind, ws[: GATE_ARITY[kind]]))
     )
     circuit = Circuit(m, draw(st.lists(gate, max_size=30)))
-    sparse = draw(st.booleans())
+    checked = draw(st.permutations(range(m)))[: draw(st.integers(0, m))]
+    bounds = [0, *sorted(draw(st.lists(st.integers(0, len(checked)), max_size=3))), len(checked)]
+    checks = [(tuple(checked[i:j]), f"check {n}") for n, (i, j) in enumerate(zip(bounds, bounds[1:]))]
+    mask = sum(1 << w for w in checked)
+    pool = [label for label in range(2**m) if not label & mask]
     limit = int(SUPPORT_PATH_MAX_SHARE * 2**m)
-    size = draw(st.integers(1, limit) if sparse else st.integers(limit + 1, 2**m))
+    sparse = len(pool) <= limit or draw(st.booleans())
+    size = draw(st.integers(1, min(limit, len(pool))) if sparse else st.integers(limit + 1, len(pool)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = list(rng.choice(pool, size=size, replace=False))
+    if checked and draw(st.booleans()):
+        if draw(st.booleans()):
+            support.append(1 << min(checked) | int(rng.choice(pool)))
+        else:
+            support.append(int(rng.choice([label for label in range(2**m) if label & mask])))
     amps = np.zeros(2**m, dtype=np.complex128)
-    support = rng.choice(2**m, size=size, replace=False)
-    amps[support] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    amps[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
     amps /= np.linalg.norm(amps)
     off = np.flatnonzero(amps == 0)
-    amps[off[: draw(st.integers(0, off.size))]] = -0.0
-    return circuit, StateVector(amps), sparse
+    amps[off[rng.random(off.size) < draw(st.floats(0.0, 1.0))]] = complex(-0.0, -0.0)
+    return circuit, StateVector(amps), sparse, checks
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(permutation_cases())
 def test_support_path_matches_dense_and_label_kernels(case):
-    circuit, state, sparse = case
+    circuit, state, sparse, checks = case
     labels = state.nonzero_labels()
-    with _observed_runs() as runs:
-        checked = run_circuit(state.copy(), circuit)
+    # The first check in order that a supported label violates, as a scan of the support finds it.
+    failed = next((what for wires, what in checks if np.any(labels & sum(1 << w for w in wires))), None)
+    checked = state.copy()
+    with _observed_runs() as runs, _counted_scans() as scans:
+        if failed is None:
+            run_circuit(checked, circuit, checks)
+        else:
+            with pytest.raises(PreconditionError) as excinfo:
+                run_circuit(checked, circuit, checks)
+    # Checks on three wires or more are answered by the sweep, with no scan.
+    assert len(scans) == (len({w for wires, _ in checks for w in wires}) < 3)
+    if failed is not None:
+        assert str(excinfo.value) == f"{failed} must be zero on every supported basis state"
+        assert runs == [] and np.array_equal(_bits(checked.amplitudes), _bits(state.amplitudes))
+        return
     ((_, _, path),) = runs
     assert (path is not None) == sparse
     dense = _run_on_support(state.copy(), circuit, None, 0)
@@ -114,6 +156,9 @@ def test_support_path_matches_dense_and_label_kernels(case):
     images = [apply_circuit_to_label(circuit, int(label)) for label in labels]
     assert np.array_equal(_bits(on_support.amplitudes[images]), _bits(state.amplitudes[labels]))
     assert np.array_equal(checked.amplitudes, dense.amplitudes)
+    if sparse:
+        # Gathered from the zero slice or scanned, the support path moves the same labels.
+        assert np.array_equal(_bits(checked.amplitudes), _bits(on_support.amplitudes))
 
 
 @st.composite
@@ -266,6 +311,41 @@ def test_every_pipeline_runs_its_circuit_once_through_run_circuit(pipeline):
     assert caller == "run_circuit"
     # The same gates in the same order, so the same counts() too.
     assert circuit.num_wires == layout.num_wires and list(circuit) == gates
+
+
+@pytest.mark.parametrize(
+    "pipeline",
+    [name for name in sorted(_PIPELINE_RUNS) if name.startswith(("multiply", "shift", "rotate"))],
+)
+def test_multipliers_never_scan(pipeline):
+    # A multiplier's zero checks cover at least 3 wires, so they are
+    # answered by the sweep and the support is gathered from their zero
+    # slice; shift and rotate check only c and make one limited scan.
+    run, layout, _ = _PIPELINE_RUNS[pipeline]
+    state = StateVector.from_label(layout.num_wires, 0)
+    with _counted_scans() as scans:
+        run(state, layout)
+    if pipeline.startswith("multiply"):
+        assert scans == []
+    else:
+        assert len(scans) == 1 and scans[0] is not None
+
+
+@pytest.mark.parametrize("permutes", [True, False])
+def test_run_circuit_refuses_check_wires_off_the_state(permutes):
+    state = StateVector.from_label(8, 1 << 4)
+    # An empty circuit takes the support path; one holding an H the dense path.
+    circuit = Circuit(8, [] if permutes else [Gate.h(0)])
+    cases = [
+        (12, "check 'probe' wire 12 is off the state's 8 wires"),
+        (1.0, "check 'probe' wire 1.0 is not an integer"),
+        (-4, "check 'probe' wire -4 is off the state's 8 wires"),
+    ]
+    for wire, message in cases:
+        with pytest.raises(PreconditionError) as excinfo:
+            run_circuit(state, circuit, [((0, wire), "probe")])
+        assert str(excinfo.value) == message
+        assert state.amplitude(1 << 4) == 1
 
 
 def _gate_of(kind, m):
