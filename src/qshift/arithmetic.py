@@ -15,7 +15,7 @@ conditions each add on C's lowest wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -211,6 +211,8 @@ class MulConstSpec:
     multiplier: int
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, integer(getattr(self, f.name), f.name))
         if min(self.a_width, self.a_ancilla, self.b_width) < 1:
             raise PreconditionError("register widths must be at least 1")
         if self.multiplier < 0:
@@ -233,6 +235,8 @@ class MulQuantumSpec:
     b_width: int
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, integer(getattr(self, f.name), f.name))
         widths = (self.a_width, self.a_ancilla, self.c_width, self.c_ancilla, self.b_width)
         if min(widths) < 1:
             raise PreconditionError("register widths must be at least 1")
@@ -461,7 +465,7 @@ def select_qubit(
     Needs slot-1 ancilla slots free at the top of the ancilla register,
     since each right shift feeds the top ancilla slot into the data MSB.
     """
-    wires = layout.wires(reg)
+    wires, slot = layout.wires(reg), integer(slot, "slot")
     if not 1 <= slot <= len(wires):
         raise PreconditionError(f"slot {slot} outside register {reg!r}")
     passes = slot - 1
@@ -539,13 +543,14 @@ def cost_report(
     values are superposed; a classical machine repeats the shift schedule
     for each value, so its count scales with num_values (default 2**a_width).
     """
+    a_width, a_ancilla = integer(a_width, "a_width"), integer(a_ancilla, "a_ancilla")
+    multiplier = integer(multiplier, "multiplier")
     if a_width < 1 or a_ancilla < 1:
         raise PreconditionError("register widths must be at least 1")
     if multiplier < 0:
         raise PreconditionError("multiplier must be nonnegative")
-    if num_values is None:
-        num_values = 1 << a_width
-    elif num_values < 1:
+    num_values = 1 << a_width if num_values is None else integer(num_values, "num_values")
+    if num_values < 1:
         raise PreconditionError(f"num_values must be at least 1, got {num_values}")
     shifts = num_shifts(multiplier)
     per_shift = a_width + a_ancilla - 1

@@ -119,6 +119,7 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
+        self.num_wires = integer(self.num_wires, "num_wires")
         if self.num_wires < 1:
             raise PreconditionError("circuit needs at least one wire")
         self.gates = list(self.gates)

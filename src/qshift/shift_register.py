@@ -34,6 +34,8 @@ class ShiftSpec:
     direction: str = "left"
 
     def __post_init__(self):
+        for name in ("data_width", "ancilla_width"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.data_width < 1 or self.ancilla_width < 1:
             raise PreconditionError("data and ancilla widths must be at least 1")
         if self.direction not in DIRECTIONS:
@@ -42,7 +44,7 @@ class ShiftSpec:
 
 def shift_layout(data_width: int, ancilla_width: int) -> RegisterLayout:
     """Canonical layout: ancilla a, data b, control c on the last wire."""
-    k, n = ancilla_width, data_width
+    k, n = integer(ancilla_width, "ancilla_width"), integer(data_width, "data_width")
     return RegisterLayout(
         [
             ("a", range(k)),
@@ -115,7 +117,7 @@ def classical_shift_oracle(
 def _run_pass(
     state: StateVector, layout: RegisterLayout, direction: str, rotating: bool
 ) -> StateVector:
-    """One pass over segments a, b and c, after one scan of the basis support."""
+    """One pass over segments a, b and c, after the check that c reads 0."""
     c_wire = layout.wires("c")[0]
     gates = shift_cascade(layout.wires("a"), layout.wires("b"), c_wire, direction)
     if rotating:

@@ -4,12 +4,11 @@ Basis labels are integers; wire w contributes bit w of the label. Register
 slots are little-endian: slot 1 of a segment is its least significant bit.
 Displayed bitstrings are MSB-first within each segment.
 
-A permutation circuit runs on its basis support when the support is small
-(at most ``SUPPORT_PATH_MAX_SHARE`` of the labels) and on the dense array
-otherwise. Zero checks on enough wires, as a multiplier's, are answered by
-one sweep, and the support is gathered from their zero slice. Otherwise the
-support scan reads the array in cache-sized blocks and stops as soon as the
-support is too large for the label path; the dense path then sweeps.
+A permutation circuit runs on its basis support when its zero checks cover
+enough wires that their zero slice, the labels where every checked wire
+reads 0, holds at most ``SUPPORT_PATH_MAX_SHARE`` of the labels. One sweep
+answers the checks, and the support is gathered from that slice. Every
+other circuit runs on the dense array after the same sweep.
 
 On the dense path the wires that the circuit's zero checks proved 0 are
 marked, and only the slice where they read 0 is permuted. Consecutive
@@ -34,25 +33,18 @@ NORM_TOL = 1e-12
 SCHMIDT_TOL = 1e-10
 DEFAULT_MAX_WIRES = 24
 
-# A permutation circuit runs on the basis support when the support holds at
-# most this share of the 2**m labels, and densely otherwise: the label path
-# costs grow with the support, the dense path's with 2**m. On one checked
-# left shift pass at 20 wires (shift_layout(12, 7), scan and checks
-# excluded; medians of 9, three runs, 2 cores, numpy 2.4) the label path
-# took 1.6-2.1 ms at 1/64 support, 3.5-3.6 ms at 1/32, 5.0-6.3 ms at 1/16,
-# 11 ms at 1/8, 25-28 ms at 1/4 and 51 ms at 1/2, while the dense path took
-# 3.6-5.4 ms whatever the support. The dense pass wins above about 1/32,
-# but 1/8 stays until a rule that also weighs the circuit's gate mix is
-# measured on every workload: on the dense path an adder's TOFFOLIs and
-# CNOTs each run as one slice exchange over the array.
+# A permutation circuit runs on the basis support when its checks' zero
+# slice holds at most this share of the 2**m labels (3 checked wires), and
+# densely otherwise: the label path costs grow with the support, the dense
+# path's with 2**m. On one checked left shift pass at 20 wires
+# (shift_layout(12, 7), checks excluded; medians of 9, three runs, 2 cores,
+# numpy 2.4) the label path took 1.6-2.1 ms at 1/64 support, 3.5-3.6 ms at
+# 1/32, 5.0-6.3 ms at 1/16, 11 ms at 1/8, 25-28 ms at 1/4 and 51 ms at 1/2,
+# while the dense path took 3.6-5.4 ms whatever the support. The dense pass
+# wins above about 1/32, but 1/8 stays until a rule that also weighs the
+# circuit's gate mix is measured on every workload: on the dense path an
+# adder's TOFFOLIs and CNOTs each run as one slice exchange over the array.
 SUPPORT_PATH_MAX_SHARE = 1 / 8
-
-# The support scan runs np.flatnonzero over blocks of this many amplitudes
-# (256 KiB), so its count and fill passes both read from cache. At 20 wires
-# with half the labels supported, stopping at 1/8 took 1.1 ms against 7.5 ms
-# for one whole-array np.flatnonzero; 2**12 to 2**15 timed alike, 2**16
-# was slower (2 cores, numpy 2.4).
-_SCAN_BLOCK = 1 << 14
 
 # A compiled wire permutation permutes one chunk of the tensor at a time,
 # fixing at least this many wires (the marked wires first, then wires it
@@ -90,6 +82,7 @@ class StateVector:
 
     @classmethod
     def from_label(cls, num_wires: int, label: int, *, max_wires: int = DEFAULT_MAX_WIRES) -> "StateVector":
+        num_wires = integer(num_wires, "num_wires")
         if num_wires < 1:
             raise PreconditionError("need at least one wire")
         if num_wires > max_wires:
@@ -116,31 +109,9 @@ class StateVector:
     def amplitude(self, label: int) -> complex:
         return complex(self.amplitudes[label])
 
-    def nonzero_labels(self, limit: float | None = None) -> np.ndarray | None:
-        """Sorted labels of the nonzero amplitudes, as ``np.flatnonzero`` gives them.
-
-        With ``limit``, return None as soon as more than ``limit`` labels
-        are found, without scanning the rest of the array. Without one, the
-        scan is one whole-array ``np.flatnonzero``: at 20 wires with every
-        label supported a blocked scan took 19.8-21.7 ms and peaked at
-        16.8 MB, holding the labels twice while it joined its blocks,
-        against 8.5-8.8 ms and 8.4 MB; at half support the two took the
-        same time (2 cores, numpy 2.4).
-        """
-        amps = self.amplitudes
-        if limit is None:
-            return np.flatnonzero(amps)
-        found = []
-        count = 0
-        for start in range(0, amps.size, _SCAN_BLOCK):
-            block = np.flatnonzero(amps[start:start + _SCAN_BLOCK])
-            if block.size:
-                count += block.size
-                if count > limit:
-                    return None
-                block += start
-                found.append(block)
-        return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
+    def nonzero_labels(self) -> np.ndarray:
+        """Sorted labels of the nonzero amplitudes, as ``np.flatnonzero`` gives them."""
+        return np.flatnonzero(self.amplitudes)
 
     def allclose(self, other: "StateVector", tol: float = NORM_TOL) -> bool:
         if self.num_wires != other.num_wires:
@@ -156,9 +127,9 @@ class StateVector:
 
 def new_basis_state(num_wires: int, label: str, *, max_wires: int = DEFAULT_MAX_WIRES) -> StateVector:
     """Basis state from an MSB-first bitstring of length ``num_wires``."""
-    if num_wires < 1:
+    if integer(num_wires, "num_wires") < 1:
         raise PreconditionError("need at least one wire")
-    if len(label) != num_wires or set(label) - {"0", "1"}:
+    if not isinstance(label, str) or len(label) != num_wires or set(label) - {"0", "1"}:
         raise PreconditionError(
             f"label {label!r} is not a bitstring of length {num_wires}"
         )
@@ -387,26 +358,21 @@ def run_circuit(
     """Apply a circuit's gates in order (in place), after its ``(wires, what)`` zero checks.
 
     Every pipeline runs its circuit here, and only here is the path
-    chosen. A permutation circuit runs on the basis support when it holds
-    at most ``SUPPORT_PATH_MAX_SHARE`` of the labels, and densely otherwise.
-    Checks on enough wires (3 at 1/8) pin the support to their zero slice,
-    the labels whose checked wires all read 0: they are answered first and
-    the support is gathered there. Otherwise a scan that stops past the
-    share finds it (a circuit with an H gate is not scanned). A wire-count
-    mismatch fails first, then a check wire off the state, then the checks.
+    chosen, from the circuit and its checks alone. A permutation circuit
+    whose checks cover enough wires (3 at ``SUPPORT_PATH_MAX_SHARE`` = 1/8)
+    runs on the basis support, gathered from their zero slice, the labels
+    whose checked wires all read 0; every other circuit runs densely. A
+    wire-count mismatch fails first, then a check wire off the state, then
+    the checks, which one sweep answers before any gate runs.
     """
     m = state.num_wires
     if circuit.num_wires != m:
         raise PreconditionError(f"circuit has {circuit.num_wires} wires, state has {m}")
     checks = [(tuple(_check_wire(w, what, m) for w in wires), what) for wires, what in checks]
     checked = _wire_mask(w for wires, _ in checks for w in wires)
-    permutes = circuit.is_permutation()
-    pinned = permutes and 2.0 ** -checked.bit_count() <= SUPPORT_PATH_MAX_SHARE
+    _require_zero(state, checks)
     labels = None
-    if permutes and not pinned:
-        labels = state.nonzero_labels(limit=SUPPORT_PATH_MAX_SHARE * state.amplitudes.size)
-    _require_zero(state, labels, checks)
-    if pinned:
+    if circuit.is_permutation() and 2.0 ** -checked.bit_count() <= SUPPORT_PATH_MAX_SHARE:
         zero_slice = _assignments([w for w in range(m) if not checked >> w & 1])
         labels = zero_slice[np.flatnonzero(state.amplitudes[zero_slice])]
     return _run_on_support(state, circuit, labels, checked)
@@ -426,29 +392,24 @@ def _wire_mask(wires: Iterable[int]) -> int:
     return mask
 
 
-def _require_zero(
-    state: StateVector, labels: np.ndarray | None, checks: Sequence[tuple[Sequence[int], str]]
-) -> None:
+def _require_zero(state: StateVector, checks: Sequence[tuple[Sequence[int], str]]) -> None:
     """Raise PreconditionError naming the first ``(wires, what)`` check that
     some supported basis state violates by having a 1 on one of the wires.
 
-    ``labels`` is the state's support, or None to sweep the dense array.
-    One pass over every checked wire answers all the checks; only when it
+    One sweep over every checked wire answers all the checks; only when it
     finds a 1 do the checks run one by one, to name the first that fails.
     """
-    if _has_one(state, labels, [w for wires, _ in checks for w in wires]):
+    if _has_one(state, [w for wires, _ in checks for w in wires]):
         for wires, what in checks:
-            if _has_one(state, labels, wires):
+            if _has_one(state, wires):
                 raise _nonzero_error(what)
 
 
-def _has_one(state: StateVector, labels: np.ndarray | None, wires: Sequence[int]) -> bool:
-    """Whether a supported label has a 1 on one of ``wires``: read from
-    ``labels``, or, when None, by a sweep of the disjoint slices where one
-    wire reads 1 and the wires above it 0, which reads each amplitude off
-    the zero slice once; as in ``np.flatnonzero``, ``-0.0`` is zero."""
-    if labels is not None:
-        return bool(np.any(labels & _wire_mask(wires)))
+def _has_one(state: StateVector, wires: Sequence[int]) -> bool:
+    """Whether a supported label has a 1 on one of ``wires``, by a sweep of
+    the disjoint slices where one wire reads 1 and the wires above it 0,
+    which reads each amplitude off the zero slice once; as in
+    ``np.flatnonzero``, ``-0.0`` is zero."""
     t, top = state._tensor(), sorted(set(wires), reverse=True)
     slices = (_slice_index(state.num_wires, top[:i + 1], 1 << w) for i, w in enumerate(top))
     return any(t[idx].any() for idx in slices)
@@ -527,7 +488,7 @@ class RegisterLayout:
 
     def label_with_value(self, label: int, name: str, value: int) -> int:
         """Label with one segment replaced by an integer value."""
-        wires = self.wires(name)
+        wires, label, value = self.wires(name), integer(label, "label"), integer(value, "value")
         if not 0 <= value < (1 << len(wires)):
             raise PreconditionError(f"value {value} does not fit segment {name!r}")
         for slot, wire in enumerate(wires):

@@ -9,7 +9,7 @@ SOURCES = sorted(Path(qshift.__file__).parent.glob("*.py"))
 
 
 def test_no_module_imports_a_private_name_of_another():
-    # The runner's steps (the support scan, the zero checks, the two paths)
+    # The runner's steps (the zero checks, the zero-slice gather, the two paths)
     # stay inside state.py, reached only through run_circuit.
     hits = []
     for path in SOURCES:

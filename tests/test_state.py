@@ -6,15 +6,21 @@ import pytest
 from qshift import (
     Circuit,
     Gate,
+    MulConstSpec,
+    MulQuantumSpec,
     PreconditionError,
     RegisterLayout,
+    ShiftSpec,
     StateVector,
     apply_gate,
+    cost_report,
     is_product_across,
     new_basis_state,
     run_circuit,
     schmidt_rank,
     segment_value_distribution,
+    select_qubit,
+    shift_layout,
 )
 from conftest import apply_gate_matrix, random_circuit, random_state
 
@@ -198,3 +204,39 @@ def test_product_state_detected(rng):
     # kron order: the 2-wire factor occupies the high wires (3, 4)
     assert is_product_across(state, [3, 4]).is_product
     assert is_product_across(state, [0, 1, 2]).is_product
+
+
+def _select_slot(slot):
+    layout = shift_layout(3, 2)
+    return select_qubit(StateVector.from_label(layout.num_wires, 0), layout, "b", slot, ancilla="a")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: _select_slot(2.5), "slot 2.5 is not an integer", id="select_qubit float"),
+        pytest.param(lambda: _select_slot("2"), "slot '2' is not an integer", id="select_qubit str"),
+        pytest.param(lambda: ShiftSpec(2.5, 1), "data_width 2.5 is not an integer", id="ShiftSpec"),
+        pytest.param(lambda: shift_layout(2.5, 1), "data_width 2.5 is not an integer", id="shift_layout"),
+        pytest.param(lambda: MulConstSpec(2, 1.5, 3, 1), "a_ancilla 1.5 is not an integer", id="MulConstSpec"),
+        pytest.param(
+            lambda: MulConstSpec(2, 1, 3, 2.0), "multiplier 2.0 is not an integer", id="MulConstSpec multiplier"
+        ),
+        pytest.param(lambda: MulQuantumSpec(1.5, 1, 1, 1, 3), "a_width 1.5 is not an integer", id="MulQuantumSpec"),
+        pytest.param(lambda: StateVector.from_label(2.5, 0), "num_wires 2.5 is not an integer", id="from_label"),
+        pytest.param(lambda: Circuit("3"), "num_wires '3' is not an integer", id="Circuit str"),
+        pytest.param(lambda: Circuit(2.5), "num_wires 2.5 is not an integer", id="Circuit float"),
+        pytest.param(
+            lambda: shift_layout(3, 2).label_with_value(0, "b", 1.5), "value 1.5 is not an integer",
+            id="label_with_value",
+        ),
+        pytest.param(lambda: new_basis_state(3, 5), "label 5 is not a bitstring of length 3", id="new_basis_state"),
+        pytest.param(lambda: cost_report(2, 1, 3, 2.5), "num_values 2.5 is not an integer", id="cost_report num_values"),
+        pytest.param(lambda: cost_report(2, 1, 2.0), "multiplier 2.0 is not an integer", id="cost_report multiplier"),
+    ],
+)
+def test_integer_parameters_refuse_other_values(call, message):
+    # Each is refused where it enters, not truncated or left to fail later.
+    with pytest.raises(PreconditionError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -41,7 +41,6 @@ from qshift.cli import prepare_state
 from qshift.gates import GATE_ARITY
 from qshift.shift_register import shift_cascade
 from qshift.state import (
-    _SCAN_BLOCK,
     SUPPORT_PATH_MAX_SHARE,
     _dense_steps,
     _Exchange,
@@ -75,28 +74,27 @@ def _observed_runs():
 
 @contextmanager
 def _counted_scans():
-    """Record the ``limit`` of each ``StateVector.nonzero_labels`` call."""
-    limits = []
+    """Record the state of each ``StateVector.nonzero_labels`` call."""
+    scanned = []
     scan = StateVector.nonzero_labels
 
-    def spy(self, limit=None):
-        limits.append(limit)
-        return scan(self, limit)
+    def spy(self):
+        scanned.append(self)
+        return scan(self)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StateVector, "nonzero_labels", spy)
-        yield limits
+        yield scanned
 
 
 @st.composite
 def permutation_cases(draw):
     """A random permutation circuit; zero checks on 0 to m random wires,
-    split into up to four groups; and a state on the checks' zero slice
-    whose support lies on a drawn side of the support-path threshold. Half
-    the time one label that violates a check is added, half of those in the
-    sweep's smallest slice (the lowest checked wire reads 1, the other
-    checked wires 0). Some labels off the support, checked wires set or
-    not, hold -0.0."""
+    split into up to four groups; and a state on part of the checks' zero
+    slice. Half the time one label that violates a check is added, half of
+    those in the sweep's smallest slice (the lowest checked wire reads 1,
+    the other checked wires 0). Some labels off the support, checked wires
+    set or not, hold -0.0."""
     m = draw(st.integers(3, 9))
     gate = st.sampled_from(PERMUTATION_KINDS).flatmap(
         lambda kind: st.permutations(range(m)).map(lambda ws: Gate(kind, ws[: GATE_ARITY[kind]]))
@@ -107,9 +105,7 @@ def permutation_cases(draw):
     checks = [(tuple(checked[i:j]), f"check {n}") for n, (i, j) in enumerate(zip(bounds, bounds[1:]))]
     mask = sum(1 << w for w in checked)
     pool = [label for label in range(2**m) if not label & mask]
-    limit = int(SUPPORT_PATH_MAX_SHARE * 2**m)
-    sparse = len(pool) <= limit or draw(st.booleans())
-    size = draw(st.integers(1, min(limit, len(pool))) if sparse else st.integers(limit + 1, len(pool)))
+    size = draw(st.integers(1, len(pool)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     support = list(rng.choice(pool, size=size, replace=False))
     if checked and draw(st.booleans()):
@@ -122,13 +118,13 @@ def permutation_cases(draw):
     amps /= np.linalg.norm(amps)
     off = np.flatnonzero(amps == 0)
     amps[off[rng.random(off.size) < draw(st.floats(0.0, 1.0))]] = complex(-0.0, -0.0)
-    return circuit, StateVector(amps), sparse, checks
+    return circuit, StateVector(amps), checks
 
 
 @settings(max_examples=200, deadline=None)
 @given(permutation_cases())
 def test_support_path_matches_dense_and_label_kernels(case):
-    circuit, state, sparse, checks = case
+    circuit, state, checks = case
     labels = state.nonzero_labels()
     # The first check in order that a supported label violates, as a scan of the support finds it.
     failed = next((what for wires, what in checks if np.any(labels & sum(1 << w for w in wires))), None)
@@ -139,14 +135,16 @@ def test_support_path_matches_dense_and_label_kernels(case):
         else:
             with pytest.raises(PreconditionError) as excinfo:
                 run_circuit(checked, circuit, checks)
-    # Checks on three wires or more are answered by the sweep, with no scan.
-    assert len(scans) == (len({w for wires, _ in checks for w in wires}) < 3)
+    # The checks are answered by the sweep, with no scan.
+    assert scans == []
     if failed is not None:
         assert str(excinfo.value) == f"{failed} must be zero on every supported basis state"
         assert runs == [] and np.array_equal(_bits(checked.amplitudes), _bits(state.amplitudes))
         return
     ((_, _, path),) = runs
-    assert (path is not None) == sparse
+    # Checks on three wires or more pin the support to their zero slice.
+    pinned = len({w for wires, _ in checks for w in wires}) >= 3
+    assert (path is not None) == pinned
     dense = _run_on_support(state.copy(), circuit, None, 0)
     on_support = _run_on_support(state.copy(), circuit, labels, 0)
     assert np.array_equal(on_support.amplitudes, dense.amplitudes)
@@ -156,8 +154,9 @@ def test_support_path_matches_dense_and_label_kernels(case):
     images = [apply_circuit_to_label(circuit, int(label)) for label in labels]
     assert np.array_equal(_bits(on_support.amplitudes[images]), _bits(state.amplitudes[labels]))
     assert np.array_equal(checked.amplitudes, dense.amplitudes)
-    if sparse:
-        # Gathered from the zero slice or scanned, the support path moves the same labels.
+    if pinned:
+        # Gathered from the zero slice, the support is the scanned one.
+        assert np.array_equal(path, labels)
         assert np.array_equal(_bits(checked.amplitudes), _bits(on_support.amplitudes))
 
 
@@ -313,28 +312,23 @@ def test_every_pipeline_runs_its_circuit_once_through_run_circuit(pipeline):
     assert circuit.num_wires == layout.num_wires and list(circuit) == gates
 
 
-@pytest.mark.parametrize(
-    "pipeline",
-    [name for name in sorted(_PIPELINE_RUNS) if name.startswith(("multiply", "shift", "rotate"))],
-)
-def test_multipliers_never_scan(pipeline):
-    # A multiplier's zero checks cover at least 3 wires, so they are
-    # answered by the sweep and the support is gathered from their zero
-    # slice; shift and rotate check only c and make one limited scan.
+@pytest.mark.parametrize("pipeline", sorted(_PIPELINE_RUNS))
+def test_no_pipeline_scans(pipeline):
+    # The path follows from the circuit and its checks: a multiplier's
+    # checks cover at least 3 wires, so its support is gathered from their
+    # zero slice; shift, rotate and the adders check fewer and run densely.
     run, layout, _ = _PIPELINE_RUNS[pipeline]
     state = StateVector.from_label(layout.num_wires, 0)
     with _counted_scans() as scans:
         run(state, layout)
-    if pipeline.startswith("multiply"):
-        assert scans == []
-    else:
-        assert len(scans) == 1 and scans[0] is not None
+    assert scans == []
 
 
 @pytest.mark.parametrize("permutes", [True, False])
 def test_run_circuit_refuses_check_wires_off_the_state(permutes):
     state = StateVector.from_label(8, 1 << 4)
-    # An empty circuit takes the support path; one holding an H the dense path.
+    # Off-state check wires are refused before the path is chosen, whether
+    # the circuit permutes labels or holds an H.
     circuit = Circuit(8, [] if permutes else [Gate.h(0)])
     cases = [
         (12, "check 'probe' wire 12 is off the state's 8 wires"),
@@ -586,7 +580,7 @@ def test_fused_pass_peak_memory_at_most_gate_by_gate(rotating, monkeypatch):
     # The largest temporary is one chunk of 2**(m-2) amplitudes; the rest
     # of the peak is the pass's few small objects.
     assert fused < 2 ** (m - 2) * state.amplitudes.itemsize * 1.125
-    # The same pass, with the same scan and checks, but every gate applied alone.
+    # The same pass, with the same checks, but every gate applied alone.
     monkeypatch.setattr(state_module, "_dense_steps", lambda circuit, marked: list(circuit))
     assert fused <= _peak_bytes(lambda: run_pass(reference))
     assert np.array_equal(_bits(state.amplitudes), _bits(reference.amplitudes))
@@ -636,35 +630,6 @@ def test_compiled_passes_peak_under_one_chunk(run, monkeypatch):
     # The largest temporary is one chunk of 2**(m-2) amplitudes; the rest
     # of the peak is the run's few small objects.
     assert _peak_bytes(go) < 2 ** (m - 2) * state.amplitudes.itemsize * 1.125
-
-
-@pytest.mark.parametrize("m", [13, 14, 16])
-def test_blocked_scan_matches_flatnonzero(m):
-    size = 2**m
-    rng = np.random.default_rng(m)
-    edges = [e + d for e in range(0, size + 1, _SCAN_BLOCK) for d in (-2, -1, 0, 1)]
-    for support in (
-        [0],
-        [size - 1],
-        [e for e in edges if 0 <= e < size],
-        rng.choice(size, size=size // 3, replace=False),
-        np.arange(size),
-    ):
-        state = StateVector.from_label(m, 0)
-        amps = state.amplitudes
-        amps[:] = -0.0
-        amps.imag[rng.random(size) < 0.5] = -0.0
-        amps[support] = 1.0 + 1j * rng.integers(0, 2, size=len(support))
-        want = np.flatnonzero(amps)
-        for limit in (None, 0, want.size - 1, want.size, want.size + 1):
-            got = state.nonzero_labels(limit=limit)
-            if limit is not None and want.size > limit:
-                assert got is None
-            else:
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-        # Without a limit the labels are held once, not once per block and
-        # again joined.
-        assert _peak_bytes(state.nonzero_labels) < want.nbytes + 4096
 
 
 def _state_on(m, labels, rng):
