@@ -213,15 +213,21 @@ class MulConstSpec:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, integer(getattr(self, f.name), f.name))
-        if min(self.a_width, self.a_ancilla, self.b_width) < 1:
-            raise PreconditionError("register widths must be at least 1")
-        if self.multiplier < 0:
-            raise PreconditionError("multiplier must be nonnegative")
-        if num_shifts(self.multiplier) > self.a_ancilla:
-            raise PreconditionError(
-                f"multiplier {bin(self.multiplier)} needs {num_shifts(self.multiplier)} "
-                f"shifts but the ancilla holds only {self.a_ancilla}"
-            )
+        _check_schedule((self.a_width, self.a_ancilla, self.b_width), self.a_ancilla, self.multiplier)
+
+
+def _check_schedule(widths: Sequence[int], a_ancilla: int, multiplier: int) -> None:
+    """The rule a constant multiplication's spec and its cost report share: every
+    width is at least 1 and the ancilla of A holds the multiplier's shifts."""
+    if min(widths) < 1:
+        raise PreconditionError("register widths must be at least 1")
+    if multiplier < 0:
+        raise PreconditionError("multiplier must be nonnegative")
+    if num_shifts(multiplier) > a_ancilla:
+        raise PreconditionError(
+            f"multiplier {bin(multiplier)} needs {num_shifts(multiplier)} "
+            f"shifts but the ancilla holds only {a_ancilla}"
+        )
 
 
 @dataclass(frozen=True)
@@ -371,18 +377,6 @@ def _zero_checks(
             if width and name not in factors]
 
 
-def _largest_on_zero_slice(state: StateVector, layout: RegisterLayout, name: str) -> int:
-    """Largest value of segment ``name`` on a nonzero amplitude whose other wires all read 0.
-
-    Those are the 2**width labels whose set bits all lie on the segment;
-    label i of the gather holds value i.
-    """
-    labels = np.zeros(1, dtype=np.int64)
-    for wire in layout.wires(name):
-        labels = np.concatenate([labels, labels | (1 << wire)])
-    return int(np.flatnonzero(state.amplitudes[labels]).max(initial=0))
-
-
 def multiply_by_constant(
     state: StateVector, spec: MulConstSpec, layout: RegisterLayout | None = None
 ) -> StateVector:
@@ -398,9 +392,10 @@ def multiply_by_constant(
     circuit = build_multiply_by_constant_circuit(spec, layout)
     checks = _zero_checks(layout, _mul_const_widths(spec), ("A",))
     if layout.num_wires == state.num_wires:
-        # A valid input's support lies on A's zero slice, so its largest A
-        # value is read there; an invalid one fails a check first.
-        product = spec.multiplier * _largest_on_zero_slice(state, layout, "A")
+        # A valid input's support lies on A's slice, so its largest A value
+        # is read there; an invalid one fails a check first.
+        labels, _ = state.support(layout.wires("A"))
+        product = spec.multiplier * int(layout.values(labels, "A").max(initial=0))
         if product >= 1 << spec.b_width:
             run_circuit(state, Circuit(layout.num_wires), checks)
             raise PreconditionError(
@@ -542,13 +537,11 @@ def cost_report(
     The quantum pipeline runs its schedule once regardless of how many
     values are superposed; a classical machine repeats the shift schedule
     for each value, so its count scales with num_values (default 2**a_width).
+    A schedule that ``MulConstSpec`` refuses is refused with the same message.
     """
     a_width, a_ancilla = integer(a_width, "a_width"), integer(a_ancilla, "a_ancilla")
     multiplier = integer(multiplier, "multiplier")
-    if a_width < 1 or a_ancilla < 1:
-        raise PreconditionError("register widths must be at least 1")
-    if multiplier < 0:
-        raise PreconditionError("multiplier must be nonnegative")
+    _check_schedule((a_width, a_ancilla), a_ancilla, multiplier)
     num_values = 1 << a_width if num_values is None else integer(num_values, "num_values")
     if num_values < 1:
         raise PreconditionError(f"num_values must be at least 1, got {num_values}")

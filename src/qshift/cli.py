@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 import numpy as np
@@ -22,7 +21,7 @@ from .arithmetic import (
     multiply_by_constant,
     multiply_registers,
 )
-from .errors import PreconditionError
+from .errors import PreconditionError, tolerance
 from .gates import Circuit, Gate
 from .shift_register import ShiftSpec, gate_count, rotate, shift, shift_layout
 from .state import NORM_TOL, RegisterLayout, StateVector, run_circuit
@@ -41,12 +40,11 @@ def _positive_int(text: str) -> int:
 
 def _tolerance(text: str) -> float:
     try:
-        value = float(text)
+        return tolerance(float(text), "--tol")
+    except PreconditionError:
+        raise argparse.ArgumentTypeError(f"{text!r} must be a finite nonnegative number") from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 <= value < math.inf:  # NaN fails both comparisons
-        raise argparse.ArgumentTypeError(f"{text!r} must be a finite nonnegative number")
-    return value
 
 
 def _binary_literal(text: str) -> int:
@@ -196,10 +194,9 @@ def prepare_state(kind: str, layout: RegisterLayout) -> StateVector:
 
 
 def _branch_table(state: StateVector, layout: RegisterLayout) -> str:
-    labels = state.nonzero_labels()
+    labels, amps = state.support()
     a = layout.values(labels, "A")
     b = layout.values(labels, "B")
-    amps = state.amplitudes[labels]
     # np.hypot rounds as the scalar abs() does; np.abs on a complex array
     # may differ in the last bit.
     amp = np.hypot(amps.real, amps.imag)

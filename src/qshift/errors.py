@@ -1,5 +1,7 @@
-"""Error type shared by all qshift operations, and the integer check they share."""
+"""Error type shared by all qshift operations, and the integer and tolerance checks they share."""
 
+import math
+import numbers
 import operator
 
 
@@ -17,3 +19,11 @@ def integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise PreconditionError(f"{what} {value!r} is not an integer") from None
+
+
+def tolerance(value, what: str) -> float:
+    """``value`` as a float if it is a finite nonnegative real number; NaN, infinities,
+    negatives and non-numbers raise instead of skewing a comparison."""
+    if isinstance(value, numbers.Real) and 0.0 <= value < math.inf:  # NaN fails both comparisons
+        return float(value)
+    raise PreconditionError(f"{what} {value!r} must be finite and nonnegative")

@@ -26,12 +26,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, integer
+from .errors import PreconditionError, integer, tolerance
 from .gates import Circuit, Gate, apply_circuit_to_labels
 
 NORM_TOL = 1e-12
 SCHMIDT_TOL = 1e-10
-DEFAULT_MAX_WIRES = 24
+MAX_WIRES = 24  # a dense vector of 2**24 amplitudes takes 256 MiB
 
 # A permutation circuit runs on the basis support when its checks' zero
 # slice holds at most this share of the 2**m labels (3 checked wires), and
@@ -67,29 +67,24 @@ class StateVector:
 
     __slots__ = ("num_wires", "amplitudes")
 
-    def __init__(self, amplitudes, *, max_wires: int = DEFAULT_MAX_WIRES):
-        arr = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
-        if arr.size < 2:
-            raise PreconditionError(f"amplitude count {arr.size} is not 2**m with m >= 1")
+    def __init__(self, amplitudes):
+        arr = np.asarray(amplitudes)
         m = int(arr.size).bit_length() - 1
-        if arr.size != 1 << m:
+        if arr.size < 2 or arr.size != 1 << m:
             raise PreconditionError(f"amplitude count {arr.size} is not 2**m with m >= 1")
-        if m > max_wires:
-            raise PreconditionError(f"{m} wires exceeds the {max_wires}-wire ceiling")
+        _check_ceiling(m)  # before the copy, which a broadcast input would make full size
+        arr = arr.astype(np.complex128, order="C").reshape(-1)
         check_unit_norm(arr, NORM_TOL, "state")
         self.num_wires = m
         self.amplitudes = arr
 
     @classmethod
-    def from_label(cls, num_wires: int, label: int, *, max_wires: int = DEFAULT_MAX_WIRES) -> "StateVector":
+    def from_label(cls, num_wires: int, label: int) -> "StateVector":
         num_wires = integer(num_wires, "num_wires")
         if num_wires < 1:
             raise PreconditionError("need at least one wire")
-        if num_wires > max_wires:
-            raise PreconditionError(f"{num_wires} wires exceeds the {max_wires}-wire ceiling")
-        label = integer(label, "label")
-        if not 0 <= label < (1 << num_wires):
-            raise PreconditionError(f"label {label} out of range for {num_wires} wires")
+        _check_ceiling(num_wires)
+        label = _label(label, num_wires)
         amps = np.zeros(1 << num_wires, dtype=np.complex128)
         amps[label] = 1.0
         out = object.__new__(cls)
@@ -107,13 +102,27 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def amplitude(self, label: int) -> complex:
-        return complex(self.amplitudes[label])
+        return complex(self.amplitudes[_label(label, self.num_wires)])
 
     def nonzero_labels(self) -> np.ndarray:
         """Sorted labels of the nonzero amplitudes, as ``np.flatnonzero`` gives them."""
         return np.flatnonzero(self.amplitudes)
 
+    def support(self, wires: Iterable[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted labels of the nonzero amplitudes (``-0.0`` is zero) and those amplitudes.
+
+        With ``wires``, only the labels whose set bits all lie on them, read
+        from a gather of those ``2**len(wires)`` labels with no scan.
+        """
+        if wires is None:
+            labels = self.nonzero_labels()
+        else:
+            labels = _assignments(sorted({_check_wire(w, "support", self.num_wires) for w in wires}))
+            labels = labels[np.flatnonzero(self.amplitudes[labels])]
+        return labels, self.amplitudes[labels]
+
     def allclose(self, other: "StateVector", tol: float = NORM_TOL) -> bool:
+        tol = tolerance(tol, "tolerance")
         if self.num_wires != other.num_wires:
             return False
         return bool(np.max(np.abs(self.amplitudes - other.amplitudes)) <= tol)
@@ -125,7 +134,7 @@ class StateVector:
         return f"StateVector(num_wires={self.num_wires})"
 
 
-def new_basis_state(num_wires: int, label: str, *, max_wires: int = DEFAULT_MAX_WIRES) -> StateVector:
+def new_basis_state(num_wires: int, label: str) -> StateVector:
     """Basis state from an MSB-first bitstring of length ``num_wires``."""
     if integer(num_wires, "num_wires") < 1:
         raise PreconditionError("need at least one wire")
@@ -133,13 +142,24 @@ def new_basis_state(num_wires: int, label: str, *, max_wires: int = DEFAULT_MAX_
         raise PreconditionError(
             f"label {label!r} is not a bitstring of length {num_wires}"
         )
-    return StateVector.from_label(num_wires, int(label, 2), max_wires=max_wires)
+    return StateVector.from_label(num_wires, int(label, 2))
+
+
+def _check_ceiling(num_wires: int) -> None:
+    if num_wires > MAX_WIRES:
+        raise PreconditionError(f"{num_wires} wires exceeds the {MAX_WIRES}-wire ceiling")
+
+
+def _label(label, num_wires: int) -> int:
+    label = integer(label, "label")
+    if not 0 <= label < (1 << num_wires):
+        raise PreconditionError(f"label {label} out of range for {num_wires} wires")
+    return label
 
 
 def check_unit_norm(amplitudes: np.ndarray, tol: float, what: str) -> None:
     """Raise PreconditionError unless every amplitude is finite and the norm is 1 within tol."""
-    if not 0.0 <= tol < math.inf:  # NaN fails both comparisons
-        raise PreconditionError(f"norm tolerance {tol!r} must be finite and nonnegative")
+    tol = tolerance(tol, "norm tolerance")
     norm = np.linalg.norm(amplitudes)
     # A NaN or infinite amplitude makes the norm NaN or infinite, so finite
     # input pays for no extra scan.
@@ -368,21 +388,20 @@ def run_circuit(
     m = state.num_wires
     if circuit.num_wires != m:
         raise PreconditionError(f"circuit has {circuit.num_wires} wires, state has {m}")
-    checks = [(tuple(_check_wire(w, what, m) for w in wires), what) for wires, what in checks]
+    checks = [(tuple(_check_wire(w, f"check {what!r}", m) for w in ws), what) for ws, what in checks]
     checked = _wire_mask(w for wires, _ in checks for w in wires)
     _require_zero(state, checks)
     labels = None
     if circuit.is_permutation() and 2.0 ** -checked.bit_count() <= SUPPORT_PATH_MAX_SHARE:
-        zero_slice = _assignments([w for w in range(m) if not checked >> w & 1])
-        labels = zero_slice[np.flatnonzero(state.amplitudes[zero_slice])]
+        labels, _ = state.support(w for w in range(m) if not checked >> w & 1)
     return _run_on_support(state, circuit, labels, checked)
 
 
 def _check_wire(wire, what: str, num_wires: int) -> int:
-    wire = integer(wire, f"check {what!r} wire")
+    wire = integer(wire, f"{what} wire")
     if 0 <= wire < num_wires:
         return wire
-    raise PreconditionError(f"check {what!r} wire {wire} is off the state's {num_wires} wires")
+    raise PreconditionError(f"{what} wire {wire} is off the state's {num_wires} wires")
 
 
 def _wire_mask(wires: Iterable[int]) -> int:
@@ -527,10 +546,10 @@ def segment_value_distribution(
     if layout.num_wires != state.num_wires:
         raise PreconditionError("layout and state wire counts differ")
     width = layout.width(name)
-    labels = state.nonzero_labels()
+    labels, amps = state.support()
     # Zero amplitudes would only add exact zeros, so the support gives the
     # same sums in the same order as all 2**m labels.
-    probs = np.abs(state.amplitudes[labels]) ** 2
+    probs = np.abs(amps) ** 2
     marg = np.bincount(layout.values(labels, name), weights=probs, minlength=1 << width)
     return {int(v): float(p) for v, p in enumerate(marg) if p > 0.0}
 
@@ -542,7 +561,7 @@ class ProductCheck(NamedTuple):
 
 def schmidt_rank(state: StateVector, cut: Iterable[int], tol: float = SCHMIDT_TOL) -> int:
     """Number of singular values above ``tol`` across the given bipartition."""
-    m = state.num_wires
+    m, tol = state.num_wires, tolerance(tol, "Schmidt tolerance")
     cut_set = {integer(w, "cut wire") for w in cut}
     if not cut_set or any(w < 0 or w >= m for w in cut_set):
         raise PreconditionError("cut must be a nonempty set of in-range wires")

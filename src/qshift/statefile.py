@@ -37,19 +37,19 @@ def state_to_text(state: StateVector, layout: RegisterLayout) -> str:
     if layout.num_wires != state.num_wires:
         raise PreconditionError("layout and state wire counts differ")
     m = state.num_wires
-    labels = state.nonzero_labels()
+    labels, amps = state.support()
     # All bitstrings have m characters, so their order is that of the
     # integers they spell.
     key = np.zeros_like(labels)
     for col, wire in enumerate(layout.display_wires):
         key |= ((labels >> wire) & 1) << (m - 1 - col)
-    labels = labels[np.argsort(key)]
+    order = np.argsort(key)
     del key
+    labels, amps = labels[order], amps[order]
     chars = np.empty((labels.size, m), dtype=np.uint32)  # UCS-4 code points
     for col, wire in enumerate(layout.display_wires):
         chars[:, col] = (labels >> wire) & 1
     chars += _ZERO
-    amps = state.amplitudes[labels]
     fields: list = [m] + [None] * (3 * labels.size)
     fields[1::3] = chars.view(f"U{m}").ravel().tolist()
     del chars
@@ -63,7 +63,7 @@ def _labels_from_bits(bits: tuple[str, ...], layout: RegisterLayout) -> np.ndarr
     """Labels of valid display bitstrings, or None if any is not ``m`` ASCII 0/1s."""
     m = layout.num_wires
     joined = "".join(bits)
-    if set(map(len, bits)) != {m} or not joined.isascii():
+    if set(map(len, bits)) - {m} or not joined.isascii():
         return None
     digits = np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(-1, m) - _ZERO
     if (digits > 1).any():  # uint8 wraps characters below '0' to large values
@@ -77,11 +77,11 @@ def _labels_from_bits(bits: tuple[str, ...], layout: RegisterLayout) -> np.ndarr
 def _parse_block(
     block: list[str], layout: RegisterLayout
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Labels, real and imaginary parts of a block with no blank or faulty line, else None."""
-    rows = [ln.split() for ln in block]
-    if set(map(len, rows)) != {3}:
+    """Labels, real and imaginary parts of a block's nonblank lines, or None if one is faulty."""
+    rows = list(filter(None, map(str.split, block)))
+    if set(map(len, rows)) - {3}:
         return None
-    bits, re_text, im_text = zip(*rows)
+    bits, re_text, im_text = zip(*rows) if rows else ((), (), ())
     labels = _labels_from_bits(bits, layout)
     if labels is None:
         return None
@@ -93,16 +93,14 @@ def _parse_block(
     return labels, re, im
 
 
-def _parse_block_by_line(
-    block: list[str], layout: RegisterLayout, seen: set[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Line-by-line parse of a block, raising on its first faulty line.
+def _raise_first_fault(block: list[str], layout: RegisterLayout, seen: set[int]) -> None:
+    """Raise PreconditionError on the first faulty line of a block that
+    :func:`_parse_block` declined, or on an earlier line that repeats a label.
 
-    ``seen`` holds the labels of the lines before the block. Runs only when
-    :func:`_parse_block` declines a block, so that each fault is reported
-    with the same message and in the same file order as a plain loop would.
+    ``seen`` holds the labels of the lines before the block. Walking the
+    lines one by one reports each fault with the same message and in the
+    same file order as a plain loop would.
     """
-    labels, re, im = [], [], []
     for ln in block:
         parts = ln.split()
         if not parts:
@@ -114,16 +112,10 @@ def _parse_block_by_line(
             raise PreconditionError(f"duplicate basis label {parts[0]!r}")
         seen.add(label)
         try:
-            re.append(float(parts[1]))
-            im.append(float(parts[2]))
+            float(parts[1])
+            float(parts[2])
         except ValueError:
             raise PreconditionError(f"bad amplitude line {ln!r}") from None
-        labels.append(label)
-    return (
-        np.array(labels, dtype=np.int64),
-        np.array(re, dtype=np.float64),
-        np.array(im, dtype=np.float64),
-    )
 
 
 def _check_no_duplicates(labels: np.ndarray, layout: RegisterLayout) -> None:
@@ -184,7 +176,7 @@ def state_from_text(text: str, layout: RegisterLayout, *, norm_tol: float = NORM
         parsed = _parse_block(block, layout)
         if parsed is None:
             _check_no_duplicates(seen[:count], layout)
-            parsed = _parse_block_by_line(block, layout, set(seen[:count].tolist()))
+            _raise_first_fault(block, layout, set(seen[:count].tolist()))
         labels, re, im = parsed
         amps.real[labels] = re  # two real writes: re + 1j * im would turn inf into nan
         amps.imag[labels] = im

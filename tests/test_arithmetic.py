@@ -538,6 +538,23 @@ def test_cost_report_trivial_multipliers():
     assert report.shifts == 0 and report.additions == 0
 
 
+def test_cost_report_refuses_what_the_spec_refuses():
+    # One rule for widths, multiplier and ancilla, with one message.
+    cases = [
+        ((2, 1, 0b1000), "multiplier 0b1000 needs 3 shifts but the ancilla holds only 1"),
+        ((0, 1, 1), "register widths must be at least 1"),
+        ((2, 0, 1), "register widths must be at least 1"),
+        ((2, 1, -1), "multiplier must be nonnegative"),
+    ]
+    for (a_width, a_ancilla, multiplier), message in cases:
+        for refuse in (lambda: MulConstSpec(a_width, a_ancilla, 6, multiplier),
+                       lambda: cost_report(a_width, a_ancilla, multiplier)):
+            with pytest.raises(PreconditionError) as excinfo:
+                refuse()
+            assert str(excinfo.value) == message
+    assert cost_report(2, 3, 0b1000).shifts == 3
+
+
 def test_cost_quantum_count_independent_of_values():
     small = cost_report(4, 3, 0b110, num_values=2)
     big = cost_report(4, 3, 0b110, num_values=1 << 10)

@@ -232,6 +232,16 @@ def test_cost_output(capsys):
     assert "classical_operations=48" in out
 
 
+def test_cost_refuses_the_schedule_mul_const_refuses(tmp_path, capsys):
+    # Both commands refuse 3 shifts on a 1-wire ancilla, with one message.
+    message = "error: multiplier 0b1000 needs 3 shifts but the ancilla holds only 1\n"
+    code, out, err = run_cli(capsys, "cost", "--nA", "2", "--kA", "1", "--l", "1000")
+    assert (code, out, err) == (1, "", message)
+    code, out, err = run_cli(capsys, "mul-const", "--nA", "2", "--kA", "1", "--nB", "6", "--l", "1000",
+                             "--in", str(tmp_path / "in.txt"), "--out", str(tmp_path / "out.txt"))
+    assert (code, out, err) == (1, "", message)
+
+
 def test_identical_invocations_byte_identical(tmp_path, capsys):
     outs = []
     for name in ("one", "two"):

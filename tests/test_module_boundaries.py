@@ -1,4 +1,5 @@
-"""Module boundaries inside the package: no module imports another's private names."""
+"""Module boundaries inside the package: no module imports another's private names,
+and the amplitude array is read through ``StateVector`` outside ``state.py``."""
 
 import ast
 from pathlib import Path
@@ -17,3 +18,20 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 hits += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
     assert len(SOURCES) > 1 and hits == []
+
+
+def test_only_the_reader_and_the_oracle_touch_amplitudes_outside_state():
+    # Everything else reads a state through StateVector.support, so a new
+    # state form changes that method, not its callers. The reader fills the
+    # array it allocates; the gate-free oracle adder stays independent of
+    # the engine it cross-checks.
+    hits = set()
+    for path in SOURCES:
+        if path.name == "state.py":
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            where = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "amplitudes":
+                    hits.add(f"{path.stem}.{where}")
+    assert hits == {"statefile.state_from_text", "arithmetic.oracle_add"}

@@ -1,7 +1,11 @@
 """State construction, gate application, distributions, and entanglement checks."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshift import (
     Circuit,
@@ -21,6 +25,7 @@ from qshift import (
     segment_value_distribution,
     select_qubit,
     shift_layout,
+    state_from_text,
 )
 from conftest import apply_gate_matrix, random_circuit, random_state
 
@@ -55,7 +60,90 @@ def test_state_vector_norm_enforced():
 def test_max_wires_ceiling():
     with pytest.raises(PreconditionError):
         StateVector.from_label(25, 0)
-    StateVector.from_label(25, 0, max_wires=25)
+    # One ceiling, with no override: 25 wires are refused however the state is made.
+    refusals = [
+        lambda: StateVector(np.broadcast_to(np.complex128(0), (1 << 25,))),
+        lambda: new_basis_state(25, "0" * 25),
+        lambda: state_from_text("wires=25\n" + "0" * 25 + " 1 0\n", RegisterLayout.single("q", 25)),
+    ]
+    for refuse in refusals:
+        with pytest.raises(PreconditionError, match="^25 wires exceeds the 24-wire ceiling$"):
+            refuse()
+
+
+def test_oversized_input_is_refused_before_it_is_copied():
+    # A broadcast view of 2**25 amplitudes holds 16 bytes; its copy would take 512 MiB.
+    view = np.broadcast_to(np.complex128(0), (1 << 25,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="^25 wires exceeds the 24-wire ceiling$"):
+            StateVector(view)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_state_reads_refuse_labels_and_wires_off_the_state():
+    state = new_basis_state(2, "11")
+    assert state.amplitude(3) == 1 and state.amplitude(np.int64(3)) == 1
+    assert state.amplitude(True) == state.amplitude(1) == 0  # as in from_label, True is label 1
+    cases = [
+        (lambda: state.amplitude(-1), "label -1 out of range for 2 wires"),
+        (lambda: state.amplitude(4), "label 4 out of range for 2 wires"),
+        (lambda: state.amplitude(1.0), "label 1.0 is not an integer"),
+        (lambda: state.amplitude("3"), "label '3' is not an integer"),
+        (lambda: state.support([0, 2]), "support wire 2 is off the state's 2 wires"),
+        (lambda: state.support([-1]), "support wire -1 is off the state's 2 wires"),
+        (lambda: state.support([0.5]), "support wire 0.5 is not an integer"),
+    ]
+    for call, message in cases:
+        with pytest.raises(PreconditionError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+
+def _bits(amplitudes):
+    return amplitudes.view(np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_support_matches_the_nonzero_labels(data):
+    # Off the support some labels hold -0.0, which is zero to both reads.
+    m = data.draw(st.integers(1, 8))
+    labels = st.integers(0, (1 << m) - 1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros(1 << m, dtype=np.complex128)
+    amps[list(data.draw(st.sets(labels)))] = complex(-0.0, -0.0)
+    support = sorted(data.draw(st.sets(labels, min_size=1)))
+    amps[support] = rng.normal(size=2 * len(support)).view(np.complex128)
+    state = StateVector(amps / np.linalg.norm(amps))
+    want = state.nonzero_labels()
+    wires = data.draw(st.lists(st.integers(0, m - 1), max_size=m + 1))
+
+    got, values = state.support()
+    assert np.array_equal(got, want) and np.array_equal(_bits(values), _bits(state.amplitudes[want]))
+    on_wires = want[(want & ~sum(1 << w for w in set(wires))) == 0]
+    got, values = state.support(wires)
+    assert np.array_equal(got, on_wires) and np.array_equal(_bits(values), _bits(state.amplitudes[on_wires]))
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf, "0.1"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda s, tol: schmidt_rank(s, [0], tol=tol), id="schmidt_rank"),
+        pytest.param(lambda s, tol: is_product_across(s, [0], tol), id="is_product_across"),
+        pytest.param(lambda s, tol: s.allclose(s, tol), id="allclose"),
+        pytest.param(lambda s, tol: state_from_text("wires=2\n00 1 0\n", RegisterLayout.single("q", 2),
+                                                    norm_tol=tol), id="state_from_text"),
+    ],
+)
+def test_tolerances_refuse_nan_infinite_negative_and_non_numbers(call, tol):
+    # A silly tolerance is refused, not left to call a product state entangled.
+    with pytest.raises(PreconditionError, match=r"tolerance .* must be finite and nonnegative$"):
+        call(new_basis_state(2, "00"), tol)
 
 
 def test_apply_gate_matches_matrix_oracle(rng):

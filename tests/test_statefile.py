@@ -90,6 +90,28 @@ def test_rejects_bad_inputs():
         state_from_text("wires=40\n" + "0" * 40 + " 1 0\n", RegisterLayout.single("q", 40))
 
 
+@pytest.mark.parametrize("block_chars", [1, 64, statefile.READ_BLOCK_CHARS])
+def test_blank_lines_are_skipped(block_chars, monkeypatch, rng):
+    # Blank and whitespace-only lines lead, sit between lines and trail, and
+    # at small block sizes some blocks hold nothing else. Each block parses
+    # whole, with no line-by-line walk.
+    layout = _layout()
+    state = random_state(rng, 5)
+    header, *lines = state_to_text(state, layout).splitlines()
+    blanks = ["", " ", "\t", "  \t "]
+    body = ["", "   ", header, *blanks * 20]
+    for i, line in enumerate(lines):
+        body += blanks[: i % 5] + [line]
+    text = "\n".join(body + blanks * 20) + "\n"
+
+    def walked(*args):
+        raise AssertionError("a block with blank lines was walked line by line")
+
+    monkeypatch.setattr(statefile, "READ_BLOCK_CHARS", block_chars)
+    monkeypatch.setattr(statefile, "_raise_first_fault", walked)
+    assert np.array_equal(state_from_text(text, layout).amplitudes, state.amplitudes)
+
+
 def test_negative_zero_is_normalized():
     layout = RegisterLayout([("q", [0])])
     state = StateVector(np.array([1.0, -0.0 + 0.0j]))

@@ -32,9 +32,11 @@ from qshift import (
     multiply_registers,
     rotate,
     run_circuit,
+    segment_value_distribution,
     select_qubit,
     shift,
     shift_layout,
+    state_to_text,
 )
 from qshift import state as state_module
 from qshift.cli import prepare_state
@@ -322,6 +324,20 @@ def test_no_pipeline_scans(pipeline):
     with _counted_scans() as scans:
         run(state, layout)
     assert scans == []
+
+
+def test_whole_support_reads_scan_once_and_slices_not_at_all():
+    # The whole support is one nonzero_labels call, which the benchmark's
+    # tracer counts; a wire slice is gathered with no scan.
+    layout = RegisterLayout.single("q", 6)
+    state = StateVector.from_label(6, 0b100101)
+    with _counted_scans() as scans:
+        state_to_text(state, layout)
+        segment_value_distribution(state, layout, "q")
+    assert scans == [state, state]
+    with _counted_scans() as scans:
+        labels, _ = state.support([5, 2, 0])
+    assert scans == [] and labels.tolist() == [0b100101]
 
 
 @pytest.mark.parametrize("permutes", [True, False])
