@@ -4,6 +4,8 @@ import math
 import numbers
 import operator
 
+import numpy as np
+
 
 class PreconditionError(ValueError):
     """Raised when an operation's input or precondition is violated.
@@ -14,11 +16,13 @@ class PreconditionError(ValueError):
 
 
 def integer(value, what: str) -> int:
-    """``value`` as an int (numpy integers pass); 1.5, say, raises instead of truncating."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise PreconditionError(f"{what} {value!r} is not an integer") from None
+    """``value`` as an int (numpy integers pass); 1.5 or a bool, say, raises instead of converting."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise PreconditionError(f"{what} {value!r} is not an integer")
 
 
 def tolerance(value, what: str) -> float:

@@ -13,10 +13,10 @@ other circuit runs on the dense array after the same sweep.
 On the dense path the wires that the circuit's zero checks proved 0 are
 marked, and only the slice where they read 0 is permuted. Consecutive
 SWAPs, CSWAPs on marked controls and X gates on marked wires compose into
-one wire permutation of that slice: one transpose of the amplitude tensor,
-at most a quarter of the array at a time, then a slice exchange for each
-swap peeled off so that the transpose leaves two wires in place. A shift or
-rotate pass is one such permutation. Every other gate is one slice exchange.
+one wire permutation of that slice, moved in place through a temporary of
+half of it (a quarter of the array): each amplitude is copied 1.75 times.
+A shift or rotate pass is one such permutation. Every other gate is one
+slice exchange.
 """
 
 from __future__ import annotations
@@ -39,20 +39,12 @@ MAX_WIRES = 24  # a dense vector of 2**24 amplitudes takes 256 MiB
 # path's with 2**m. On one checked left shift pass at 20 wires
 # (shift_layout(12, 7), checks excluded; medians of 9, three runs, 2 cores,
 # numpy 2.4) the label path took 1.6-2.1 ms at 1/64 support, 3.5-3.6 ms at
-# 1/32, 5.0-6.3 ms at 1/16, 11 ms at 1/8, 25-28 ms at 1/4 and 51 ms at 1/2,
-# while the dense path took 3.6-5.4 ms whatever the support. The dense pass
-# wins above about 1/32, but 1/8 stays until a rule that also weighs the
-# circuit's gate mix is measured on every workload: on the dense path an
-# adder's TOFFOLIs and CNOTs each run as one slice exchange over the array.
+# 1/32, 5.0-6.3 ms at 1/16, 11 ms at 1/8, 25-28 ms at 1/4 and 51 ms at 1/2;
+# the dense path 2.5-3.9 ms at every support. It wins above about 1/32, but
+# 1/8 stays until a rule that also weighs the circuit's gate mix is measured
+# on every workload: on the dense path an adder's TOFFOLIs and CNOTs each
+# run as one slice exchange over the array.
 SUPPORT_PATH_MAX_SHARE = 1 / 8
-
-# A compiled wire permutation permutes one chunk of the tensor at a time,
-# fixing at least this many wires (the marked wires first, then wires it
-# leaves in place, with swaps peeled off until enough are), so that its
-# temporary holds at most 2**(m-2) amplitudes: no more than one SWAP's
-# slice exchange. Permuting half-arrays cut the dense shift pass as much
-# but raised the benchmark's peak RSS by 9%.
-_FIXED_WIRES = 2
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -69,6 +61,8 @@ class StateVector:
 
     def __init__(self, amplitudes):
         arr = np.asarray(amplitudes)
+        if arr.dtype.kind not in "biufc":  # strings, objects, records and times are not numbers
+            raise PreconditionError(f"amplitudes of dtype {arr.dtype} are not numbers")
         m = int(arr.size).bit_length() - 1
         if arr.size < 2 or arr.size != 1 << m:
             raise PreconditionError(f"amplitude count {arr.size} is not 2**m with m >= 1")
@@ -222,17 +216,17 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return state
 
 
-class _Transpose(NamedTuple):
-    """One compiled dense step: for each of ``labels``, the sub-tensor that
-    fixes ``wires`` to that label's bits has its axes permuted by ``axes``."""
+class _Permute(NamedTuple):
+    """One compiled dense step: on the slice where every ``fixed`` wire
+    reads 0, wire w takes the bit of wire ``src[w]``. ``src`` keeps the
+    fixed wires in place, and the top wire too when none is fixed."""
 
-    wires: tuple[int, ...]
-    labels: tuple[int, ...]
-    axes: tuple[int, ...]
+    fixed: tuple[int, ...]
+    src: tuple[int, ...]
 
 
-def _dense_steps(circuit: Circuit, marked: int) -> list[Gate | _Transpose | _Exchange]:
-    """The circuit as dense steps: gates, slice exchanges and transposes.
+def _dense_steps(circuit: Circuit, marked: int) -> list[Gate | _Permute | _Exchange]:
+    """The circuit as dense steps: gates, slice exchanges and permutations.
 
     ``marked`` holds wires that read 0 on every nonzero amplitude. One walk
     keeps a wire map ``src`` and a mask of pending X flips. A SWAP goes into
@@ -243,7 +237,7 @@ def _dense_steps(circuit: Circuit, marked: int) -> list[Gate | _Transpose | _Exc
     unmark the wires they write.
     """
     m = circuit.num_wires
-    steps: list[Gate | _Transpose | _Exchange] = []
+    steps: list[Gate | _Permute | _Exchange] = []
     src, flips = list(range(m)), 0  # src[w]: the wire whose bit ends up on wire w
     for gate in circuit:
         kind, wires = gate.kind, gate.wires
@@ -274,70 +268,76 @@ def _assignments(wires: Sequence[int]) -> np.ndarray:
 
 def _permute_slice(
     m: int, marked: int, src: list[int], flips: int
-) -> list[Gate | _Transpose | _Exchange]:
-    """The steps that end a map: at most one transpose and then slice
-    exchanges relabel by ``src`` the slice where every ``marked`` wire
-    reads 0 (``src`` leaves those wires in place); then one X runs per
-    pending flip. The slices where a marked wire reads 1 hold only zeros,
-    and stay put.
-
-    The transpose permutes chunks that fix the marked wires and, while
-    fewer than ``_FIXED_WIRES`` are fixed, the highest other wires ``src``
-    leaves in place. While fewer than ``_FIXED_WIRES`` wires are left in
-    place, one swap is peeled off ``src`` so that it fixes its highest
-    moved wire; the peeled swaps run after the transpose, last peeled
-    first, each as a slice exchange. A permutation that moves only two
-    wires is one slice exchange too, which is cheaper: at 20 wires a single
-    swap on a half-array slice took 0.8-2.6 ms as an exchange against
-    1.6-3.5 ms as a transpose over two chunks, depending on its wires, and
-    on the whole array 1.6-5.8 ms against 3.2-8.4 ms over four chunks,
-    except on wires 0 and 1: 8.5 ms against 6.0 ms (2 cores, numpy 2.4).
+) -> list[Gate | _Permute | _Exchange]:
+    """The steps that end a map: they relabel by ``src`` the slice where
+    every ``marked`` wire reads 0 (``src`` keeps those wires in place), then
+    one X runs per pending flip; the slices where a marked wire reads 1 hold
+    only zeros, and stay put. A map of two wires is one slice exchange (0.75
+    copies per amplitude), of more one :class:`_Permute` (1.75); with no
+    marked wire, a swap peeled off to keep the top wire runs after it.
     """
-    fixed = [w for w in range(m) if marked >> w & 1]
-    peeled: list[tuple[int, int]] = []
+    fixed = tuple(w for w in range(m) if marked >> w & 1)
+    steps: list[Gate | _Permute | _Exchange] = [Gate.x(w) for w in range(m) if flips >> w & 1]
+    if not fixed and src[m - 1] != m - 1 and sum(src[w] != w for w in range(m)) > 2:
+        y = src.index(m - 1)  # the wire that the top wire's bit ends up on
+        src[m - 1], src[y] = m - 1, src[m - 1]
+        steps.insert(0, _Exchange((m - 1, y), 1 << m - 1, 1 << y))
     moved = [w for w in range(m) if src[w] != w]
-    while moved and m - len(moved) < _FIXED_WIRES:
-        x = moved[-1]
-        y = src.index(x)  # the wire that x's bit ends up on
-        src[x], src[y] = x, src[x]
-        peeled.append((x, y))
-        moved = [w for w in range(m) if src[w] != w]
-    steps: list[Gate | _Transpose | _Exchange] = []
-    if len(moved) == 2:  # one swap is left
-        peeled.append((moved[0], moved[1]))
+    if len(moved) == 2:
+        steps.insert(0, _Exchange((*fixed, *moved), 1 << moved[0], 1 << moved[1]))
     elif moved:
-        still = [w for w in reversed(range(m)) if src[w] == w and w not in fixed]
-        chunk = still[:max(0, _FIXED_WIRES - len(fixed))]
-        wires = (*fixed, *chunk)
-        # Wires of the chunk's sub-tensor in axis order (axis 0 holds the top wire).
-        rest = [w for w in reversed(range(m)) if w not in wires]
-        axis = {w: i for i, w in enumerate(rest)}
-        gather = [axis[src[w]] for w in rest]
-        axes = tuple(int(a) for a in np.argsort(gather))
-        steps.append(_Transpose(wires, tuple(_assignments(chunk).tolist()), axes))
-    for x, y in reversed(peeled):
-        steps.append(_Exchange((*fixed, x, y), 1 << x, 1 << y))
-    return steps + [Gate.x(w) for w in range(m) if flips >> w & 1]
+        steps.insert(0, _Permute(fixed, tuple(src)))
+    return steps
 
 
-def _apply_transpose(state: StateVector, step: _Transpose) -> None:
-    """Run a compiled step in place: copy each chunk, then scatter the copy
-    through the permuted axes.
-
-    Scattering timed as fast as gathering with ``sub[...] =
-    sub.transpose(gather).copy()`` or faster: in six rounds at 20 wires
-    with half the labels supported, a left shift pass took 7.4-9.2 ms
-    against 7.5-10.6 ms, a right one 10.3-12.0 against 10.4-14.2 ms, and
-    four right passes as one run 45-54 against 45-71 ms (scan and checks
-    included; 2 cores, numpy 2.4).
+def _apply_permute(state: StateVector, step: _Permute) -> None:
+    """Run a compiled permutation in place on each slice F: the fixed wires'
+    zero slice, or with none fixed each half of the top wire. With t F's top
+    wire, s = ``src[t]`` and u the wire that takes t's bit, a temporary of
+    half of F serves tmp <- F[t=0]; F[t=0][u=0] <- tmp[s=0]; F[t=0][u=1] <-
+    F[t=1][s=0]; tmp[s=0] <- F[t=1][s=1]; F[t=1][u=0] <- tmp[s=1];
+    F[t=1][u=1] <- tmp[s=0], each copy into F relabelling the other wires by
+    ``src``. If ``src`` keeps t in place, each half of F goes to tmp and back
+    instead. F[t=0] and F[t=1] lie in disjoint address ranges, so numpy
+    copies between them directly.
     """
-    m = state.num_wires
-    t = state._tensor()
-    for bits in step.labels:
-        sub = t[_slice_index(m, step.wires, bits)]
-        tmp = sub.copy()
-        sub.transpose(step.axes)[...] = tmp
-        del tmp  # so that the next chunk's copy does not sit beside it
+    m, src, t = state.num_wires, step.src, state._tensor()
+    fixed = step.fixed or (m - 1,)
+    slices = [t[_slice_index(m, fixed, 0)]] if step.fixed else [t[0], t[1]]
+    top, *rest = [w for w in reversed(range(m)) if w not in fixed]  # F's wires in axis order
+    tmp = np.empty(slices[0].shape[1:], dtype=t.dtype)
+    if src[top] == top:
+        axes = [rest.index(src[w]) for w in rest]
+        for half in (half for f in slices for half in f):
+            np.copyto(tmp, half)
+            _copy_in_runs(half, tmp, axes)
+        return
+    s, u = src[top], src.index(top)
+    at = lambda sub, wire, bit: sub[tuple(bit if w == wire else slice(None) for w in rest)]
+    source_wires = [w for w in rest if w != s]
+    axes = [source_wires.index(src[w]) for w in rest if w != u]
+    for f0, f1 in slices:
+        np.copyto(tmp, f0)
+        _copy_in_runs(at(f0, u, 0), at(tmp, s, 0), axes)
+        _copy_in_runs(at(f0, u, 1), at(f1, s, 0), axes)
+        np.copyto(at(tmp, s, 0), at(f1, s, 1))
+        _copy_in_runs(at(f1, u, 0), at(tmp, s, 1), axes)
+        _copy_in_runs(at(f1, u, 1), at(tmp, s, 0), axes)
+
+
+def _copy_in_runs(dst: np.ndarray, src: np.ndarray, axes: Sequence[int]) -> None:
+    """``np.copyto(dst, src.transpose(axes))`` on views of shape ``(2,) * k``.
+    numpy walks dst in memory order, with an inner loop over the lowest axes
+    that lie consecutive in both views (2 amplitudes when dst's lowest wire
+    takes a far wire); a Python loop over j <= 3 of them lengthens it."""
+    src = src.transpose(axes)
+    strides = list(zip(dst.strides, src.strides))[::-1]  # lowest axis first
+    # joins[i]: whether the i-th and (i+1)-th lowest axes lie consecutive in both
+    # views; with the j lowest fixed, the inner loop has joins.index(False, j) - j + 1.
+    joins = [hi == (2 * lo[0], 2 * lo[1]) for lo, hi in zip(strides, strides[1:])] + [False]
+    j = max(range(min(3, dst.ndim - 1) + 1), key=lambda j: joins.index(False, j) - 2 * j)
+    for bits in np.ndindex((2,) * j):
+        np.copyto(dst[(..., *bits)], src[(..., *bits)])
 
 
 def _run_on_support(
@@ -348,8 +348,9 @@ def _run_on_support(
 
     ``labels`` needs an H-free circuit: :func:`apply_circuit_to_labels`
     maps them, then each amplitude moves once to its final label. The dense
-    path runs the steps of :func:`_dense_steps`, which leave in place the
-    slices where a ``marked`` wire reads 1; those must hold only zeros.
+    path runs the gates, slice exchanges and in-place permutations of
+    :func:`_dense_steps`, which leave in place the slices where a
+    ``marked`` wire reads 1; those must hold only zeros.
 
     Both paths move every nonzero amplitude bit for bit as the gates one by
     one would. A zero, ``-0.0`` included, may stay put where the gates
@@ -362,7 +363,7 @@ def _run_on_support(
             elif isinstance(step, _Exchange):
                 _apply_exchange(state, step)
             else:
-                _apply_transpose(state, step)
+                _apply_permute(state, step)
         return state
     moved = apply_circuit_to_labels(circuit, labels)
     amps = state.amplitudes
@@ -388,13 +389,19 @@ def run_circuit(
     m = state.num_wires
     if circuit.num_wires != m:
         raise PreconditionError(f"circuit has {circuit.num_wires} wires, state has {m}")
-    checks = [(tuple(_check_wire(w, f"check {what!r}", m) for w in ws), what) for ws, what in checks]
+    checks = [(_check_wires(ws, f"check {what!r}", m), what) for ws, what in checks]
     checked = _wire_mask(w for wires, _ in checks for w in wires)
     _require_zero(state, checks)
     labels = None
     if circuit.is_permutation() and 2.0 ** -checked.bit_count() <= SUPPORT_PATH_MAX_SHARE:
         labels, _ = state.support(w for w in range(m) if not checked >> w & 1)
     return _run_on_support(state, circuit, labels, checked)
+
+
+def _check_wires(wires, what: str, num_wires: int) -> tuple[int, ...]:
+    if isinstance(wires, Iterable):
+        return tuple(_check_wire(w, what, num_wires) for w in wires)
+    raise PreconditionError(f"{what} wires {wires!r} are not an iterable of wires")
 
 
 def _check_wire(wire, what: str, num_wires: int) -> int:

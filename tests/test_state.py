@@ -17,6 +17,7 @@ from qshift import (
     ShiftSpec,
     StateVector,
     apply_gate,
+    classical_shift_oracle,
     cost_report,
     is_product_across,
     new_basis_state,
@@ -57,6 +58,28 @@ def test_state_vector_norm_enforced():
     StateVector(np.array([1.0, 0.0]))  # fine
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: StateVector(["1", "0"]), "amplitudes of dtype <U1 are not numbers", id="digit strings"),
+        pytest.param(lambda: StateVector(["a", "0"]), "amplitudes of dtype <U1 are not numbers", id="strings"),
+        pytest.param(lambda: StateVector([None, 1]), "amplitudes of dtype object are not numbers", id="None"),
+        pytest.param(
+            lambda: StateVector(np.array([1, 0], dtype="datetime64[s]")),
+            "amplitudes of dtype datetime64[s] are not numbers", id="datetimes",
+        ),
+        pytest.param(
+            lambda: run_circuit(StateVector.from_label(2, 0), Circuit(2), [(1, "x")]),
+            "check 'x' wires 1 are not an iterable of wires", id="bare check wire",
+        ),
+    ],
+)
+def test_non_numeric_amplitudes_and_bare_check_wires_are_refused(call, message):
+    with pytest.raises(PreconditionError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 def test_max_wires_ceiling():
     with pytest.raises(PreconditionError):
         StateVector.from_label(25, 0)
@@ -87,8 +110,9 @@ def test_oversized_input_is_refused_before_it_is_copied():
 def test_state_reads_refuse_labels_and_wires_off_the_state():
     state = new_basis_state(2, "11")
     assert state.amplitude(3) == 1 and state.amplitude(np.int64(3)) == 1
-    assert state.amplitude(True) == state.amplitude(1) == 0  # as in from_label, True is label 1
     cases = [
+        (lambda: state.amplitude(True), "label True is not an integer"),
+        (lambda: state.amplitude(np.True_), "label np.True_ is not an integer"),
         (lambda: state.amplitude(-1), "label -1 out of range for 2 wires"),
         (lambda: state.amplitude(4), "label 4 out of range for 2 wires"),
         (lambda: state.amplitude(1.0), "label 1.0 is not an integer"),
@@ -321,6 +345,16 @@ def _select_slot(slot):
         pytest.param(lambda: new_basis_state(3, 5), "label 5 is not a bitstring of length 3", id="new_basis_state"),
         pytest.param(lambda: cost_report(2, 1, 3, 2.5), "num_values 2.5 is not an integer", id="cost_report num_values"),
         pytest.param(lambda: cost_report(2, 1, 2.0), "multiplier 2.0 is not an integer", id="cost_report multiplier"),
+        # A bool is no integer, whether Python's or numpy's.
+        pytest.param(lambda: ShiftSpec(True, 1), "data_width True is not an integer", id="ShiftSpec bool"),
+        pytest.param(lambda: shift_layout(np.True_, 1), "data_width np.True_ is not an integer", id="shift_layout bool"),
+        pytest.param(lambda: Gate.swap(True, 0), "wire True is not an integer", id="Gate bool"),
+        pytest.param(lambda: Circuit(np.True_), "num_wires np.True_ is not an integer", id="Circuit bool"),
+        pytest.param(lambda: StateVector.from_label(2, True), "label True is not an integer", id="from_label bool"),
+        pytest.param(
+            lambda: classical_shift_oracle((np.True_,), (False,), 0), "bit np.True_ is not an integer",
+            id="classical_shift_oracle bool",
+        ),
     ],
 )
 def test_integer_parameters_refuse_other_values(call, message):

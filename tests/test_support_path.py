@@ -46,8 +46,8 @@ from qshift.state import (
     SUPPORT_PATH_MAX_SHARE,
     _dense_steps,
     _Exchange,
+    _Permute,
     _run_on_support,
-    _Transpose,
 )
 
 PERMUTATION_KINDS = ("X", "CNOT", "SWAP", "TOFFOLI", "CSWAP")
@@ -449,22 +449,24 @@ def test_fused_dense_path_matches_gate_by_gate(case):
         assert np.array_equal(_bits(fused.amplitudes[nonzero]), _bits(reference.amplitudes[nonzero]))
     else:
         assert np.array_equal(_bits(fused.amplitudes), _bits(reference.amplitudes))
-    # Each compiled step fixes at least two wires, so the chunks it permutes,
-    # and its temporary, hold at most 2**(m-2) amplitudes.
+    # Each map is at most one permutation. It fixes a marked wire or keeps
+    # the top wire in place, so its temporary, half the slice it permutes,
+    # holds at most 2**(m-2) amplitudes.
     m = circuit.num_wires
-    transposed = False  # whether the current map has a transpose
+    permuted = False  # whether the current map has a permutation
     for step in _dense_steps(circuit, marked):
         if isinstance(step, Gate):  # maps are separated by other gates
-            transposed = False
+            permuted = False
         elif isinstance(step, _Exchange):
             assert len(step.wires) >= 2
         else:
-            assert len(step.wires) >= 2
-            assert sorted(step.axes) == list(range(m - len(step.wires)))
+            assert sorted(step.src) == list(range(m))
+            assert all(marked >> w & 1 and step.src[w] == w for w in step.fixed)
+            assert step.fixed or step.src[m - 1] == m - 1
             # Two wires or fewer would be a slice exchange, which is cheaper.
-            assert sum(axis != i for i, axis in enumerate(step.axes)) >= 3
-            assert not transposed
-            transposed = True
+            assert sum(w != v for v, w in enumerate(step.src)) >= 3
+            assert not permuted
+            permuted = True
 
 
 def _left_kinds(circuit, marked):
@@ -476,8 +478,9 @@ def _fixes_to_zero(step, wire):
     """Whether a compiled step leaves alone every label where ``wire`` reads 1; a gate does not."""
     if isinstance(step, Gate):
         return False
-    labels = step.labels if isinstance(step, _Transpose) else (step.a, step.b)
-    return wire in step.wires and not any(label >> wire & 1 for label in labels)
+    if isinstance(step, _Permute):
+        return wire in step.fixed
+    return wire in step.wires and not (step.a | step.b) >> wire & 1
 
 
 def test_runs_compile_only_when_their_controls_stay_put():
@@ -520,13 +523,14 @@ def test_runs_compile_only_when_their_controls_stay_put():
         nonzero = want.nonzero_labels()
         assert np.array_equal(_bits(got.amplitudes[nonzero]), _bits(want.amplitudes[nonzero]))
     assert _dense_steps(Circuit(m, [Gate.x(6), *swaps, Gate.cswap(6, 0, 1)]), 1 << 6)[-1] == Gate.x(6)
-    # Marked wires are fixed first: with two or more, one chunk is the slice.
+    # A map that moves three or more wires is one permutation of the slice
+    # where the marked wires read 0.
     (step,) = _dense_steps(Circuit(m, cswaps_on_5_6), 0b1100000)
-    assert step.wires == (5, 6) and step.labels == (0,)
+    assert type(step) is _Permute and step.fixed == (5, 6)
     (step,) = _dense_steps(Circuit(m, cswaps_on_4_5_6), 0b1110000)
-    assert step.wires == (4, 5, 6) and step.labels == (0,)
+    assert type(step) is _Permute and step.fixed == (4, 5, 6)
     # A permutation of two wires is a slice exchange, and so is a swap peeled
-    # off to leave two wires in place.
+    # off, with no marked wire, to keep the top wire in place.
     split = _dense_steps(Circuit(4, [Gate.swap(0, 1), Gate.swap(2, 3)]), 0)
     assert split == [_Exchange((0, 1), 0b0001, 0b0010), _Exchange((3, 2), 0b1000, 0b0100)]
     assert _dense_steps(Circuit(m, [Gate.swap(0, 1), Gate.swap(1, 2), Gate.swap(0, 1)]), 0) == [_Exchange((0, 2), 1, 4)]
@@ -545,16 +549,13 @@ def test_shift_passes_fuse_their_swap_cascades():
     passes = [left, left[::-1], rotate_left, rotate_left[::-1], left[::-1] * 3]
     for gates in passes:
         # With c marked, no gate is left: the pass, and three right passes
-        # in one map, is one transpose over two quarters of the array and
-        # one slice exchange, both on the slice where c reads 0.
-        transpose, exchange = _dense_steps(Circuit(m, gates), 1 << c)
-        assert type(transpose) is _Transpose and type(exchange) is _Exchange
-        assert len(transpose.labels) == 2
-        assert _fixes_to_zero(transpose, c) and _fixes_to_zero(exchange, c)
-    # Below four wires no transpose can fix two wires and move three: a map
-    # is slice exchanges only.
+        # in one map, is one permutation of the slice where c reads 0.
+        (step,) = _dense_steps(Circuit(m, gates), 1 << c)
+        assert step == _Permute((c,), step.src) and _fixes_to_zero(step, c)
+    # With no marked wire, a map of three wires that moves the top one
+    # leaves two moved wires once a swap is peeled off: slice exchanges only.
     assert _dense_steps(Circuit(3, [Gate.swap(0, 1), Gate.swap(1, 2)]), 0) == [
-        _Exchange((1, 0), 0b010, 0b001),
+        _Exchange((0, 1), 0b001, 0b010),
         _Exchange((2, 1), 0b100, 0b010),
     ]
 
@@ -602,6 +603,25 @@ def test_fused_pass_peak_memory_at_most_gate_by_gate(rotating, monkeypatch):
     assert np.array_equal(_bits(state.amplitudes), _bits(reference.amplitudes))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_unchecked_swap_network_moving_the_top_wire_matches_gate_by_gate(seed):
+    # With no marked wire, a swap is peeled off to keep the top wire in
+    # place, and each half of it is permuted through a quarter-array temporary.
+    m = 16
+    rng = np.random.default_rng(seed)
+    gates = [Gate.swap(*map(int, rng.choice(m, 2, replace=False))) for _ in range(3 * m)]
+    gates.append(Gate.swap(m - 1, int(rng.integers(m - 1))))
+    circuit = Circuit(m, gates)
+    permute, peeled = _dense_steps(circuit, 0)
+    assert permute.fixed == () and permute.src[m - 1] == m - 1
+    assert peeled.wires[0] == m - 1
+    state = _state_on(m, list(range(2**m)), rng)
+    reference = _gate_by_gate(state.copy(), circuit)
+    peak = _peak_bytes(lambda: run_circuit(state, circuit))
+    assert peak < 2 ** (m - 2) * state.amplitudes.itemsize * 1.125
+    assert np.array_equal(_bits(state.amplitudes), _bits(reference.amplitudes))
+
+
 def _select_qubit_input(layout, slot, rng):
     """A state on every label that select_qubit's checks allow, with -0.0
     imaginary parts on some labels and -0.0 off the support."""
@@ -643,7 +663,7 @@ def test_compiled_passes_peak_under_one_chunk(run, monkeypatch):
         state = _state_on(m, list(range(1 << c)), rng)
         kind, direction = run.split()
         go = lambda: {"shift": shift, "rotate": rotate}[kind](state, layout, direction)
-    # The largest temporary is one chunk of 2**(m-2) amplitudes; the rest
+    # The largest temporary is half the permuted slice, 2**(m-2) amplitudes; the rest
     # of the peak is the run's few small objects.
     assert _peak_bytes(go) < 2 ** (m - 2) * state.amplitudes.itemsize * 1.125
 
