@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, integer
+from .errors import PreconditionError, disjoint, integer
 from .gates import Circuit, Gate
 from .shift_register import shift_cascade
 from .state import RegisterLayout, StateVector, run_circuit
@@ -30,23 +30,21 @@ def _bits_lsb_first(value: int) -> list[int]:
     return [(value >> p) & 1 for p in range(value.bit_length())]
 
 
+def _nonnegative(value, what: str) -> int:
+    value = integer(value, what)
+    if value < 0:
+        raise PreconditionError(f"{what} must be nonnegative")
+    return value
+
+
 def num_shifts(multiplier: int) -> int:
     """Left shifts the constant-multiplier schedule performs."""
-    return max(multiplier.bit_length() - 1, 0)
+    return max(_nonnegative(multiplier, "multiplier").bit_length() - 1, 0)
 
 
 def num_additions(multiplier: int) -> int:
     """Adds the constant-multiplier schedule performs (set bits)."""
     return bin(multiplier).count("1")
-
-
-def _check_disjoint(groups: dict[str, Sequence[int]]) -> None:
-    seen: dict[int, str] = {}
-    for name, wires in groups.items():
-        for w in wires:
-            if w in seen:
-                raise PreconditionError(f"wires of {name!r} overlap {seen[w]!r}")
-            seen[w] = name
 
 
 def adder_gates(
@@ -72,10 +70,8 @@ def adder_gates(
         raise PreconditionError(
             f"adder needs {wb - 1} carry wires for a {wb}-wire target, got {len(carry_wires)}"
         )
-    groups = {"addend": a_wires, "target": b_wires, "carries": carry_wires}
-    if control is not None:
-        groups["control"] = (control,)
-    _check_disjoint(groups)
+    controls = () if control is None else (control,)
+    disjoint({"addend": a_wires, "target": b_wires, "carries": carry_wires, "control": controls})
 
     a, b, c = list(a_wires), list(b_wires), list(carry_wires)
 
@@ -177,7 +173,7 @@ def oracle_add(state: StateVector, reg_a: Sequence[int], reg_b: Sequence[int]) -
             raise PreconditionError(f"{name} register must have at least one wire")
         if min(wires) < 0 or max(wires) >= m:
             raise PreconditionError(f"{name} register wires {list(wires)} are not all in 0..{m - 1}")
-    _check_disjoint({"addend": a, "target": b})
+    disjoint({"addend": a, "target": b})
     labels = np.arange(state.amplitudes.size, dtype=np.int64)
     a_val = np.zeros_like(labels)
     for slot, wire in enumerate(a):
@@ -221,8 +217,6 @@ def _check_schedule(widths: Sequence[int], a_ancilla: int, multiplier: int) -> N
     width is at least 1 and the ancilla of A holds the multiplier's shifts."""
     if min(widths) < 1:
         raise PreconditionError("register widths must be at least 1")
-    if multiplier < 0:
-        raise PreconditionError("multiplier must be nonnegative")
     if num_shifts(multiplier) > a_ancilla:
         raise PreconditionError(
             f"multiplier {bin(multiplier)} needs {num_shifts(multiplier)} "
@@ -320,7 +314,7 @@ def extended_addend(a_wires: Sequence[int], anc_wires: Sequence[int], shifts_don
     After s left shifts the bits pushed out of A sit in the top ancilla
     slots, highest slot least significant, continuing A upward.
     """
-    if shifts_done > len(anc_wires):
+    if _nonnegative(shifts_done, "shifts_done") > len(anc_wires):
         raise PreconditionError("more shifts than ancilla wires")
     ext = list(a_wires)
     for j in range(shifts_done):

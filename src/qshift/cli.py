@@ -60,65 +60,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shift_args(p):
-        p.add_argument("--n", type=_positive_int, required=True, help="data width")
-        p.add_argument("--k", type=_positive_int, required=True, help="ancilla width")
-        p.add_argument("--dir", choices=("left", "right"), default="left")
+    def add_widths(p, names, required=True, **helps):
+        for name in names.split():
+            p.add_argument(f"--{name}", type=_positive_int, required=required, help=helps.get(name))
+
+    def add_files(p, tol_help=None):
         p.add_argument("--in", dest="infile", required=True, metavar="FILE")
         p.add_argument("--out", dest="outfile", required=True, metavar="FILE")
-        p.add_argument("--tol", type=_tolerance, default=NORM_TOL, help="state-file norm tolerance")
+        p.add_argument("--tol", type=_tolerance, default=NORM_TOL, help=tol_help)
 
-    p_shift = sub.add_parser("shift", help="apply one shift pass to a state file")
-    add_shift_args(p_shift)
-    p_shift.add_argument("--rotate", action="store_true", help="rotate instead of shift")
+    for name, what in (("shift", "shift"), ("rotate", "rotation")):
+        p = sub.add_parser(name, help=f"apply one {what} pass to a state file")
+        add_widths(p, "n k", n="data width", k="ancilla width")
+        p.add_argument("--dir", choices=("left", "right"), default="left")
+        add_files(p, "state-file norm tolerance")
+        if name == "shift":
+            p.add_argument("--rotate", action="store_true", help="rotate instead of shift")
 
-    p_rot = sub.add_parser("rotate", help="apply one rotation pass to a state file")
-    add_shift_args(p_rot)
+    p = sub.add_parser("gatecount", help="gate tallies for one register pass")
+    add_widths(p, "n k")
+    p.add_argument("--decompose", choices=("none", "cnot", "all"), default="none")
 
-    p_gc = sub.add_parser("gatecount", help="gate tallies for one register pass")
-    p_gc.add_argument("--n", type=_positive_int, required=True)
-    p_gc.add_argument("--k", type=_positive_int, required=True)
-    p_gc.add_argument("--decompose", choices=("none", "cnot", "all"), default="none")
+    p = sub.add_parser("mul-const", help="multiply register A by a classical constant")
+    add_widths(p, "nA kA nB")
+    p.add_argument("--l", type=_binary_literal, required=True, metavar="BITS")
+    add_files(p)
 
-    p_mc = sub.add_parser("mul-const", help="multiply register A by a classical constant")
-    p_mc.add_argument("--nA", type=_positive_int, required=True)
-    p_mc.add_argument("--kA", type=_positive_int, required=True)
-    p_mc.add_argument("--nB", type=_positive_int, required=True)
-    p_mc.add_argument("--l", type=_binary_literal, required=True, metavar="BITS")
-    p_mc.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p_mc.add_argument("--out", dest="outfile", required=True, metavar="FILE")
-    p_mc.add_argument("--tol", type=_tolerance, default=NORM_TOL)
+    p = sub.add_parser("mul-quantum", help="multiply registers A and C into B")
+    add_widths(p, "nA kA nC kC nB")
+    add_files(p)
 
-    p_mq = sub.add_parser("mul-quantum", help="multiply registers A and C into B")
-    p_mq.add_argument("--nA", type=_positive_int, required=True)
-    p_mq.add_argument("--kA", type=_positive_int, required=True)
-    p_mq.add_argument("--nC", type=_positive_int, required=True)
-    p_mq.add_argument("--kC", type=_positive_int, required=True)
-    p_mq.add_argument("--nB", type=_positive_int, required=True)
-    p_mq.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p_mq.add_argument("--out", dest="outfile", required=True, metavar="FILE")
-    p_mq.add_argument("--tol", type=_tolerance, default=NORM_TOL)
+    p = sub.add_parser("cost", help="shift/add accounting, quantum vs classical")
+    add_widths(p, "nA kA")
+    p.add_argument("--l", type=_binary_literal, required=True, metavar="BITS")
+    p.add_argument("--values", type=_positive_int, default=None,
+                   help="superposed value count (default 2**nA)")
 
-    p_cost = sub.add_parser("cost", help="shift/add accounting, quantum vs classical")
-    p_cost.add_argument("--nA", type=_positive_int, required=True)
-    p_cost.add_argument("--kA", type=_positive_int, required=True)
-    p_cost.add_argument("--l", type=_binary_literal, required=True, metavar="BITS")
-    p_cost.add_argument("--values", type=_positive_int, default=None,
-                        help="superposed value count (default 2**nA)")
-
-    p_prep = sub.add_parser("prepare", help="write an initial state file")
-    p_prep.add_argument("--layout", choices=("shift", "mul-const", "mul-quantum"),
-                        required=True)
-    p_prep.add_argument("--n", type=_positive_int)
-    p_prep.add_argument("--k", type=_positive_int)
-    p_prep.add_argument("--nA", type=_positive_int)
-    p_prep.add_argument("--kA", type=_positive_int)
-    p_prep.add_argument("--nC", type=_positive_int)
-    p_prep.add_argument("--kC", type=_positive_int)
-    p_prep.add_argument("--nB", type=_positive_int)
-    p_prep.add_argument("--kind", required=True, metavar="KIND",
-                        help='"zero", "basis <bits>" or "uniform <segment[:slots]>"')
-    p_prep.add_argument("--out", dest="outfile", required=True, metavar="FILE")
+    p = sub.add_parser("prepare", help="write an initial state file")
+    p.add_argument("--layout", choices=("shift", "mul-const", "mul-quantum"), required=True)
+    add_widths(p, "n k nA kA nC kC nB", required=False)
+    p.add_argument("--kind", required=True, metavar="KIND",
+                   help='"zero", "basis <bits>" or "uniform <segment[:slots]>"')
+    p.add_argument("--out", dest="outfile", required=True, metavar="FILE")
     return parser
 
 
@@ -210,48 +193,39 @@ def _branch_table(state: StateVector, layout: RegisterLayout) -> str:
 def run(config: argparse.Namespace) -> int:
     """Execute one parsed subcommand; raises PreconditionError on domain errors."""
     cmd = config.command
-    if cmd in ("shift", "rotate"):
-        layout = shift_layout(config.n, config.k)
-        state = read_state(config.infile, layout, norm_tol=config.tol)
-        rotating = cmd == "rotate" or getattr(config, "rotate", False)
-        if rotating:
-            rotate(state, layout, config.dir)
+    if cmd in ("gatecount", "cost"):
+        if cmd == "gatecount":
+            report = gate_count(ShiftSpec(config.n, config.k), config.decompose)
         else:
-            shift(state, layout, config.dir)
-        write_state(state, layout, config.outfile)
-        return 0
-    if cmd == "gatecount":
-        report = gate_count(ShiftSpec(config.n, config.k), config.decompose)
-        print(report.as_text())
-        print(report.as_keyvalues())
-        return 0
-    if cmd == "mul-const":
-        spec = MulConstSpec(config.nA, config.kA, config.nB, config.l)
-        layout = mul_const_layout(spec)
-        state = read_state(config.infile, layout, norm_tol=config.tol)
-        multiply_by_constant(state, spec, layout)
-        write_state(state, layout, config.outfile)
-        print(_branch_table(state, layout))
-        return 0
-    if cmd == "mul-quantum":
-        spec = MulQuantumSpec(config.nA, config.kA, config.nC, config.kC, config.nB)
-        layout = mul_quantum_layout(spec)
-        state = read_state(config.infile, layout, norm_tol=config.tol)
-        multiply_registers(state, spec, layout)
-        write_state(state, layout, config.outfile)
-        print(_branch_table(state, layout))
-        return 0
-    if cmd == "cost":
-        report = cost_report(config.nA, config.kA, config.l, config.values)
+            report = cost_report(config.nA, config.kA, config.l, config.values)
         print(report.as_text())
         print(report.as_keyvalues())
         return 0
     if cmd == "prepare":
         layout = _layout_for(config)
-        state = prepare_state(config.kind, layout)
-        write_state(state, layout, config.outfile)
+        write_state(prepare_state(config.kind, layout), layout, config.outfile)
         return 0
-    raise PreconditionError(f"unknown command {cmd!r}")  # pragma: no cover
+    # The state-file commands: pick a layout and a pipeline, then read, run, write.
+    if cmd in ("shift", "rotate"):
+        layout = shift_layout(config.n, config.k)
+        rotating = cmd == "rotate" or getattr(config, "rotate", False)
+        pipeline = functools.partial(rotate if rotating else shift, layout=layout,
+                                     direction=config.dir)
+    elif cmd == "mul-const":
+        spec = MulConstSpec(config.nA, config.kA, config.nB, config.l)
+        layout = mul_const_layout(spec)
+        pipeline = functools.partial(multiply_by_constant, spec=spec, layout=layout)
+    elif cmd == "mul-quantum":
+        spec = MulQuantumSpec(config.nA, config.kA, config.nC, config.kC, config.nB)
+        layout = mul_quantum_layout(spec)
+        pipeline = functools.partial(multiply_registers, spec=spec, layout=layout)
+    else:
+        raise PreconditionError(f"unknown command {cmd!r}")  # pragma: no cover
+    state = pipeline(read_state(config.infile, layout, norm_tol=config.tol))
+    write_state(state, layout, config.outfile)
+    if cmd.startswith("mul-"):
+        print(_branch_table(state, layout))
+    return 0
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,9 @@
-"""Error type shared by all qshift operations, and the integer and tolerance checks they share."""
+"""Error type shared by all qshift operations, and the input checks they share."""
 
 import math
 import numbers
 import operator
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,3 +32,13 @@ def tolerance(value, what: str) -> float:
     if isinstance(value, numbers.Real) and 0.0 <= value < math.inf:  # NaN fails both comparisons
         return float(value)
     raise PreconditionError(f"{what} {value!r} must be finite and nonnegative")
+
+
+def disjoint(groups: Mapping[str, Sequence[int]]) -> None:
+    """Refuse named wire groups that share a wire, naming the later group and the earlier one."""
+    seen: dict[int, str] = {}
+    for name, wires in groups.items():
+        for w in wires:
+            if w in seen:
+                raise PreconditionError(f"wires of {name!r} overlap {seen[w]!r}")
+            seen[w] = name

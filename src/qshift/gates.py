@@ -181,26 +181,21 @@ def decompose_cswap(control: int, a: int, b: int) -> Circuit:
     )
 
 
-def expand_swaps(circuit: Circuit) -> Circuit:
-    """Replace every SWAP by its three-CNOT decomposition."""
+def _expand(circuit: Circuit, kind: str, decompose) -> Circuit:
     out = Circuit(circuit.num_wires)
     for gate in circuit:
-        if gate.kind == "SWAP":
-            out.extend(decompose_swap(*gate.wires).gates)
-        else:
-            out.append(gate)
+        out.extend(decompose(*gate.wires).gates if gate.kind == kind else (gate,))
     return out
+
+
+def expand_swaps(circuit: Circuit) -> Circuit:
+    """Replace every SWAP by its three-CNOT decomposition."""
+    return _expand(circuit, "SWAP", decompose_swap)
 
 
 def expand_cswaps(circuit: Circuit) -> Circuit:
     """Replace every CSWAP by its CNOT/TOFFOLI/CNOT decomposition."""
-    out = Circuit(circuit.num_wires)
-    for gate in circuit:
-        if gate.kind == "CSWAP":
-            out.extend(decompose_cswap(*gate.wires).gates)
-        else:
-            out.append(gate)
-    return out
+    return _expand(circuit, "CSWAP", decompose_cswap)
 
 
 def apply_gate_to_label(gate: Gate, label: int) -> int:
@@ -234,6 +229,9 @@ def apply_circuit_to_labels(circuit: Circuit, labels: np.ndarray) -> np.ndarray:
     """
     if not circuit.is_permutation():
         raise PreconditionError("H is not a basis permutation")
+    for label in (labels.min(initial=0), labels.max(initial=0)):
+        if not 0 <= label < (1 << circuit.num_wires):
+            raise PreconditionError(f"label {label} out of range for {circuit.num_wires} wires")
     planes = [(labels & (1 << w)) != 0 for w in range(circuit.num_wires)]
     for gate in circuit:
         (controls, flips), wires = _ROLES[gate.kind], gate.wires

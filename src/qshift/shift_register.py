@@ -18,11 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import PreconditionError, integer
+from .errors import PreconditionError, disjoint, integer
 from .gates import Circuit, Gate, expand_cswaps, expand_swaps
 from .state import RegisterLayout, StateVector, run_circuit
 
 DIRECTIONS = ("left", "right")
+
+
+def _check_direction(direction: str) -> None:
+    if direction not in DIRECTIONS:
+        raise PreconditionError(f"direction must be one of {DIRECTIONS}")
 
 
 @dataclass(frozen=True)
@@ -38,8 +43,7 @@ class ShiftSpec:
             object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.data_width < 1 or self.ancilla_width < 1:
             raise PreconditionError("data and ancilla widths must be at least 1")
-        if self.direction not in DIRECTIONS:
-            raise PreconditionError(f"direction must be one of {DIRECTIONS}")
+        _check_direction(self.direction)
 
 
 def shift_layout(data_width: int, ancilla_width: int) -> RegisterLayout:
@@ -65,11 +69,11 @@ def shift_cascade(
     gate reversal, which inverts the left pass since every gate is an
     involution.
     """
-    if direction not in DIRECTIONS:
-        raise PreconditionError(f"direction must be one of {DIRECTIONS}")
+    _check_direction(direction)
     k, n = len(a_wires), len(b_wires)
     if k < 1 or n < 1:
         raise PreconditionError("need at least one ancilla and one data wire")
+    disjoint({"ancilla": a_wires, "data": b_wires, "control": (c_wire,)})
     gates = []
     for i in range(k - 1):
         gates.append(Gate.swap(a_wires[i], a_wires[i + 1]))
@@ -95,8 +99,7 @@ def classical_shift_oracle(
     Bits are given in slot order (slot 1 first). Returns (a_bits, b_bits)
     after one pass.
     """
-    if direction not in DIRECTIONS:
-        raise PreconditionError(f"direction must be one of {DIRECTIONS}")
+    _check_direction(direction)
     if integer(c_bit, "control bit") not in (0, 1):
         raise PreconditionError("control bit must be 0 or 1")
     a = tuple(integer(x, "bit") for x in a_bits)

@@ -34,16 +34,14 @@ SCHMIDT_TOL = 1e-10
 MAX_WIRES = 24  # a dense vector of 2**24 amplitudes takes 256 MiB
 
 # A permutation circuit runs on the basis support when its checks' zero
-# slice holds at most this share of the 2**m labels (3 checked wires), and
-# densely otherwise: the label path costs grow with the support, the dense
-# path's with 2**m. On one checked left shift pass at 20 wires
-# (shift_layout(12, 7), checks excluded; medians of 9, three runs, 2 cores,
-# numpy 2.4) the label path took 1.6-2.1 ms at 1/64 support, 3.5-3.6 ms at
-# 1/32, 5.0-6.3 ms at 1/16, 11 ms at 1/8, 25-28 ms at 1/4 and 51 ms at 1/2;
-# the dense path 2.5-3.9 ms at every support. It wins above about 1/32, but
-# 1/8 stays until a rule that also weighs the circuit's gate mix is measured
-# on every workload: on the dense path an adder's TOFFOLIs and CNOTs each
-# run as one slice exchange over the array.
+# slice holds at most this share of the 2**m labels, that is when the checks
+# cover 3 or more wires, and densely otherwise. The rule reads the checks
+# alone, never the support's size: a shift or rotate pass checks 1 wire and
+# always runs densely, and the multipliers, which check every segment but
+# their factors, run on the support. The share stays 1/8 until a rule that
+# also weighs the support and the circuit's gate mix is measured on every
+# workload: on the dense path an adder's TOFFOLIs and CNOTs each run as one
+# slice exchange over the array.
 SUPPORT_PATH_MAX_SHARE = 1 / 8
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -499,10 +497,7 @@ class RegisterLayout:
 
     def value(self, label: int, name: str) -> int:
         """Integer held by a segment within a basis label."""
-        out = 0
-        for slot, wire in enumerate(self.wires(name)):
-            out |= ((label >> wire) & 1) << slot
-        return out
+        return int(self.values([integer(label, "label")], name)[0])
 
     def values(self, labels: np.ndarray, name: str) -> np.ndarray:
         """Vectorized :meth:`value` over an array of labels."""

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, state files, branch tables, determinism."""
 
+import argparse
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from qshift import (
     shift_layout,
     write_state,
 )
-from qshift.cli import main, parse_args, prepare_state
+from qshift.cli import build_parser, main, parse_args, prepare_state
 
 
 def run_cli(capsys, *argv):
@@ -276,3 +277,92 @@ def test_missing_input_file_is_domain_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "shift", "--n", "2", "--k", "1", "--dir", "left",
                            "--in", str(tmp_path / "absent.txt"), "--out", str(tmp_path / "o.txt"))
     assert code != 0
+
+
+# Every subcommand's help line and every flag's declaration, in declaration
+# order: (option, dest, type, default, choices, required, metavar, help, action).
+_IO = [
+    ("--in", "infile", None, None, None, True, "FILE", None, "_StoreAction"),
+    ("--out", "outfile", None, None, None, True, "FILE", None, "_StoreAction"),
+]
+_PASS_FLAGS = [
+    ("--n", "n", "_positive_int", None, None, True, None, "data width", "_StoreAction"),
+    ("--k", "k", "_positive_int", None, None, True, None, "ancilla width", "_StoreAction"),
+    ("--dir", "dir", None, "left", ("left", "right"), False, None, None, "_StoreAction"),
+    *_IO,
+    ("--tol", "tol", "_tolerance", 1e-12, None, False, None, "state-file norm tolerance",
+     "_StoreAction"),
+]
+_FLAGS = {
+    "shift": ("apply one shift pass to a state file", [
+        *_PASS_FLAGS,
+        ("--rotate", "rotate", None, False, None, False, None, "rotate instead of shift",
+         "_StoreTrueAction"),
+    ]),
+    "rotate": ("apply one rotation pass to a state file", _PASS_FLAGS),
+    "gatecount": ("gate tallies for one register pass", [
+        ("--n", "n", "_positive_int", None, None, True, None, None, "_StoreAction"),
+        ("--k", "k", "_positive_int", None, None, True, None, None, "_StoreAction"),
+        ("--decompose", "decompose", None, "none", ("none", "cnot", "all"), False, None, None,
+         "_StoreAction"),
+    ]),
+    "mul-const": ("multiply register A by a classical constant", [
+        ("--nA", "nA", "_positive_int", None, None, True, None, None, "_StoreAction"),
+        ("--kA", "kA", "_positive_int", None, None, True, None, None, "_StoreAction"),
+        ("--nB", "nB", "_positive_int", None, None, True, None, None, "_StoreAction"),
+        ("--l", "l", "_binary_literal", None, None, True, "BITS", None, "_StoreAction"),
+        *_IO,
+        ("--tol", "tol", "_tolerance", 1e-12, None, False, None, None, "_StoreAction"),
+    ]),
+    "mul-quantum": ("multiply registers A and C into B", [
+        ("--nA", "nA", "_positive_int", None, None, True, None, None, "_StoreAction"),
+        ("--kA", "kA", "_positive_int", None, None, True, None, None, "_StoreAction"),
+        ("--nC", "nC", "_positive_int", None, None, True, None, None, "_StoreAction"),
+        ("--kC", "kC", "_positive_int", None, None, True, None, None, "_StoreAction"),
+        ("--nB", "nB", "_positive_int", None, None, True, None, None, "_StoreAction"),
+        *_IO,
+        ("--tol", "tol", "_tolerance", 1e-12, None, False, None, None, "_StoreAction"),
+    ]),
+    "cost": ("shift/add accounting, quantum vs classical", [
+        ("--nA", "nA", "_positive_int", None, None, True, None, None, "_StoreAction"),
+        ("--kA", "kA", "_positive_int", None, None, True, None, None, "_StoreAction"),
+        ("--l", "l", "_binary_literal", None, None, True, "BITS", None, "_StoreAction"),
+        ("--values", "values", "_positive_int", None, None, False, None,
+         "superposed value count (default 2**nA)", "_StoreAction"),
+    ]),
+    "prepare": ("write an initial state file", [
+        ("--layout", "layout", None, None, ("shift", "mul-const", "mul-quantum"), True, None,
+         None, "_StoreAction"),
+        ("--n", "n", "_positive_int", None, None, False, None, None, "_StoreAction"),
+        ("--k", "k", "_positive_int", None, None, False, None, None, "_StoreAction"),
+        ("--nA", "nA", "_positive_int", None, None, False, None, None, "_StoreAction"),
+        ("--kA", "kA", "_positive_int", None, None, False, None, None, "_StoreAction"),
+        ("--nC", "nC", "_positive_int", None, None, False, None, None, "_StoreAction"),
+        ("--kC", "kC", "_positive_int", None, None, False, None, None, "_StoreAction"),
+        ("--nB", "nB", "_positive_int", None, None, False, None, None, "_StoreAction"),
+        ("--kind", "kind", None, None, None, True, "KIND",
+         '"zero", "basis <bits>" or "uniform <segment[:slots]>"', "_StoreAction"),
+        _IO[1],
+    ]),
+}
+
+
+def test_parser_declares_exactly_the_pinned_flags():
+    parser = build_parser()
+    top = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    assert [(a.dest, a.required) for a in top] == [("command", True)]
+    sub = top[0]
+    assert [(c.dest, c.help) for c in sub._choices_actions] == [
+        (name, help_line) for name, (help_line, _) in _FLAGS.items()
+    ]
+    for name, (_, flags) in _FLAGS.items():
+        got = [
+            (a.option_strings[0], a.dest, getattr(a.type, "__name__", None), a.default,
+             None if a.choices is None else tuple(a.choices), a.required, a.metavar, a.help,
+             type(a).__name__)
+            for a in sub.choices[name]._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        assert [a.option_strings for a in sub.choices[name]._actions][1:] == [
+            [flag[0]] for flag in flags
+        ], name
+        assert got == flags, name

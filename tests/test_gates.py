@@ -178,3 +178,13 @@ def test_label_evaluation_matches_dense(rng):
         state = StateVector.from_label(5, label)
         run_circuit(state, circ)
         assert state.amplitude(apply_circuit_to_label(circ, label)) == 1
+
+
+@pytest.mark.parametrize("labels, bad", [([5], 5), ([-1], -1), ([0, 3, 4, 1], 4)])
+def test_plane_kernel_refuses_labels_off_the_circuit(labels, bad):
+    circuit = Circuit(2, [Gate.x(0)])
+    message = f"^label {bad} out of range for 2 wires$"
+    with pytest.raises(PreconditionError, match=message):
+        apply_circuit_to_label(circuit, bad)
+    with pytest.raises(PreconditionError, match=message):
+        apply_circuit_to_labels(circuit, np.array(labels, dtype=np.int64))

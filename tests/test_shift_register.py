@@ -17,7 +17,9 @@ from qshift import (
     is_product_across,
     rotate,
     run_circuit,
+    select_qubit,
     shift,
+    shift_cascade,
     shift_layout,
 )
 
@@ -264,3 +266,15 @@ def test_shift_linearity(rng):
         run_circuit(state, circ)
         for lb, cf in zip(labels, coef):
             assert abs(state.amplitude(apply_circuit_to_label(circ, lb)) - cf) < 1e-12
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: shift_cascade((0, 1), (2, 0), 3), "wires of 'data' overlap 'ancilla'"),
+    (lambda: shift_cascade((0, 1), (2, 3), 0), "wires of 'control' overlap 'ancilla'"),
+    (lambda: shift_cascade((0,), (1, 2), 2, "right"), "wires of 'control' overlap 'data'"),
+    (lambda: select_qubit(StateVector.from_label(4, 0b0010), shift_layout(2, 1), "b", 2,
+                          ancilla="b"), "wires of 'data' overlap 'ancilla'"),
+], ids=["data-ancilla", "control-ancilla", "control-data", "select-qubit-on-own-ancilla"])
+def test_overlapping_registers_are_refused(build, message):
+    with pytest.raises(PreconditionError, match=message):
+        build()

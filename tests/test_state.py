@@ -19,8 +19,10 @@ from qshift import (
     apply_gate,
     classical_shift_oracle,
     cost_report,
+    extended_addend,
     is_product_across,
     new_basis_state,
+    num_shifts,
     run_circuit,
     schmidt_rank,
     segment_value_distribution,
@@ -276,6 +278,19 @@ def test_layout_values_and_display():
     assert layout.label_with_value(0, "b", 5) == (1 << 2) | (1 << 4)
 
 
+def test_layout_values_match_a_bit_loop(rng):
+    # Scattered wires on 63 wires, labels up to the top one: the int64
+    # vector reading must equal a Python bit loop, label by label.
+    wires = rng.permutation(63).tolist()
+    layout = RegisterLayout([("a", wires[:20]), ("b", wires[20:62]), ("c", wires[62:])])
+    labels = [0, (1 << 63) - 1, 1 << 62, *rng.integers(0, 1 << 63, 40, dtype=np.int64).tolist()]
+    for name in layout.segment_names:
+        want = [sum(((label >> w) & 1) << slot for slot, w in enumerate(layout.wires(name)))
+                for label in labels]
+        assert layout.values(np.array(labels, dtype=np.int64), name).tolist() == want
+        assert [layout.value(label, name) for label in labels] == want
+
+
 def test_segment_value_distribution_basis():
     layout = RegisterLayout([("r", [0, 1, 2]), ("rest", [3])])
     state = StateVector.from_label(4, 0b0011)  # slots (1,1,0) -> 3
@@ -342,7 +357,16 @@ def _select_slot(slot):
             lambda: shift_layout(3, 2).label_with_value(0, "b", 1.5), "value 1.5 is not an integer",
             id="label_with_value",
         ),
+        pytest.param(lambda: shift_layout(3, 2).value(1.5, "b"), "label 1.5 is not an integer", id="value"),
         pytest.param(lambda: new_basis_state(3, 5), "label 5 is not a bitstring of length 3", id="new_basis_state"),
+        pytest.param(lambda: num_shifts(2.5), "multiplier 2.5 is not an integer", id="num_shifts float"),
+        pytest.param(lambda: num_shifts(-4), "multiplier must be nonnegative", id="num_shifts negative"),
+        pytest.param(
+            lambda: extended_addend((0,), (1,), 1.5), "shifts_done 1.5 is not an integer", id="extended_addend float"
+        ),
+        pytest.param(
+            lambda: extended_addend((0,), (1,), -1), "shifts_done must be nonnegative", id="extended_addend negative"
+        ),
         pytest.param(lambda: cost_report(2, 1, 3, 2.5), "num_values 2.5 is not an integer", id="cost_report num_values"),
         pytest.param(lambda: cost_report(2, 1, 2.0), "multiplier 2.0 is not an integer", id="cost_report multiplier"),
         # A bool is no integer, whether Python's or numpy's.
