@@ -44,7 +44,7 @@ def num_shifts(multiplier: int) -> int:
 
 def num_additions(multiplier: int) -> int:
     """Adds the constant-multiplier schedule performs (set bits)."""
-    return bin(multiplier).count("1")
+    return bin(_nonnegative(multiplier, "multiplier")).count("1")
 
 
 def adder_gates(
@@ -102,9 +102,7 @@ def adder_gates(
             gates.append(Gate.cnot(a[p], b[p]))  # restore b_p
             gates.append(Gate.toffoli(a[p], b[p], c[p]))
             gates.append(sum_write(a[p], b[p]))
-            if p >= 1:
-                gates.append(sum_write(c[p - 1], b[p]))
-        elif p >= 1:
+        if p >= 1:
             gates.append(sum_write(c[p - 1], b[p]))
     return gates
 
@@ -326,6 +324,25 @@ def _carry_wires(layout: RegisterLayout) -> tuple[int, ...]:
     return layout.wires("carry") if layout.has_segment("carry") else ()
 
 
+def _shift_and_add(
+    layout: RegisterLayout, adds: Sequence[int], control: int | None = None, c_shift: Sequence[Gate] = ()
+) -> Circuit:
+    """Round p adds A, shifted left p times, into B when ``adds[p]`` is set,
+    under ``control`` if one is given; between rounds A shifts left through
+    ancA, then the gates ``c_shift`` run."""
+    a, anc, b = layout.wires("A"), layout.wires("ancA"), layout.wires("B")
+    carry, c_wire = _carry_wires(layout), layout.wires("c")[0]
+    circuit = Circuit(layout.num_wires)
+    for p, adding in enumerate(adds):
+        if adding:
+            addend = extended_addend(a, anc, p)[: len(b)]
+            circuit.extend(adder_gates(addend, b, carry, control))
+        if p < len(adds) - 1:
+            circuit.extend(shift_cascade(anc, a, c_wire))
+            circuit.extend(c_shift)
+    return circuit
+
+
 def build_multiply_by_constant_circuit(
     spec: MulConstSpec, layout: RegisterLayout | None = None
 ) -> Circuit:
@@ -336,20 +353,7 @@ def build_multiply_by_constant_circuit(
     """
     layout = layout or mul_const_layout(spec)
     _check_layout(layout, _mul_const_widths(spec))
-    a = layout.wires("A")
-    anc = layout.wires("ancA")
-    b = layout.wires("B")
-    carry = _carry_wires(layout)
-    c_wire = layout.wires("c")[0]
-    bits = _bits_lsb_first(spec.multiplier)
-    circuit = Circuit(layout.num_wires)
-    for p, bit in enumerate(bits):
-        if bit:
-            addend = extended_addend(a, anc, p)[: len(b)]
-            circuit.extend(adder_gates(addend, b, carry))
-        if p < len(bits) - 1:
-            circuit.extend(shift_cascade(anc, a, c_wire))
-    return circuit
+    return _shift_and_add(layout, _bits_lsb_first(spec.multiplier))
 
 
 # The names the multipliers' error messages give the segments that must be
@@ -408,21 +412,9 @@ def build_multiply_registers_circuit(
     """
     layout = layout or mul_quantum_layout(spec)
     _check_layout(layout, _mul_quantum_widths(spec))
-    a = layout.wires("A")
-    anc_a = layout.wires("ancA")
     c_reg = layout.wires("C")
-    anc_c = layout.wires("ancC")
-    b = layout.wires("B")
-    carry = _carry_wires(layout)
-    c_wire = layout.wires("c")[0]
-    circuit = Circuit(layout.num_wires)
-    for p in range(spec.c_width):
-        addend = extended_addend(a, anc_a, p)[: len(b)]
-        circuit.extend(adder_gates(addend, b, carry, control=c_reg[0]))
-        if p < spec.c_width - 1:
-            circuit.extend(shift_cascade(anc_a, a, c_wire))
-            circuit.extend(shift_cascade(anc_c, c_reg, c_wire, "right"))
-    return circuit
+    c_shift = shift_cascade(layout.wires("ancC"), c_reg, layout.wires("c")[0], "right")
+    return _shift_and_add(layout, [1] * spec.c_width, c_reg[0], c_shift)
 
 
 def multiply_registers(

@@ -59,8 +59,10 @@ class Gate:
     wires: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in GATE_ARITY:
+        if not isinstance(self.kind, str) or self.kind not in GATE_ARITY:
             raise PreconditionError(f"unknown gate kind {self.kind!r}")
+        if not hasattr(self.wires, "__iter__"):  # isinstance(..., Iterable) took ~1 us per gate
+            raise PreconditionError(f"{self.kind} wires {self.wires!r} are not an iterable of wires")
         wires = tuple(integer(w, "wire") for w in self.wires)
         object.__setattr__(self, "wires", wires)
         if len(wires) != GATE_ARITY[self.kind]:
@@ -127,6 +129,8 @@ class Circuit:
             self._check(gate)
 
     def _check(self, gate: Gate) -> None:
+        if not isinstance(gate, Gate):
+            raise PreconditionError(f"circuit gate {gate!r} is not a Gate")
         if max(gate.wires) >= self.num_wires:
             raise PreconditionError(
                 f"gate {gate.kind}{gate.wires} exceeds {self.num_wires} wires"
@@ -211,6 +215,7 @@ def apply_gate_to_label(gate: Gate, label: int) -> int:
 
 def apply_circuit_to_label(circuit: Circuit, label: int) -> int:
     """Run an H-free circuit on a single basis label, gate by gate."""
+    label = integer(label, "label")
     if not 0 <= label < (1 << circuit.num_wires):
         raise PreconditionError(f"label {label} out of range for {circuit.num_wires} wires")
     for gate in circuit:

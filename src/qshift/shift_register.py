@@ -191,7 +191,7 @@ def gate_count(spec: ShiftSpec, decompose: str = "none") -> GateCountReport:
     """Tally the register circuit, optionally decomposing SWAP and CSWAP gates."""
     try:
         mode = _DECOMPOSE_MODES[decompose]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable mode
         raise PreconditionError(
             f"decompose must be one of {sorted(set(_DECOMPOSE_MODES))}"
         ) from None

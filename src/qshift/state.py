@@ -13,10 +13,10 @@ other circuit runs on the dense array after the same sweep.
 On the dense path the wires that the circuit's zero checks proved 0 are
 marked, and only the slice where they read 0 is permuted. Consecutive
 SWAPs, CSWAPs on marked controls and X gates on marked wires compose into
-one wire permutation of that slice, moved in place through a temporary of
-half of it (a quarter of the array): each amplitude is copied 1.75 times.
-A shift or rotate pass is one such permutation. Every other gate is one
-slice exchange.
+one step, a wire map of that slice plus its X flips, moved by one slice
+exchange if it moves two wires and else in place through a temporary of
+half the slice (a quarter of the array), each amplitude copied 1.75 times.
+A shift or rotate pass is one step; other gates and flips are exchanges.
 """
 
 from __future__ import annotations
@@ -170,20 +170,13 @@ def _slice_index(m: int, wires: Sequence[int], bits: int) -> tuple:
     return tuple(idx)
 
 
-class _Exchange(NamedTuple):
+def _apply_exchange(state: StateVector, wires: Sequence[int], a: int, b: int) -> None:
     """A slice exchange: the sub-tensors that fix ``wires`` to the bits of
     label ``a`` and to those of label ``b`` trade places."""
-
-    wires: tuple[int, ...]
-    a: int
-    b: int
-
-
-def _apply_exchange(state: StateVector, step: _Exchange) -> None:
     m = state.num_wires
     t = state._tensor()
-    idx_a = _slice_index(m, step.wires, step.a)
-    idx_b = _slice_index(m, step.wires, step.b)
+    idx_a = _slice_index(m, wires, a)
+    idx_b = _slice_index(m, wires, b)
     tmp = t[idx_a].copy()
     t[idx_a] = t[idx_b]
     t[idx_b] = tmp
@@ -210,32 +203,33 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         t[hi] = (a - b) * _SQRT_HALF
         return state
     control, flip, pattern = gate.masks
-    _apply_exchange(state, _Exchange(ws, control | pattern, control | (pattern ^ flip)))
+    _apply_exchange(state, ws, control | pattern, control | (pattern ^ flip))
     return state
 
 
-class _Permute(NamedTuple):
-    """One compiled dense step: on the slice where every ``fixed`` wire
-    reads 0, wire w takes the bit of wire ``src[w]``. ``src`` keeps the
-    fixed wires in place, and the top wire too when none is fixed."""
+class _Map(NamedTuple):
+    """One dense step: on the slice where every ``fixed`` wire reads 0, wire
+    w takes the bit of wire ``src[w]`` (``src`` keeps the fixed wires in
+    place); then each wire of the mask ``flips`` is flipped."""
 
     fixed: tuple[int, ...]
     src: tuple[int, ...]
+    flips: int
 
 
-def _dense_steps(circuit: Circuit, marked: int) -> list[Gate | _Permute | _Exchange]:
-    """The circuit as dense steps: gates, slice exchanges and permutations.
+def _dense_steps(circuit: Circuit, marked: int) -> list[Gate | _Map]:
+    """The circuit as dense steps: gates, and one :class:`_Map` per wire map.
 
     ``marked`` holds wires that read 0 on every nonzero amplitude. One walk
     keeps a wire map ``src`` and a mask of pending X flips. A SWAP goes into
     the map, and so does a CSWAP on a marked control, swapping only while
     that control is flipped; an X on a marked wire toggles its flip. A swap
     that moves a marked wire unmarks it. Any other gate ends the map (see
-    :func:`_permute_slice`) and runs alone; it and the map's pending X gates
-    unmark the wires they write.
+    :func:`_end_map`) and runs alone; it and the map's flips unmark the
+    wires they write.
     """
     m = circuit.num_wires
-    steps: list[Gate | _Permute | _Exchange] = []
+    steps: list[Gate | _Map] = []
     src, flips = list(range(m)), 0  # src[w]: the wire whose bit ends up on wire w
     for gate in circuit:
         kind, wires = gate.kind, gate.wires
@@ -249,11 +243,17 @@ def _dense_steps(circuit: Circuit, marked: int) -> list[Gate | _Permute | _Excha
                     flips ^= 1 << a | 1 << b
                 marked &= ~(1 << a | 1 << b)
         else:
-            steps += _permute_slice(m, marked, src, flips)
+            steps += _end_map(m, marked, src, flips)
             marked &= ~(flips | (1 << wires[0] if kind == "H" else gate.masks.flip))
             src, flips = list(range(m)), 0
             steps.append(gate)
-    return steps + _permute_slice(m, marked, src, flips)
+    return steps + _end_map(m, marked, src, flips)
+
+
+def _end_map(m: int, marked: int, src: list[int], flips: int) -> list[_Map]:
+    """The step of a map that fixes the ``marked`` wires; none if it moves and flips nothing."""
+    fixed = tuple(w for w in range(m) if marked >> w & 1)
+    return [_Map(fixed, tuple(src), flips)] if flips or src != list(range(m)) else []
 
 
 def _assignments(wires: Sequence[int]) -> np.ndarray:
@@ -264,32 +264,30 @@ def _assignments(wires: Sequence[int]) -> np.ndarray:
     return labels
 
 
-def _permute_slice(
-    m: int, marked: int, src: list[int], flips: int
-) -> list[Gate | _Permute | _Exchange]:
-    """The steps that end a map: they relabel by ``src`` the slice where
-    every ``marked`` wire reads 0 (``src`` keeps those wires in place), then
-    one X runs per pending flip; the slices where a marked wire reads 1 hold
-    only zeros, and stay put. A map of two wires is one slice exchange (0.75
-    copies per amplitude), of more one :class:`_Permute` (1.75); with no
-    marked wire, a swap peeled off to keep the top wire runs after it.
+def _apply_map(state: StateVector, step: _Map) -> None:
+    """Move a map in place; the slices where a fixed wire reads 1 hold only
+    zeros, and stay put. A map of two wires is one slice exchange (0.75
+    copies per amplitude), of more one :func:`_apply_permute` (1.75); with
+    no fixed wire, a swap peeled off to keep the top wire runs after it.
+    Each flip then runs as a one-wire slice exchange.
     """
-    fixed = tuple(w for w in range(m) if marked >> w & 1)
-    steps: list[Gate | _Permute | _Exchange] = [Gate.x(w) for w in range(m) if flips >> w & 1]
+    m, fixed, src = state.num_wires, step.fixed, list(step.src)
+    exchanges = [((w,), 0, 1 << w) for w in range(m) if step.flips >> w & 1]
     if not fixed and src[m - 1] != m - 1 and sum(src[w] != w for w in range(m)) > 2:
         y = src.index(m - 1)  # the wire that the top wire's bit ends up on
         src[m - 1], src[y] = m - 1, src[m - 1]
-        steps.insert(0, _Exchange((m - 1, y), 1 << m - 1, 1 << y))
+        exchanges.insert(0, ((m - 1, y), 1 << m - 1, 1 << y))
     moved = [w for w in range(m) if src[w] != w]
     if len(moved) == 2:
-        steps.insert(0, _Exchange((*fixed, *moved), 1 << moved[0], 1 << moved[1]))
+        exchanges.insert(0, ((*fixed, *moved), 1 << moved[0], 1 << moved[1]))
     elif moved:
-        steps.insert(0, _Permute(fixed, tuple(src)))
-    return steps
+        _apply_permute(state, fixed, src)
+    for wires, a, b in exchanges:
+        _apply_exchange(state, wires, a, b)
 
 
-def _apply_permute(state: StateVector, step: _Permute) -> None:
-    """Run a compiled permutation in place on each slice F: the fixed wires'
+def _apply_permute(state: StateVector, fixed: tuple[int, ...], src: Sequence[int]) -> None:
+    """Run the permutation ``src`` in place on each slice F: the fixed wires'
     zero slice, or with none fixed each half of the top wire. With t F's top
     wire, s = ``src[t]`` and u the wire that takes t's bit, a temporary of
     half of F serves tmp <- F[t=0]; F[t=0][u=0] <- tmp[s=0]; F[t=0][u=1] <-
@@ -299,9 +297,9 @@ def _apply_permute(state: StateVector, step: _Permute) -> None:
     instead. F[t=0] and F[t=1] lie in disjoint address ranges, so numpy
     copies between them directly.
     """
-    m, src, t = state.num_wires, step.src, state._tensor()
-    fixed = step.fixed or (m - 1,)
-    slices = [t[_slice_index(m, fixed, 0)]] if step.fixed else [t[0], t[1]]
+    m, t = state.num_wires, state._tensor()
+    slices = [t[_slice_index(m, fixed, 0)]] if fixed else [t[0], t[1]]
+    fixed = fixed or (m - 1,)
     top, *rest = [w for w in reversed(range(m)) if w not in fixed]  # F's wires in axis order
     tmp = np.empty(slices[0].shape[1:], dtype=t.dtype)
     if src[top] == top:
@@ -358,10 +356,8 @@ def _run_on_support(
         for step in _dense_steps(circuit, marked):
             if isinstance(step, Gate):
                 apply_gate(state, step)
-            elif isinstance(step, _Exchange):
-                _apply_exchange(state, step)
             else:
-                _apply_permute(state, step)
+                _apply_map(state, step)
         return state
     moved = apply_circuit_to_labels(circuit, labels)
     amps = state.amplitudes
@@ -387,7 +383,9 @@ def run_circuit(
     m = state.num_wires
     if circuit.num_wires != m:
         raise PreconditionError(f"circuit has {circuit.num_wires} wires, state has {m}")
-    checks = [(_check_wires(ws, f"check {what!r}", m), what) for ws, what in checks]
+    if not isinstance(checks, Iterable):
+        raise PreconditionError(f"checks {checks!r} are not an iterable of (wires, what) pairs")
+    checks = [_zero_check(check, m) for check in checks]
     checked = _wire_mask(w for wires, _ in checks for w in wires)
     _require_zero(state, checks)
     labels = None
@@ -396,10 +394,14 @@ def run_circuit(
     return _run_on_support(state, circuit, labels, checked)
 
 
-def _check_wires(wires, what: str, num_wires: int) -> tuple[int, ...]:
+def _zero_check(check, num_wires: int) -> tuple[tuple[int, ...], str]:
+    """A ``(wires, what)`` check of :func:`run_circuit`, its wires on the state."""
+    if not isinstance(check, Sequence) or len(check) != 2:
+        raise PreconditionError(f"check {check!r} is not a (wires, what) pair")
+    wires, what = check
     if isinstance(wires, Iterable):
-        return tuple(_check_wire(w, what, num_wires) for w in wires)
-    raise PreconditionError(f"{what} wires {wires!r} are not an iterable of wires")
+        return tuple(_check_wire(w, f"check {what!r}", num_wires) for w in wires), what
+    raise PreconditionError(f"check {what!r} wires {wires!r} are not an iterable of wires")
 
 
 def _check_wire(wire, what: str, num_wires: int) -> int:
@@ -497,11 +499,15 @@ class RegisterLayout:
 
     def value(self, label: int, name: str) -> int:
         """Integer held by a segment within a basis label."""
-        return int(self.values([integer(label, "label")], name)[0])
+        return int(self.values([_label(label, self.num_wires)], name)[0])
 
     def values(self, labels: np.ndarray, name: str) -> np.ndarray:
         """Vectorized :meth:`value` over an array of labels."""
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
+        if labels.size:  # one min/max check, as in apply_circuit_to_labels
+            for label in (labels.min(), labels.max()):
+                _label(label, self.num_wires)
+        labels = labels.astype(np.int64)
         out = np.zeros_like(labels)
         for slot, wire in enumerate(self.wires(name)):
             out |= ((labels >> wire) & 1) << slot
@@ -509,7 +515,7 @@ class RegisterLayout:
 
     def label_with_value(self, label: int, name: str, value: int) -> int:
         """Label with one segment replaced by an integer value."""
-        wires, label, value = self.wires(name), integer(label, "label"), integer(value, "value")
+        wires, label, value = self.wires(name), _label(label, self.num_wires), integer(value, "value")
         if not 0 <= value < (1 << len(wires)):
             raise PreconditionError(f"value {value} does not fit segment {name!r}")
         for slot, wire in enumerate(wires):
@@ -519,6 +525,7 @@ class RegisterLayout:
 
     def display_label(self, label: int) -> str:
         """Bitstring for a label: one character per wire of ``display_wires``."""
+        label = _label(label, self.num_wires)
         return "".join("1" if (label >> wire) & 1 else "0" for wire in self.display_wires)
 
     def label_from_display(self, bits: str) -> int:

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qshift import (
     Gate,
@@ -13,6 +14,7 @@ from qshift import (
     PreconditionError,
     StateVector,
     add,
+    adder_gates,
     apply_circuit_to_label,
     apply_gate,
     build_adder_circuit,
@@ -35,7 +37,9 @@ from qshift import (
     shift,
     shift_layout,
 )
+from qshift.shift_register import shift_cascade
 from qshift.state import RegisterLayout
+from test_support_path import register_multiplications
 
 
 def adder_layout(wa, wb):
@@ -517,6 +521,100 @@ def test_entanglement_witness_two_branch():
 def test_pipelines_are_permutation_circuits():
     assert build_multiply_by_constant_circuit(MulConstSpec(4, 3, 4, 0b1100)).is_permutation()
     assert build_multiply_registers_circuit(MulQuantumSpec(3, 2, 3, 2, 6)).is_permutation()
+
+
+def _reference_adder_gates(a, b, c, control=None):
+    """The adder's gate list as written before its backward pass had one sum
+    write per position: the reference that the adder must still match."""
+    wa, wb = len(a), len(b)
+    sum_write = Gate.cnot if control is None else lambda s, t: Gate.toffoli(control, s, t)
+    gates = []
+    for p in range(wb - 1):
+        if p < wa:
+            gates.append(Gate.toffoli(a[p], b[p], c[p]))
+            gates.append(Gate.cnot(a[p], b[p]))
+        if p >= 1:
+            gates.append(Gate.toffoli(c[p - 1], b[p], c[p]))
+    top = wb - 1
+    if top < wa:
+        gates.append(sum_write(a[top], b[top]))
+    if top >= 1:
+        gates.append(sum_write(c[top - 1], b[top]))
+    for p in range(wb - 2, -1, -1):
+        if p >= 1:
+            gates.append(Gate.toffoli(c[p - 1], b[p], c[p]))
+        if p < wa:
+            gates.append(Gate.cnot(a[p], b[p]))
+            gates.append(Gate.toffoli(a[p], b[p], c[p]))
+            gates.append(sum_write(a[p], b[p]))
+            if p >= 1:
+                gates.append(sum_write(c[p - 1], b[p]))
+        elif p >= 1:
+            gates.append(sum_write(c[p - 1], b[p]))
+    return gates
+
+
+def _carries(layout):
+    return layout.wires("carry") if layout.has_segment("carry") else ()
+
+
+def _reference_multiply_by_constant(spec, layout):
+    """The constant multiplier's own add-then-shift loop, as written before
+    both multipliers shared one."""
+    a, anc, b, c_wire = layout.wires("A"), layout.wires("ancA"), layout.wires("B"), layout.wires("c")[0]
+    bits = [(spec.multiplier >> p) & 1 for p in range(spec.multiplier.bit_length())]
+    gates = []
+    for p, bit in enumerate(bits):
+        if bit:
+            addend = extended_addend(a, anc, p)[: len(b)]
+            gates += _reference_adder_gates(addend, b, _carries(layout))
+        if p < len(bits) - 1:
+            gates += shift_cascade(anc, a, c_wire)
+    return gates
+
+
+def _reference_multiply_registers(spec, layout):
+    """The register multiplier's own add-then-shift loop, as written before
+    both multipliers shared one."""
+    a, anc_a, c_reg, anc_c = (layout.wires(name) for name in ("A", "ancA", "C", "ancC"))
+    b, c_wire = layout.wires("B"), layout.wires("c")[0]
+    gates = []
+    for p in range(spec.c_width):
+        addend = extended_addend(a, anc_a, p)[: len(b)]
+        gates += _reference_adder_gates(addend, b, _carries(layout), control=c_reg[0])
+        if p < spec.c_width - 1:
+            gates += shift_cascade(anc_a, a, c_wire)
+            gates += shift_cascade(anc_c, c_reg, c_wire, "right")
+    return gates
+
+
+def test_adder_and_multipliers_match_their_reference_gate_lists():
+    for wa in range(1, 5):
+        for wb in range(wa, 6):
+            a, b, c = range(wa), range(wa, wa + wb), range(wa + wb, wa + 2 * wb - 1)
+            for control in (None, wa + 2 * wb - 1):
+                assert adder_gates(a, b, c, control) == _reference_adder_gates(a, b, c, control)
+    for a_width, a_ancilla, b_width in itertools.product(range(1, 4), range(1, 4), range(1, 7)):
+        for multiplier in range(1 << (a_ancilla + 1)):
+            spec = MulConstSpec(a_width, a_ancilla, b_width, multiplier)
+            layout = mul_const_layout(spec)
+            want = _reference_multiply_by_constant(spec, layout)
+            assert build_multiply_by_constant_circuit(spec).gates == want
+    for a_width, c_width in itertools.product(range(1, 4), range(1, 4)):
+        for a_ancilla, c_ancilla in itertools.product(range(max(1, c_width - 1), 4), repeat=2):
+            for b_width in (a_width + c_width, a_width + c_width + 1):
+                spec = MulQuantumSpec(a_width, a_ancilla, c_width, c_ancilla, b_width)
+                layout = mul_quantum_layout(spec)
+                want = _reference_multiply_registers(spec, layout)
+                assert build_multiply_registers_circuit(spec).gates == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(register_multiplications())
+def test_multiply_registers_matches_its_reference_gate_list_on_random_layouts(case):
+    spec, layout, _ = case
+    want = _reference_multiply_registers(spec, layout)
+    assert build_multiply_registers_circuit(spec, layout).gates == want
 
 
 def test_cost_report_paper_figures():

@@ -16,10 +16,12 @@ from qshift import (
     RegisterLayout,
     ShiftSpec,
     StateVector,
+    apply_circuit_to_label,
     apply_gate,
     classical_shift_oracle,
     cost_report,
     extended_addend,
+    gate_count,
     is_product_across,
     new_basis_state,
     num_shifts,
@@ -30,6 +32,7 @@ from qshift import (
     shift_layout,
     state_from_text,
 )
+from qshift.arithmetic import num_additions
 from conftest import apply_gate_matrix, random_circuit, random_state
 
 ALL_KINDS = ("X", "H", "CNOT", "SWAP", "CSWAP", "TOFFOLI")
@@ -386,3 +389,72 @@ def test_integer_parameters_refuse_other_values(call, message):
     with pytest.raises(PreconditionError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+_LAYOUT = shift_layout(3, 2)  # 6 wires
+_X0 = Circuit(3, [Gate.x(0)])
+
+
+def _run_checked(checks):
+    return run_circuit(StateVector.from_label(2, 0), Circuit(2), checks)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # The layout's label readers refuse labels off the layout, as StateVector.amplitude does.
+        pytest.param(lambda: _LAYOUT.value(-1, "b"), "label -1 out of range for 6 wires", id="value negative"),
+        pytest.param(lambda: _LAYOUT.value(1 << 10, "b"), "label 1024 out of range for 6 wires", id="value large"),
+        pytest.param(lambda: _LAYOUT.values([1.5], "b"), "label np.float64(1.5) is not an integer", id="values float"),
+        pytest.param(lambda: _LAYOUT.values([5.9], "b"), "label np.float64(5.9) is not an integer", id="values float 5.9"),
+        pytest.param(lambda: _LAYOUT.values([3, -1], "b"), "label -1 out of range for 6 wires", id="values negative"),
+        pytest.param(lambda: _LAYOUT.values([64, 3], "b"), "label 64 out of range for 6 wires", id="values large"),
+        pytest.param(
+            lambda: _LAYOUT.label_with_value(-1, "b", 0), "label -1 out of range for 6 wires",
+            id="label_with_value negative",
+        ),
+        pytest.param(
+            lambda: _LAYOUT.label_with_value(1 << 10, "b", 0), "label 1024 out of range for 6 wires",
+            id="label_with_value large",
+        ),
+        pytest.param(lambda: _LAYOUT.display_label(-1), "label -1 out of range for 6 wires", id="display_label negative"),
+        pytest.param(lambda: _LAYOUT.display_label(1.5), "label 1.5 is not an integer", id="display_label float"),
+        pytest.param(lambda: _LAYOUT.display_label(True), "label True is not an integer", id="display_label bool"),
+        # The gate, circuit and runner entry points name the input they refuse.
+        pytest.param(lambda: apply_circuit_to_label(_X0, 1.5), "label 1.5 is not an integer", id="label float"),
+        pytest.param(lambda: apply_circuit_to_label(_X0, "1"), "label '1' is not an integer", id="label str"),
+        pytest.param(
+            lambda: Circuit(3, [("X", (0,))]), "circuit gate ('X', (0,)) is not a Gate", id="Circuit tuple gate"
+        ),
+        pytest.param(
+            lambda: Circuit(3).append(("X", (0,))), "circuit gate ('X', (0,)) is not a Gate", id="append tuple gate"
+        ),
+        pytest.param(lambda: Gate(["X"], (0,)), "unknown gate kind ['X']", id="Gate list kind"),
+        pytest.param(lambda: Gate("X", 0), "X wires 0 are not an iterable of wires", id="Gate int wires"),
+        pytest.param(
+            lambda: _run_checked(5), "checks 5 are not an iterable of (wires, what) pairs", id="run_circuit int checks"
+        ),
+        pytest.param(lambda: _run_checked([[0]]), "check [0] is not a (wires, what) pair", id="run_circuit 1-item check"),
+        pytest.param(
+            lambda: _run_checked([((0,), "a", 1)]), "check ((0,), 'a', 1) is not a (wires, what) pair",
+            id="run_circuit 3-item check",
+        ),
+        pytest.param(
+            lambda: gate_count(ShiftSpec(2, 1), ["none"]),
+            "decompose must be one of ['all', 'cnot', 'none', 'swaps-to-cnot']",
+            id="gate_count list mode",
+        ),
+        # num_additions keeps the integer rule that num_shifts keeps.
+        pytest.param(lambda: num_additions(-4), "multiplier must be nonnegative", id="num_additions negative"),
+        pytest.param(lambda: num_additions(2.5), "multiplier 2.5 is not an integer", id="num_additions float"),
+    ],
+)
+def test_entry_points_refuse_inputs_off_their_domain(call, message):
+    # Each was answered, truncated or left to fail with a bare exception before.
+    with pytest.raises(PreconditionError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+def test_layout_values_of_no_labels_are_empty():
+    assert _LAYOUT.values([], "b").tolist() == []

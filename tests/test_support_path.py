@@ -45,8 +45,7 @@ from qshift.shift_register import shift_cascade
 from qshift.state import (
     SUPPORT_PATH_MAX_SHARE,
     _dense_steps,
-    _Exchange,
-    _Permute,
+    _Map,
     _run_on_support,
 )
 
@@ -449,24 +448,34 @@ def test_fused_dense_path_matches_gate_by_gate(case):
         assert np.array_equal(_bits(fused.amplitudes[nonzero]), _bits(reference.amplitudes[nonzero]))
     else:
         assert np.array_equal(_bits(fused.amplitudes), _bits(reference.amplitudes))
-    # Each map is at most one permutation. It fixes a marked wire or keeps
-    # the top wire in place, so its temporary, half the slice it permutes,
-    # holds at most 2**(m-2) amplitudes.
+    # Each map is one step, which moves or flips something and keeps its
+    # fixed wires, all marked, in place. Moving it is at most one
+    # permutation, which fixes a marked wire or keeps the top wire in place,
+    # so its temporary, half the slice it permutes, holds at most 2**(m-2)
+    # amplitudes; two wires or fewer would be a slice exchange, which is cheaper.
     m = circuit.num_wires
-    permuted = False  # whether the current map has a permutation
+    mapped = False  # whether the current stretch between gates has a map
     for step in _dense_steps(circuit, marked):
         if isinstance(step, Gate):  # maps are separated by other gates
-            permuted = False
-        elif isinstance(step, _Exchange):
-            assert len(step.wires) >= 2
-        else:
-            assert sorted(step.src) == list(range(m))
-            assert all(marked >> w & 1 and step.src[w] == w for w in step.fixed)
-            assert step.fixed or step.src[m - 1] == m - 1
-            # Two wires or fewer would be a slice exchange, which is cheaper.
-            assert sum(w != v for v, w in enumerate(step.src)) >= 3
-            assert not permuted
-            permuted = True
+            mapped = False
+            continue
+        assert type(step) is _Map and not mapped
+        mapped = True
+        assert sorted(step.src) == list(range(m))
+        assert all(marked >> w & 1 and step.src[w] == w for w in step.fixed)
+        assert step.flips or step.src != tuple(range(m))
+        # Each flip is a one-wire exchange after the wires have moved.
+        moves = _moves(step, m)
+        flips = [("exchange", (w,), 0, 1 << w) for w in range(m) if step.flips >> w & 1]
+        moves, tail = moves[: len(moves) - len(flips)], moves[len(moves) - len(flips):]
+        assert tail == flips and sum(move[0] == "permute" for move in moves) <= 1
+        for move in moves:
+            if move[0] == "exchange":
+                assert len(move[1]) >= 2
+            else:
+                _, fixed, src = move
+                assert fixed == step.fixed and (fixed or src[m - 1] == m - 1)
+                assert sum(w != v for v, w in enumerate(src)) >= 3
 
 
 def _left_kinds(circuit, marked):
@@ -475,12 +484,20 @@ def _left_kinds(circuit, marked):
 
 
 def _fixes_to_zero(step, wire):
-    """Whether a compiled step leaves alone every label where ``wire`` reads 1; a gate does not."""
-    if isinstance(step, Gate):
-        return False
-    if isinstance(step, _Permute):
-        return wire in step.fixed
-    return wire in step.wires and not (step.a | step.b) >> wire & 1
+    """Whether a compiled step leaves alone every label where ``wire`` reads 1;
+    a gate does not, and neither does a map that flips a wire."""
+    return isinstance(step, _Map) and wire in step.fixed and not step.flips
+
+
+def _moves(step, m):
+    """The kernel calls, in order, that ``_apply_map`` makes for ``step``
+    on ``m`` wires: ``("exchange", wires, a, b)`` or ``("permute", fixed, src)``."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(state_module, "_apply_exchange", lambda state, *args: calls.append(("exchange", *args)))
+        patch.setattr(state_module, "_apply_permute", lambda state, *args: calls.append(("permute", *args)))
+        state_module._apply_map(StateVector.from_label(m, 0), step)
+    return calls
 
 
 def test_runs_compile_only_when_their_controls_stay_put():
@@ -499,11 +516,11 @@ def test_runs_compile_only_when_their_controls_stay_put():
         # An unmarked CSWAP or X runs alone; the SWAPs between them still compose.
         (cswaps_on_6, set(), ["X", "CSWAP", "X", "CSWAP", "X", "X"]),
         (cswaps_on_5_6, {6}, ["CSWAP", "X", "X"]),
-        # An unpaired X on a marked wire runs after the map.
-        ([Gate.x(6), *swaps, Gate.cswap(6, 0, 1)], {6}, ["X"]),
-        ([Gate.x(6), *swaps, Gate.x(6), Gate.x(6)], {6}, ["X"]),
-        # Once it has run, its wire reads 1 and is no longer marked.
-        ([Gate.x(6), Gate.cnot(0, 1), Gate.cswap(6, 2, 3), *swaps], {6}, ["X", "CNOT", "CSWAP"]),
+        # An unpaired X on a marked wire is one of the map's flips.
+        ([Gate.x(6), *swaps, Gate.cswap(6, 0, 1)], {6}, []),
+        ([Gate.x(6), *swaps, Gate.x(6), Gate.x(6)], {6}, []),
+        # Once its map has run, its wire reads 1 and is no longer marked.
+        ([Gate.x(6), Gate.cnot(0, 1), Gate.cswap(6, 2, 3), *swaps], {6}, ["CNOT", "CSWAP"]),
         # A gate that writes a marked wire unmarks it, and so does a swap that moves one.
         ([Gate.cnot(0, 6), Gate.cswap(6, 1, 2)], {6}, ["CNOT", "CSWAP"]),
         ([Gate.h(6), Gate.x(6)], {6}, ["H", "X"]),
@@ -522,19 +539,25 @@ def test_runs_compile_only_when_their_controls_stay_put():
         assert np.array_equal(got.amplitudes, want.amplitudes)
         nonzero = want.nonzero_labels()
         assert np.array_equal(_bits(got.amplitudes[nonzero]), _bits(want.amplitudes[nonzero]))
-    assert _dense_steps(Circuit(m, [Gate.x(6), *swaps, Gate.cswap(6, 0, 1)]), 1 << 6)[-1] == Gate.x(6)
+    (step,) = _dense_steps(Circuit(m, [Gate.x(6), *swaps, Gate.cswap(6, 0, 1)]), 1 << 6)
+    assert step.fixed == (6,) and step.flips == 1 << 6
+    assert _moves(step, m)[-1] == ("exchange", (6,), 0, 1 << 6)
     # A map that moves three or more wires is one permutation of the slice
     # where the marked wires read 0.
     (step,) = _dense_steps(Circuit(m, cswaps_on_5_6), 0b1100000)
-    assert type(step) is _Permute and step.fixed == (5, 6)
+    assert type(step) is _Map and step.fixed == (5, 6)
+    assert [move[:2] for move in _moves(step, m)] == [("permute", (5, 6))]
     (step,) = _dense_steps(Circuit(m, cswaps_on_4_5_6), 0b1110000)
-    assert type(step) is _Permute and step.fixed == (4, 5, 6)
+    assert type(step) is _Map and step.fixed == (4, 5, 6)
+    assert [move[:2] for move in _moves(step, m)] == [("permute", (4, 5, 6))]
     # A permutation of two wires is a slice exchange, and so is a swap peeled
     # off, with no marked wire, to keep the top wire in place.
-    split = _dense_steps(Circuit(4, [Gate.swap(0, 1), Gate.swap(2, 3)]), 0)
-    assert split == [_Exchange((0, 1), 0b0001, 0b0010), _Exchange((3, 2), 0b1000, 0b0100)]
-    assert _dense_steps(Circuit(m, [Gate.swap(0, 1), Gate.swap(1, 2), Gate.swap(0, 1)]), 0) == [_Exchange((0, 2), 1, 4)]
-    assert _dense_steps(Circuit(m, [Gate.x(6), Gate.cswap(6, 0, 1), Gate.x(6)]), 1 << 6) == [_Exchange((6, 0, 1), 1, 2)]
+    (split,) = _dense_steps(Circuit(4, [Gate.swap(0, 1), Gate.swap(2, 3)]), 0)
+    assert _moves(split, 4) == [("exchange", (0, 1), 0b0001, 0b0010), ("exchange", (3, 2), 0b1000, 0b0100)]
+    (step,) = _dense_steps(Circuit(m, [Gate.swap(0, 1), Gate.swap(1, 2), Gate.swap(0, 1)]), 0)
+    assert _moves(step, m) == [("exchange", (0, 2), 1, 4)]
+    (step,) = _dense_steps(Circuit(m, [Gate.x(6), Gate.cswap(6, 0, 1), Gate.x(6)]), 1 << 6)
+    assert step == _Map((6,), (1, 0, 2, 3, 4, 5, 6), 0) and _moves(step, m) == [("exchange", (6, 0, 1), 1, 2)]
     # Maps that compose to the identity leave no step.
     assert _dense_steps(Circuit(m, [Gate.swap(0, 1), Gate.swap(1, 2)] * 3), 0) == []
     assert _dense_steps(Circuit(m, [Gate.x(6), Gate.cswap(6, 0, 1), Gate.x(6)] * 2), 1 << 6) == []
@@ -551,12 +574,15 @@ def test_shift_passes_fuse_their_swap_cascades():
         # With c marked, no gate is left: the pass, and three right passes
         # in one map, is one permutation of the slice where c reads 0.
         (step,) = _dense_steps(Circuit(m, gates), 1 << c)
-        assert step == _Permute((c,), step.src) and _fixes_to_zero(step, c)
+        assert step == _Map((c,), step.src, 0) and _fixes_to_zero(step, c)
+        assert [move[:2] for move in _moves(step, m)] == [("permute", (c,))]
     # With no marked wire, a map of three wires that moves the top one
     # leaves two moved wires once a swap is peeled off: slice exchanges only.
-    assert _dense_steps(Circuit(3, [Gate.swap(0, 1), Gate.swap(1, 2)]), 0) == [
-        _Exchange((0, 1), 0b001, 0b010),
-        _Exchange((2, 1), 0b100, 0b010),
+    (step,) = _dense_steps(Circuit(3, [Gate.swap(0, 1), Gate.swap(1, 2)]), 0)
+    assert step == _Map((), (1, 2, 0), 0)
+    assert _moves(step, 3) == [
+        ("exchange", (0, 1), 0b001, 0b010),
+        ("exchange", (2, 1), 0b100, 0b010),
     ]
 
 
@@ -612,9 +638,10 @@ def test_unchecked_swap_network_moving_the_top_wire_matches_gate_by_gate(seed):
     gates = [Gate.swap(*map(int, rng.choice(m, 2, replace=False))) for _ in range(3 * m)]
     gates.append(Gate.swap(m - 1, int(rng.integers(m - 1))))
     circuit = Circuit(m, gates)
-    permute, peeled = _dense_steps(circuit, 0)
-    assert permute.fixed == () and permute.src[m - 1] == m - 1
-    assert peeled.wires[0] == m - 1
+    (step,) = _dense_steps(circuit, 0)
+    (_, fixed, src), (_, peeled, _, _) = _moves(step, m)
+    assert fixed == () and src[m - 1] == m - 1
+    assert peeled[0] == m - 1
     state = _state_on(m, list(range(2**m)), rng)
     reference = _gate_by_gate(state.copy(), circuit)
     peak = _peak_bytes(lambda: run_circuit(state, circuit))
