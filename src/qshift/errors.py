@@ -3,7 +3,7 @@
 import math
 import numbers
 import operator
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +24,13 @@ def integer(value, what: str) -> int:
         except TypeError:
             pass
     raise PreconditionError(f"{what} {value!r} is not an integer")
+
+
+def iterable(value, what: str, items: str = "wires") -> Iterable:
+    """``value`` if it can be iterated; an int, say, raises instead of a bare TypeError."""
+    if isinstance(value, Iterable):
+        return value
+    raise PreconditionError(f"{what} {value!r} are not an iterable of {items}")
 
 
 def tolerance(value, what: str) -> float:

@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, integer, tolerance
+from .errors import PreconditionError, integer, iterable, tolerance
 from .gates import Circuit, Gate, apply_circuit_to_labels
 
 NORM_TOL = 1e-12
@@ -109,12 +109,15 @@ class StateVector:
         if wires is None:
             labels = self.nonzero_labels()
         else:
+            wires = iterable(wires, "support wires")
             labels = _assignments(sorted({_check_wire(w, "support", self.num_wires) for w in wires}))
             labels = labels[np.flatnonzero(self.amplitudes[labels])]
         return labels, self.amplitudes[labels]
 
     def allclose(self, other: "StateVector", tol: float = NORM_TOL) -> bool:
         tol = tolerance(tol, "tolerance")
+        if not isinstance(other, StateVector):
+            raise PreconditionError(f"other state {other!r} is not a StateVector")
         if self.num_wires != other.num_wires:
             return False
         return bool(np.max(np.abs(self.amplitudes - other.amplitudes)) <= tol)
@@ -383,9 +386,7 @@ def run_circuit(
     m = state.num_wires
     if circuit.num_wires != m:
         raise PreconditionError(f"circuit has {circuit.num_wires} wires, state has {m}")
-    if not isinstance(checks, Iterable):
-        raise PreconditionError(f"checks {checks!r} are not an iterable of (wires, what) pairs")
-    checks = [_zero_check(check, m) for check in checks]
+    checks = [_zero_check(check, m) for check in iterable(checks, "checks", "(wires, what) pairs")]
     checked = _wire_mask(w for wires, _ in checks for w in wires)
     _require_zero(state, checks)
     labels = None
@@ -399,9 +400,8 @@ def _zero_check(check, num_wires: int) -> tuple[tuple[int, ...], str]:
     if not isinstance(check, Sequence) or len(check) != 2:
         raise PreconditionError(f"check {check!r} is not a (wires, what) pair")
     wires, what = check
-    if isinstance(wires, Iterable):
-        return tuple(_check_wire(w, f"check {what!r}", num_wires) for w in wires), what
-    raise PreconditionError(f"check {what!r} wires {wires!r} are not an iterable of wires")
+    wires = iterable(wires, f"check {what!r} wires")
+    return tuple(_check_wire(w, f"check {what!r}", num_wires) for w in wires), what
 
 
 def _check_wire(wire, what: str, num_wires: int) -> int:
@@ -455,8 +455,11 @@ class RegisterLayout:
     def __init__(self, segments: Iterable[tuple[str, Sequence[int]]]):
         self._segments: dict[str, tuple[int, ...]] = {}
         seen: set[int] = set()
-        for name, wires in segments:
-            wires = tuple(integer(w, f"segment {name!r} wire") for w in wires)
+        for segment in iterable(segments, "segments", "(str, wires) pairs"):
+            if not isinstance(segment, Sequence) or len(segment) != 2 or not isinstance(segment[0], str):
+                raise PreconditionError(f"segment {segment!r} is not a (str, wires) pair")
+            name, wires = segment
+            wires = tuple(integer(w, f"segment {name!r} wire") for w in iterable(wires, f"segment {name!r} wires"))
             if not wires:
                 raise PreconditionError(f"segment {name!r} is empty")
             if name in self._segments:
@@ -468,7 +471,7 @@ class RegisterLayout:
             self._segments[name] = wires
         if not self._segments:
             raise PreconditionError("layout needs at least one segment")
-        if seen != set(range(len(seen))) or min(seen) < 0:
+        if seen != set(range(len(seen))):
             raise PreconditionError("segments must cover wires 0..m-1 exactly")
         self.num_wires = len(seen)
         # Display order: segments in declaration order, each MSB-first.
@@ -504,6 +507,9 @@ class RegisterLayout:
     def values(self, labels: np.ndarray, name: str) -> np.ndarray:
         """Vectorized :meth:`value` over an array of labels."""
         labels = np.asarray(labels)
+        if labels.dtype.kind not in "iu":  # refuse the first non-integer, which astype would truncate
+            for label in labels.flat:
+                integer(label, "label")
         if labels.size:  # one min/max check, as in apply_circuit_to_labels
             for label in (labels.min(), labels.max()):
                 _label(label, self.num_wires)
@@ -571,7 +577,7 @@ class ProductCheck(NamedTuple):
 def schmidt_rank(state: StateVector, cut: Iterable[int], tol: float = SCHMIDT_TOL) -> int:
     """Number of singular values above ``tol`` across the given bipartition."""
     m, tol = state.num_wires, tolerance(tol, "Schmidt tolerance")
-    cut_set = {integer(w, "cut wire") for w in cut}
+    cut_set = {integer(w, "cut wire") for w in iterable(cut, "cut wires")}
     if not cut_set or any(w < 0 or w >= m for w in cut_set):
         raise PreconditionError("cut must be a nonempty set of in-range wires")
     if len(cut_set) == m:

@@ -265,7 +265,7 @@ def test_shift_linearity(rng):
         state = StateVector(amps)
         run_circuit(state, circ)
         for lb, cf in zip(labels, coef):
-            assert abs(state.amplitude(apply_circuit_to_label(circ, lb)) - cf) < 1e-12
+            assert abs(state.amplitude(oracle_label(lay, lb, "left")) - cf) < 1e-12
 
 
 @pytest.mark.parametrize("build, message", [

@@ -291,6 +291,7 @@ def test_layout_values_match_a_bit_loop(rng):
         want = [sum(((label >> w) & 1) << slot for slot, w in enumerate(layout.wires(name)))
                 for label in labels]
         assert layout.values(np.array(labels, dtype=np.int64), name).tolist() == want
+        assert layout.values(np.array(labels, dtype=object), name).tolist() == want
         assert [layout.value(label, name) for label in labels] == want
 
 
@@ -393,6 +394,7 @@ def test_integer_parameters_refuse_other_values(call, message):
 
 _LAYOUT = shift_layout(3, 2)  # 6 wires
 _X0 = Circuit(3, [Gate.x(0)])
+_STATE = StateVector.from_label(6, 0)
 
 
 def _run_checked(checks):
@@ -407,6 +409,11 @@ def _run_checked(checks):
         pytest.param(lambda: _LAYOUT.value(1 << 10, "b"), "label 1024 out of range for 6 wires", id="value large"),
         pytest.param(lambda: _LAYOUT.values([1.5], "b"), "label np.float64(1.5) is not an integer", id="values float"),
         pytest.param(lambda: _LAYOUT.values([5.9], "b"), "label np.float64(5.9) is not an integer", id="values float 5.9"),
+        pytest.param(lambda: _LAYOUT.values(["1"], "b"), "label np.str_('1') is not an integer", id="values str"),
+        pytest.param(
+            lambda: _LAYOUT.values(np.array([0, 2.5, 3], dtype=object), "b"), "label 2.5 is not an integer",
+            id="values object float",
+        ),
         pytest.param(lambda: _LAYOUT.values([3, -1], "b"), "label -1 out of range for 6 wires", id="values negative"),
         pytest.param(lambda: _LAYOUT.values([64, 3], "b"), "label 64 out of range for 6 wires", id="values large"),
         pytest.param(
@@ -430,6 +437,21 @@ def _run_checked(checks):
             lambda: Circuit(3).append(("X", (0,))), "circuit gate ('X', (0,)) is not a Gate", id="append tuple gate"
         ),
         pytest.param(lambda: Gate(["X"], (0,)), "unknown gate kind ['X']", id="Gate list kind"),
+        # A wire set, layout or state of the wrong type is named, not left to a bare TypeError.
+        pytest.param(lambda: _STATE.support(5), "support wires 5 are not an iterable of wires", id="support int"),
+        pytest.param(lambda: schmidt_rank(_STATE, 3), "cut wires 3 are not an iterable of wires", id="schmidt_rank int"),
+        pytest.param(lambda: is_product_across(_STATE, 3), "cut wires 3 are not an iterable of wires", id="product int"),
+        pytest.param(lambda: _STATE.allclose(5), "other state 5 is not a StateVector", id="allclose int"),
+        pytest.param(
+            lambda: RegisterLayout(None), "segments None are not an iterable of (str, wires) pairs", id="layout None"
+        ),
+        pytest.param(
+            lambda: RegisterLayout([("a", 3)]), "segment 'a' wires 3 are not an iterable of wires", id="layout int wires"
+        ),
+        pytest.param(lambda: RegisterLayout([("a",)]), "segment ('a',) is not a (str, wires) pair", id="layout 1-item"),
+        pytest.param(
+            lambda: RegisterLayout([(["a"], [0])]), "segment (['a'], [0]) is not a (str, wires) pair", id="layout list"
+        ),
         pytest.param(lambda: Gate("X", 0), "X wires 0 are not an iterable of wires", id="Gate int wires"),
         pytest.param(
             lambda: _run_checked(5), "checks 5 are not an iterable of (wires, what) pairs", id="run_circuit int checks"

@@ -1,4 +1,11 @@
-"""Properties of the support path: permutation circuits run on the nonzero labels only."""
+"""Engine agreement and the support path.
+
+``assert_engines_agree`` runs each generator's circuit, state and zero
+checks on every engine: ``apply_gate`` gate by gate, the fused dense maps,
+the label path, the plane kernel and the scalar label kernel; a new engine
+joins as one row. The other tests pin the path rule, scans, step shapes
+and peak memory.
+"""
 
 import sys
 import tracemalloc
@@ -38,15 +45,16 @@ from qshift import (
     shift_layout,
     state_to_text,
 )
-from qshift import state as state_module
+from qshift import arithmetic, state as state_module
 from qshift.cli import prepare_state
-from qshift.gates import GATE_ARITY
+from qshift.gates import GATE_ARITY, apply_circuit_to_labels
 from qshift.shift_register import shift_cascade
 from qshift.state import (
     SUPPORT_PATH_MAX_SHARE,
     _dense_steps,
     _Map,
     _run_on_support,
+    _wire_mask,
 )
 
 PERMUTATION_KINDS = ("X", "CNOT", "SWAP", "TOFFOLI", "CSWAP")
@@ -122,43 +130,79 @@ def permutation_cases(draw):
     return circuit, StateVector(amps), checks
 
 
+def _gate_by_gate(state, circuit):
+    for gate in circuit:
+        apply_gate(state, gate)
+    return state
+
+
+def _moved(state, labels, images):
+    """The amplitudes on ``labels`` moved to ``images``, with zeros elsewhere."""
+    amps = np.zeros_like(state.amplitudes)
+    amps[images] = state.amplitudes[labels]
+    return amps
+
+
+def assert_engines_agree(circuit, state, checks=()):
+    """Assert that every engine runs ``circuit`` on a copy of ``state`` as
+    ``apply_gate`` does gate by gate: equal as values (a zero may be -0.0)
+    and bit for bit on the reference's nonzero labels, or everywhere on the
+    dense path and ``run_circuit`` with no checked wire, and on
+    ``run_circuit`` where it runs the label path. If ``state`` violates a
+    ``(wires, what)`` check, ``run_circuit`` on either path must instead
+    name the first violated one, run no path and leave the state untouched.
+    Returns the runs and scans of its ``run_circuit`` calls, as
+    ``_observed_runs`` and ``_counted_scans`` record them."""
+    labels = state.nonzero_labels()
+    # The first check in order that a supported label violates, as a scan of the support finds it.
+    failed = next((what for wires, what in checks if np.any(labels & _wire_mask(wires))), None)
+    with _observed_runs() as runs, _counted_scans() as scans:
+        if failed is None:
+            ran = run_circuit(state.copy(), circuit, checks).amplitudes
+        else:
+            for share in (0.0, 1.0):  # the dense path, then the support path
+                checked = state.copy()
+                with pytest.MonkeyPatch.context() as patch, pytest.raises(PreconditionError) as excinfo:
+                    patch.setattr(state_module, "SUPPORT_PATH_MAX_SHARE", share)
+                    run_circuit(checked, circuit, checks)
+                assert str(excinfo.value) == f"{failed} must be zero on every supported basis state"
+                assert np.array_equal(_bits(checked.amplitudes), _bits(state.amplitudes))
+    if failed is not None:
+        assert runs == []
+        return runs, scans
+    ((_, _, path),) = runs
+    marked = _wire_mask(w for wires, _ in checks for w in wires)
+    rows = {"dense": _run_on_support(state.copy(), circuit, None, marked).amplitudes, "run_circuit": ran}
+    if circuit.is_permutation():
+        rows["labels"] = _run_on_support(state.copy(), circuit, labels, marked).amplitudes
+        rows["plane kernel"] = _moved(state, labels, apply_circuit_to_labels(circuit, labels))
+        if labels.size <= 1024:  # a Python loop per label
+            images = [apply_circuit_to_label(circuit, int(label)) for label in labels]
+            rows["label by label"] = _moved(state, labels, images)
+    reference = _gate_by_gate(state.copy(), circuit)
+    want, nonzero = reference.amplitudes, reference.nonzero_labels()
+    for name, got in rows.items():
+        at = slice(None) if not marked and name in ("dense", "run_circuit") else nonzero
+        assert np.array_equal(got, want), name
+        assert np.array_equal(_bits(got[at]), _bits(want[at])), name
+    if path is not None:
+        assert np.array_equal(_bits(ran), _bits(rows["labels"]))
+    return runs, scans
+
+
 @settings(max_examples=200, deadline=None)
 @given(permutation_cases())
 def test_support_path_matches_dense_and_label_kernels(case):
     circuit, state, checks = case
-    labels = state.nonzero_labels()
-    # The first check in order that a supported label violates, as a scan of the support finds it.
-    failed = next((what for wires, what in checks if np.any(labels & sum(1 << w for w in wires))), None)
-    checked = state.copy()
-    with _observed_runs() as runs, _counted_scans() as scans:
-        if failed is None:
-            run_circuit(checked, circuit, checks)
-        else:
-            with pytest.raises(PreconditionError) as excinfo:
-                run_circuit(checked, circuit, checks)
+    runs, scans = assert_engines_agree(circuit, state, checks)
     # The checks are answered by the sweep, with no scan.
     assert scans == []
-    if failed is not None:
-        assert str(excinfo.value) == f"{failed} must be zero on every supported basis state"
-        assert runs == [] and np.array_equal(_bits(checked.amplitudes), _bits(state.amplitudes))
-        return
-    ((_, _, path),) = runs
-    # Checks on three wires or more pin the support to their zero slice.
-    pinned = len({w for wires, _ in checks for w in wires}) >= 3
-    assert (path is not None) == pinned
-    dense = _run_on_support(state.copy(), circuit, None, 0)
-    on_support = _run_on_support(state.copy(), circuit, labels, 0)
-    assert np.array_equal(on_support.amplitudes, dense.amplitudes)
-    nonzero = dense.nonzero_labels()
-    assert np.array_equal(on_support.nonzero_labels(), nonzero)
-    assert np.array_equal(_bits(on_support.amplitudes[nonzero]), _bits(dense.amplitudes[nonzero]))
-    images = [apply_circuit_to_label(circuit, int(label)) for label in labels]
-    assert np.array_equal(_bits(on_support.amplitudes[images]), _bits(state.amplitudes[labels]))
-    assert np.array_equal(checked.amplitudes, dense.amplitudes)
-    if pinned:
-        # Gathered from the zero slice, the support is the scanned one.
-        assert np.array_equal(path, labels)
-        assert np.array_equal(_bits(checked.amplitudes), _bits(on_support.amplitudes))
+    for _, _, path in runs:
+        # Checks on three wires or more pin the support to their zero slice;
+        # gathered from it, the support is the scanned one.
+        pinned = len({w for wires, _ in checks for w in wires}) >= 3
+        assert (path is not None) == pinned
+        assert not pinned or np.array_equal(path, state.nonzero_labels())
 
 
 @st.composite
@@ -392,8 +436,8 @@ def controlled_runs(draw, m, controls):
 def swap_run_circuits(draw):
     """A circuit made mostly of SWAP runs (random pairs, one pair repeated,
     or a cascade over every wire) and controlled runs, broken by single X,
-    CNOT, TOFFOLI, CSWAP or H gates and X gates on marked wires; a mask of
-    0-3 marked wires, which the controlled runs use as controls; and a state
+    CNOT, TOFFOLI, CSWAP or H gates and X gates on marked wires; 0-3 marked
+    wires, which the controlled runs use as controls; and a state
     with -0.0 on some labels and parts, and on every label where a marked
     wire reads 1."""
     m = draw(st.integers(1, 10))
@@ -423,31 +467,17 @@ def swap_run_circuits(draw):
     amps = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
     amps.imag[rng.random(2**m) < 0.3] = -0.0
     amps[rng.random(2**m) < draw(st.floats(0.0, 1.0))] = complex(-0.0, -0.0)
-    mask = sum(1 << w for w in marked)
-    amps[np.arange(2**m) & mask != 0] = complex(-0.0, -0.0)
+    amps[np.arange(2**m) & _wire_mask(marked) != 0] = complex(-0.0, -0.0)
     amps[0] = 1.0
-    return circuit, StateVector(amps / np.linalg.norm(amps)), mask
-
-
-def _gate_by_gate(state, circuit):
-    for gate in circuit:
-        apply_gate(state, gate)
-    return state
+    return circuit, StateVector(amps / np.linalg.norm(amps)), marked
 
 
 @settings(max_examples=300, deadline=None)
 @given(swap_run_circuits())
 def test_fused_dense_path_matches_gate_by_gate(case):
-    circuit, state, marked = case
-    reference = _gate_by_gate(state.copy(), circuit)
-    fused = _run_on_support(state.copy(), circuit, None, marked)
-    if marked:
-        # Zeros where a marked wire reads 1 may stay put.
-        assert np.array_equal(fused.amplitudes, reference.amplitudes)
-        nonzero = reference.nonzero_labels()
-        assert np.array_equal(_bits(fused.amplitudes[nonzero]), _bits(reference.amplitudes[nonzero]))
-    else:
-        assert np.array_equal(_bits(fused.amplitudes), _bits(reference.amplitudes))
+    circuit, state, wires = case
+    assert_engines_agree(circuit, state, [(wires, "marked wires")])
+    marked = _wire_mask(wires)
     # Each map is one step, which moves or flips something and keeps its
     # fixed wires, all marked, in place. Moving it is at most one
     # permutation, which fixes a marked wire or keeps the top wire in place,
@@ -534,11 +564,7 @@ def test_runs_compile_only_when_their_controls_stay_put():
         circuit, marked = Circuit(m, gates), sum(1 << w for w in wires)
         assert _left_kinds(circuit, marked) == left
         state = _state_on(m, [label for label in range(2**m) if not label & marked], rng)
-        want = _gate_by_gate(state.copy(), circuit)
-        got = _run_on_support(state, circuit, None, marked)
-        assert np.array_equal(got.amplitudes, want.amplitudes)
-        nonzero = want.nonzero_labels()
-        assert np.array_equal(_bits(got.amplitudes[nonzero]), _bits(want.amplitudes[nonzero]))
+        assert_engines_agree(circuit, state, [(wires, "marked wires")])
     (step,) = _dense_steps(Circuit(m, [Gate.x(6), *swaps, Gate.cswap(6, 0, 1)]), 1 << 6)
     assert step.fixed == (6,) and step.flips == 1 << 6
     assert _moves(step, m)[-1] == ("exchange", (6,), 0, 1 << 6)
@@ -643,10 +669,9 @@ def test_unchecked_swap_network_moving_the_top_wire_matches_gate_by_gate(seed):
     assert fixed == () and src[m - 1] == m - 1
     assert peeled[0] == m - 1
     state = _state_on(m, list(range(2**m)), rng)
-    reference = _gate_by_gate(state.copy(), circuit)
+    assert_engines_agree(circuit, state)
     peak = _peak_bytes(lambda: run_circuit(state, circuit))
     assert peak < 2 ** (m - 2) * state.amplitudes.itemsize * 1.125
-    assert np.array_equal(_bits(state.amplitudes), _bits(reference.amplitudes))
 
 
 def _select_qubit_input(layout, slot, rng):
@@ -664,17 +689,21 @@ def _select_qubit_input(layout, slot, rng):
 def test_dense_select_qubit_matches_gate_by_gate(slot, monkeypatch):
     # Slot 3 or more leaves at most 1/8 of the labels free, so a valid
     # input takes the support path; a zero share sends it to the dense array.
-    monkeypatch.setattr(state_module, "SUPPORT_PATH_MAX_SHARE", 0.0)
     layout = shift_layout(6, 4)
     state = _select_qubit_input(layout, slot, np.random.default_rng(slot))
     passes = shift_cascade(layout.wires("a"), layout.wires("b"), layout.wires("c")[0], "right")
-    circuit = Circuit(layout.num_wires, passes * (slot - 1))
-    want = _gate_by_gate(state.copy(), circuit)
-    with _observed_runs() as runs:
-        select_qubit(state, layout, "b", slot, ancilla="a")
+    calls = []
+    monkeypatch.setattr(arithmetic, "run_circuit", lambda *call: calls.append(call) or run_circuit(*call))
+    dense = state.copy()
+    with pytest.MonkeyPatch.context() as patch, _observed_runs() as runs:
+        patch.setattr(state_module, "SUPPORT_PATH_MAX_SHARE", 0.0)
+        select_qubit(dense, layout, "b", slot, ancilla="a")
+    ((_, circuit, checks),) = calls
     ((_, ran, path),) = runs
-    assert list(ran) == list(circuit) and path is None
-    assert np.array_equal(_bits(state.amplitudes), _bits(want.amplitudes))
+    assert list(ran) == list(circuit) == passes * (slot - 1) and path is None
+    assert np.array_equal(_bits(dense.amplitudes), _bits(_gate_by_gate(state.copy(), circuit).amplitudes))
+    # The circuit and the two checks it hands to run_circuit go to every engine.
+    assert_engines_agree(circuit, state, checks)
 
 
 @pytest.mark.parametrize("run", ["shift right", "rotate left", "rotate right", "select_qubit"])
@@ -698,61 +727,27 @@ def test_compiled_passes_peak_under_one_chunk(run, monkeypatch):
 def _state_on(m, labels, rng):
     amps = np.zeros(2**m, dtype=np.complex128)
     amps[labels] = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+    amps /= np.linalg.norm(amps)  # first: the complex divide turns the real part of a -0.0 into 0.0
     amps[amps == 0] = -0.0
-    return StateVector(amps / np.linalg.norm(amps))
+    return StateVector(amps)
 
 
-def _dense_and_sparse_failures(m, support, violating, run):
-    """The PreconditionError messages of ``run`` on a support above 1/8
-    (every label of ``support``) and on one well below it (its first two
-    labels), both holding the ``violating`` label; each state must come
-    back untouched."""
-    rng = np.random.default_rng(3)
-    assert len(support) + 1 > SUPPORT_PATH_MAX_SHARE * 2**m > 3
-    messages = []
-    for labels in (list(support), list(support[:2])):
-        state = _state_on(m, labels + [violating], rng)
-        before = state.amplitudes.copy()
-        with pytest.raises(PreconditionError) as excinfo:
-            run(state)
-        assert np.array_equal(_bits(state.amplitudes), _bits(before))
-        messages.append(str(excinfo.value))
-    return messages
-
-
-def test_dense_shift_names_the_violated_control_like_the_support_path():
-    layout = shift_layout(3, 2)
-    c = layout.wires("c")[0]
-    valid = list(range(1 << c))  # every label with control 0
-    messages = _dense_and_sparse_failures(
-        layout.num_wires, valid, (1 << c) | 5, lambda state: shift(state, layout)
-    )
-    assert messages == ["control wire 'c' must be zero on every supported basis state"] * 2
-
-
-@pytest.mark.parametrize("violated", ["a", "c", "B"])
-def test_dense_select_qubit_names_the_violated_check_like_the_support_path(violated):
-    if violated == "B":
-        # A multiplier answers its zero checks the same way. Here A, C, B
-        # and ancA are free, so B is superposed over more than 1/8 of the labels.
-        spec = MulQuantumSpec(1, 1, 1, 1, 2)
-        layout = mul_quantum_layout(spec)
-        blocked = layout.wires("ancC") + layout.wires("carry") + layout.wires("c")
-        bad = (1 << layout.wires("B")[0]) | (1 << layout.wires("c")[0])
-        run = lambda state: multiply_registers(state, spec, layout)
-    else:
-        layout = shift_layout(4, 3)
-        top_a = layout.wires("a")[1:]
-        blocked = top_a + layout.wires("c")
-        # A label violating both checks must be named by the first, as on the support path.
-        bad = (1 << top_a[-1]) | (1 << layout.wires("c")[0]) if violated == "a" else 1 << layout.wires("c")[0]
-        run = lambda state: select_qubit(state, layout, "b", 3, ancilla="a")
-    m = layout.num_wires
-    support = [label for label in range(2**m) if not any((label >> w) & 1 for w in blocked)]
-    messages = _dense_and_sparse_failures(m, support, bad, run)
-    want = {
-        "a": "top 2 slots of ancilla 'a' must be zero on every supported basis state",
-        "c": "shift control wire must be zero on every supported basis state",
-        "B": "accumulator B must be zero on every supported basis state",
-    }[violated]
-    assert messages == [want] * 2
+@pytest.mark.parametrize(
+    "pipeline, segments, what",
+    [
+        ("shift left", ["c"], "control wire 'c'"),
+        ("select_qubit", ["c"], "shift control wire"),
+        # A label violating both checks is named by the first.
+        ("select_qubit", ["a", "c"], "top 2 slots of ancilla 'a'"),
+        ("multiply_registers canonical", ["B", "c"], "accumulator B"),
+    ],
+)
+def test_pipelines_name_the_violated_check(pipeline, segments, what):
+    run, layout, _ = _PIPELINE_RUNS[pipeline]
+    bad = sum(1 << layout.wires(name)[-1] for name in segments)
+    state = _state_on(layout.num_wires, [0, bad], np.random.default_rng(3))
+    before = state.amplitudes.copy()
+    with pytest.raises(PreconditionError) as excinfo:
+        run(state, layout)
+    assert str(excinfo.value) == f"{what} must be zero on every supported basis state"
+    assert np.array_equal(_bits(state.amplitudes), _bits(before))
