@@ -9,6 +9,7 @@ once, by its control and flipped wires in ``_ROLES``. The dense kernel in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -74,9 +75,9 @@ class Gate:
         if any(w < 0 for w in wires):
             raise PreconditionError(f"wire indices must be nonnegative: {wires}")
 
-    @property
+    @cached_property
     def masks(self) -> GateMasks:
-        """Bit masks of a permutation gate; H has none."""
+        """Bit masks of a permutation gate, built once per gate; H has none."""
         try:
             controls, flips = _ROLES[self.kind]
         except KeyError:

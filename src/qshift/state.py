@@ -6,9 +6,10 @@ Displayed bitstrings are MSB-first within each segment.
 
 A permutation circuit runs on its basis support when its zero checks cover
 enough wires that their zero slice, the labels where every checked wire
-reads 0, holds at most ``SUPPORT_PATH_MAX_SHARE`` of the labels. One sweep
-answers the checks, and the support is gathered from that slice. Every
-other circuit runs on the dense array after the same sweep.
+reads 0, holds at most ``SUPPORT_PATH_MAX_SHARE`` of the labels. One sweep,
+which reads contiguous slices as uint64 words first, answers the checks,
+and the support is gathered from that slice. Every other circuit runs on
+the dense array after the same sweep. Copies skip blocks that are all zero.
 
 On the dense path the wires that the circuit's zero checks proved 0 are
 marked, and only the slice where they read 0 is permuted. Consecutive
@@ -43,6 +44,12 @@ MAX_WIRES = 24  # a dense vector of 2**24 amplitudes takes 256 MiB
 # workload: on the dense path an adder's TOFFOLIs and CNOTs each run as one
 # slice exchange over the array.
 SUPPORT_PATH_MAX_SHARE = 1 / 8
+
+# StateVector.copy writes only nonzero blocks from 32 MiB (21 wires), which glibc mmaps afresh, so
+# np.zeros takes 0.01 ms (a reused 16 MiB chunk: 0.85 ms). 2**15-amplitude blocks copy 64 labels at
+# 22 wires in 1.9 ms, not 19.5, a dense state in 17, not 21 (2**13-2**16 within 10%; 2 cores).
+_LAZY_ZERO_BYTES = 1 << 25
+_COPY_BLOCK = 1 << 15
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -85,9 +92,19 @@ class StateVector:
         return out
 
     def copy(self) -> "StateVector":
+        """Bit-exact copy; from 21 wires only blocks with a nonzero bit (-0.0, NaN) are written."""
         out = object.__new__(StateVector)
         out.num_wires = self.num_wires
-        out.amplitudes = self.amplitudes.copy()
+        amps = self.amplitudes
+        if amps.nbytes < _LAZY_ZERO_BYTES or amps.dtype != np.complex128 or not amps.flags.c_contiguous:
+            out.amplitudes = amps.copy()
+            return out
+        out.amplitudes = np.zeros(amps.shape, amps.dtype)
+        src, dst = amps.reshape(-1), out.amplitudes.reshape(-1)
+        for lo in range(0, src.size, _COPY_BLOCK):
+            block = src[lo:lo + _COPY_BLOCK]
+            if block[0] or block.view(np.uint64).max():  # a dense block skips the read
+                dst[lo:lo + _COPY_BLOCK] = block
         return out
 
     def norm(self) -> float:
@@ -438,7 +455,14 @@ def _has_one(state: StateVector, wires: Sequence[int]) -> bool:
     ``np.flatnonzero``, ``-0.0`` is zero."""
     t, top = state._tensor(), sorted(set(wires), reverse=True)
     slices = (_slice_index(state.num_wires, top[:i + 1], 1 << w) for i, w in enumerate(top))
-    return any(t[idx].any() for idx in slices)
+    return any(_nonzero(t[idx]) for idx in slices)
+
+
+def _nonzero(x: np.ndarray) -> bool:
+    """``x.any()``; a zero max of a contiguous slice's words is 2x faster (strided: slower)."""
+    if x.ndim and x.flags.c_contiguous and not x.view(np.uint64).max():
+        return False
+    return bool(x.any())
 
 
 def _nonzero_error(what: str) -> PreconditionError:

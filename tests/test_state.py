@@ -32,7 +32,9 @@ from qshift import (
     shift_layout,
     state_from_text,
 )
+from qshift import state as state_module
 from qshift.arithmetic import num_additions
+from qshift.state import _has_one, _nonzero, _slice_index
 from conftest import apply_gate_matrix, random_circuit, random_state
 
 ALL_KINDS = ("X", "H", "CNOT", "SWAP", "CSWAP", "TOFFOLI")
@@ -156,6 +158,88 @@ def test_support_matches_the_nonzero_labels(data):
     on_wires = want[(want & ~sum(1 << w for w in set(wires))) == 0]
     got, values = state.support(wires)
     assert np.array_equal(got, on_wires) and np.array_equal(_bits(values), _bits(state.amplitudes[on_wires]))
+
+
+def _holding(amps):
+    """A state whose buffer is ``amps`` itself, unit norm or not."""
+    state = StateVector.from_label(int(amps.size).bit_length() - 1, 0)
+    state.amplitudes = amps
+    return state
+
+
+# Lone values that a block or slice may hold: each has a nonzero bit, and
+# only the signed zeros read as zero.
+_LONE = [1.0, 1j, 5e-324, complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.nan, 0.0)]
+
+
+def _assert_copied(state, copied):
+    before = state.amplitudes.copy()  # C-contiguous, so a strided buffer's bits read too
+    assert np.array_equal(_bits(copied), _bits(before))
+    assert copied.dtype == np.complex128 and copied.flags.c_contiguous and copied.flags.writeable
+    copied[:] = 7.0
+    assert np.array_equal(_bits(state.amplitudes.copy()), _bits(before))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_block_copy_is_bit_exact(data):
+    # Blocks of 4-64 amplitudes stand in for 2**15, with every size on the block path.
+    m, block = data.draw(st.integers(8, 12)), 1 << data.draw(st.integers(2, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros(1 << m, dtype=np.complex128)
+    kind = data.draw(st.sampled_from(["signed zeros", "block edge", "one block", "dense"]))
+    if kind == "signed zeros":
+        amps.real[rng.random(1 << m) < 0.01] = -0.0
+        amps.imag[rng.random(1 << m) < 0.01] = -0.0
+    elif kind == "block edge":
+        start = block * data.draw(st.integers(0, (1 << m) // block - 1))
+        amps[start + data.draw(st.sampled_from([0, block - 1]))] = data.draw(st.sampled_from(_LONE))
+    else:
+        start = block * int(rng.integers((1 << m) // block))
+        live = slice(None) if kind == "dense" else slice(start, start + block)
+        amps[live] = rng.normal(size=2 * amps[live].size).view(np.complex128)
+    state = _holding(amps[::2] if data.draw(st.booleans()) else amps)  # a strided buffer is copied whole
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(state_module, "_LAZY_ZERO_BYTES", 0)
+        patch.setattr(state_module, "_COPY_BLOCK", block)
+        _assert_copied(state, state.copy().amplitudes)
+
+
+def test_sparse_22_wire_copy_is_bit_exact():
+    state = StateVector.from_label(22, 0)
+    amps = state.amplitudes
+    amps[0], amps[(1 << 15) - 1], amps[1 << 21] = 0.6, 0.8j, complex(-0.0, 0.0)
+    amps[-1] = complex(0.0, -0.0)
+    _assert_copied(state, state.copy().amplitudes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sweep_reads_each_slice_as_any(data):
+    # The top wires' slices are contiguous and take the uint64 prefilter;
+    # any other wire set may give strided slices, which read .any() alone.
+    m = data.draw(st.integers(1, 8))
+    if data.draw(st.booleans()):
+        wires = list(range(m - data.draw(st.integers(1, m)), m))
+    else:
+        wires = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros(1 << m, dtype=np.complex128)
+    amps.real[rng.random(1 << m) < 0.3] = -0.0
+    amps.imag[rng.random(1 << m) < 0.3] = -0.0
+    top = wires[::-1]
+    labels = np.arange(1 << m).reshape((2,) * m)
+    slices = [_slice_index(m, top[:i + 1], 1 << w) for i, w in enumerate(top)]
+    if data.draw(st.booleans()):  # a lone value at either end of one slice
+        where = labels[data.draw(st.sampled_from(slices))].reshape(-1)
+        amps[where[data.draw(st.sampled_from([0, -1]))]] = data.draw(st.sampled_from(_LONE))
+    state = _holding(amps)
+    for idx in slices:
+        x = state._tensor()[idx]
+        assert _nonzero(x) == bool(x.any())
+        assert x.ndim == 0 or x.flags.c_contiguous or wires != list(range(m - len(wires), m))
+    on_wires = labels.reshape(-1) & sum(1 << w for w in wires) != 0
+    assert _has_one(state, wires) == bool(np.any(amps[on_wires] != 0))
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf, "0.1"])

@@ -465,11 +465,16 @@ def swap_run_circuits(draw):
     circuit = Circuit(m, [g for piece in draw(st.lists(st.one_of(pieces), max_size=8)) for g in piece])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amps = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
-    amps.imag[rng.random(2**m) < 0.3] = -0.0
-    amps[rng.random(2**m) < draw(st.floats(0.0, 1.0))] = complex(-0.0, -0.0)
-    amps[np.arange(2**m) & _wire_mask(marked) != 0] = complex(-0.0, -0.0)
+    zero_imag = rng.random(2**m) < 0.3
+    zero = (rng.random(2**m) < draw(st.floats(0.0, 1.0))) | (np.arange(2**m) & _wire_mask(marked) != 0)
+    zero_imag[0] = zero[0] = False
+    amps.imag[zero_imag] = 0.0
+    amps[zero] = 0.0
     amps[0] = 1.0
-    return circuit, StateVector(amps / np.linalg.norm(amps)), marked
+    amps /= np.linalg.norm(amps)  # first: the complex divide drops the sign of some zero parts
+    amps.imag[zero_imag] = -0.0
+    amps[zero] = complex(-0.0, -0.0)
+    return circuit, StateVector(amps), marked
 
 
 @settings(max_examples=300, deadline=None)
