@@ -267,17 +267,6 @@ def _mul_quantum_widths(spec: MulQuantumSpec) -> tuple[tuple[str, int], ...]:
     )
 
 
-def _packed_layout(widths: Sequence[tuple[str, int]]) -> RegisterLayout:
-    """Segments on consecutive wires in the given order; width-0 ones are left out."""
-    pos = 0
-    segs = []
-    for name, width in widths:
-        if width:
-            segs.append((name, range(pos, pos + width)))
-            pos += width
-    return RegisterLayout(segs)
-
-
 def _check_layout(layout: RegisterLayout, widths: Sequence[tuple[str, int]]) -> None:
     """The layout has exactly the spec's segments, each with the spec's width (width 0: absent)."""
     for name, width in widths:
@@ -297,13 +286,13 @@ def _check_layout(layout: RegisterLayout, widths: Sequence[tuple[str, int]]) -> 
 
 
 def mul_const_layout(spec: MulConstSpec) -> RegisterLayout:
-    """Segments A, B, ancA, carry and the shared shift control c."""
-    return _packed_layout(_mul_const_widths(spec))
+    """Segments A, B, ancA, carry (none when B has one wire) and the shared shift control c."""
+    return RegisterLayout.packed((name, width) for name, width in _mul_const_widths(spec) if width)
 
 
 def mul_quantum_layout(spec: MulQuantumSpec) -> RegisterLayout:
-    """Segments A, C, B, ancA, ancC, carry and the shared shift control c."""
-    return _packed_layout(_mul_quantum_widths(spec))
+    """Segments A, C, B, ancA, ancC, carry (none when B has one wire) and the shared shift control c."""
+    return RegisterLayout.packed((name, width) for name, width in _mul_quantum_widths(spec) if width)
 
 
 def extended_addend(a_wires: Sequence[int], anc_wires: Sequence[int], shifts_done: int) -> list[int]:
@@ -320,10 +309,6 @@ def extended_addend(a_wires: Sequence[int], anc_wires: Sequence[int], shifts_don
     return ext
 
 
-def _carry_wires(layout: RegisterLayout) -> tuple[int, ...]:
-    return layout.wires("carry") if layout.has_segment("carry") else ()
-
-
 def _shift_and_add(
     layout: RegisterLayout, adds: Sequence[int], control: int | None = None, c_shift: Sequence[Gate] = ()
 ) -> Circuit:
@@ -331,7 +316,8 @@ def _shift_and_add(
     under ``control`` if one is given; between rounds A shifts left through
     ancA, then the gates ``c_shift`` run."""
     a, anc, b = layout.wires("A"), layout.wires("ancA"), layout.wires("B")
-    carry, c_wire = _carry_wires(layout), layout.wires("c")[0]
+    carry = layout.wires("carry") if layout.has_segment("carry") else ()
+    c_wire = layout.wires("c")[0]
     circuit = Circuit(layout.num_wires)
     for p, adding in enumerate(adds):
         if adding:
@@ -358,6 +344,7 @@ def build_multiply_by_constant_circuit(
 
 # The names the multipliers' error messages give the segments that must be
 # zero on every supported branch: every segment of the spec but the factors.
+# The checks run in this order, which is the order of the spec's segments.
 _ZERO_SEGMENT_NAMES = {
     "B": "accumulator B",
     "ancA": "shift ancilla of A",
@@ -367,12 +354,11 @@ _ZERO_SEGMENT_NAMES = {
 }
 
 
-def _zero_checks(
-    layout: RegisterLayout, widths: Sequence[tuple[str, int]], factors: Sequence[str]
-) -> list[tuple[tuple[int, ...], str]]:
-    """The ``run_circuit`` checks that every segment of ``widths`` but the ``factors`` is zero."""
-    return [(layout.wires(name), _ZERO_SEGMENT_NAMES[name]) for name, width in widths
-            if width and name not in factors]
+def _zero_checks(layout: RegisterLayout) -> list[tuple[tuple[int, ...], str]]:
+    """The ``run_circuit`` checks that every segment of a multiplier's layout
+    but the factors is zero; ``_check_layout`` has checked its segments."""
+    return [(layout.wires(name), what) for name, what in _ZERO_SEGMENT_NAMES.items()
+            if layout.has_segment(name)]
 
 
 def multiply_by_constant(
@@ -388,7 +374,7 @@ def multiply_by_constant(
     """
     layout = layout or mul_const_layout(spec)
     circuit = build_multiply_by_constant_circuit(spec, layout)
-    checks = _zero_checks(layout, _mul_const_widths(spec), ("A",))
+    checks = _zero_checks(layout)
     if layout.num_wires == state.num_wires:
         # A valid input's support lies on A's slice, so its largest A value
         # is read there; an invalid one fails a check first.
@@ -429,7 +415,7 @@ def multiply_registers(
     circuit = build_multiply_registers_circuit(spec, layout)
     # No capacity check: the spec makes B at least a_width + c_width wires,
     # so every product of an A and a C value fits.
-    return run_circuit(state, circuit, _zero_checks(layout, _mul_quantum_widths(spec), ("A", "C")))
+    return run_circuit(state, circuit, _zero_checks(layout))
 
 
 def select_qubit(

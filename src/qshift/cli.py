@@ -53,6 +53,10 @@ def _binary_literal(text: str) -> int:
     return int(text, 2)
 
 
+# The width flags of each state-file layout, in the order its spec takes them.
+_LAYOUT_WIDTHS = {"shift": "n k", "mul-const": "nA kA nB", "mul-quantum": "nA kA nC kC nB"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qshift",
@@ -71,23 +75,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, what in (("shift", "shift"), ("rotate", "rotation")):
         p = sub.add_parser(name, help=f"apply one {what} pass to a state file")
-        add_widths(p, "n k", n="data width", k="ancilla width")
+        add_widths(p, _LAYOUT_WIDTHS["shift"], n="data width", k="ancilla width")
         p.add_argument("--dir", choices=("left", "right"), default="left")
         add_files(p, "state-file norm tolerance")
         if name == "shift":
             p.add_argument("--rotate", action="store_true", help="rotate instead of shift")
 
     p = sub.add_parser("gatecount", help="gate tallies for one register pass")
-    add_widths(p, "n k")
+    add_widths(p, _LAYOUT_WIDTHS["shift"])
     p.add_argument("--decompose", choices=("none", "cnot", "all"), default="none")
 
     p = sub.add_parser("mul-const", help="multiply register A by a classical constant")
-    add_widths(p, "nA kA nB")
+    add_widths(p, _LAYOUT_WIDTHS["mul-const"])
     p.add_argument("--l", type=_binary_literal, required=True, metavar="BITS")
     add_files(p)
 
     p = sub.add_parser("mul-quantum", help="multiply registers A and C into B")
-    add_widths(p, "nA kA nC kC nB")
+    add_widths(p, _LAYOUT_WIDTHS["mul-quantum"])
     add_files(p)
 
     p = sub.add_parser("cost", help="shift/add accounting, quantum vs classical")
@@ -97,8 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="superposed value count (default 2**nA)")
 
     p = sub.add_parser("prepare", help="write an initial state file")
-    p.add_argument("--layout", choices=("shift", "mul-const", "mul-quantum"), required=True)
-    add_widths(p, "n k nA kA nC kC nB", required=False)
+    p.add_argument("--layout", choices=tuple(_LAYOUT_WIDTHS), required=True)
+    # Every layout's flags, each once: mul-const's are among mul-quantum's.
+    add_widths(p, f"{_LAYOUT_WIDTHS['shift']} {_LAYOUT_WIDTHS['mul-quantum']}", required=False)
     p.add_argument("--kind", required=True, metavar="KIND",
                    help='"zero", "basis <bits>" or "uniform <segment[:slots]>"')
     p.add_argument("--out", dest="outfile", required=True, metavar="FILE")
@@ -118,26 +123,22 @@ def parse_args(argv) -> argparse.Namespace:
     return _parser().parse_args(argv)
 
 
-def _layout_for(config: argparse.Namespace) -> RegisterLayout:
-    kind = config.layout
-
-    def require(names):
-        gone = [n for n in names if getattr(config, n, None) is None]
-        if gone:
-            raise PreconditionError(
-                f"layout {kind!r} needs --" + " --".join(gone)
-            )
-
+def _layout_for(config: argparse.Namespace, kind: str) -> tuple[RegisterLayout, object]:
+    """The layout ``kind`` on ``config``'s width flags, and the spec it is
+    built from (None for the shift register); a missing flag is named."""
+    names = _LAYOUT_WIDTHS[kind].split()
+    gone = [name for name in names if getattr(config, name, None) is None]
+    if gone:
+        raise PreconditionError(f"layout {kind!r} needs --" + " --".join(gone))
+    widths = [getattr(config, name) for name in names]
     if kind == "shift":
-        require(["n", "k"])
-        return shift_layout(config.n, config.k)
+        return shift_layout(*widths), None
     if kind == "mul-const":
-        require(["nA", "kA", "nB"])
-        return mul_const_layout(MulConstSpec(config.nA, config.kA, config.nB, 0))
-    require(["nA", "kA", "nC", "kC", "nB"])
-    return mul_quantum_layout(
-        MulQuantumSpec(config.nA, config.kA, config.nC, config.kC, config.nB)
-    )
+        # prepare takes no multiplier; the layout does not depend on it.
+        spec = MulConstSpec(*widths, getattr(config, "l", 0))
+        return mul_const_layout(spec), spec
+    spec = MulQuantumSpec(*widths)
+    return mul_quantum_layout(spec), spec
 
 
 def _segment_wires(layout: RegisterLayout, spec: str) -> tuple[int, ...]:
@@ -202,25 +203,18 @@ def run(config: argparse.Namespace) -> int:
         print(report.as_keyvalues())
         return 0
     if cmd == "prepare":
-        layout = _layout_for(config)
+        layout, _ = _layout_for(config, config.layout)
         write_state(prepare_state(config.kind, layout), layout, config.outfile)
         return 0
     # The state-file commands: pick a layout and a pipeline, then read, run, write.
+    layout, spec = _layout_for(config, "shift" if cmd == "rotate" else cmd)
     if cmd in ("shift", "rotate"):
-        layout = shift_layout(config.n, config.k)
         rotating = cmd == "rotate" or getattr(config, "rotate", False)
         pipeline = functools.partial(rotate if rotating else shift, layout=layout,
                                      direction=config.dir)
-    elif cmd == "mul-const":
-        spec = MulConstSpec(config.nA, config.kA, config.nB, config.l)
-        layout = mul_const_layout(spec)
-        pipeline = functools.partial(multiply_by_constant, spec=spec, layout=layout)
-    elif cmd == "mul-quantum":
-        spec = MulQuantumSpec(config.nA, config.kA, config.nC, config.kC, config.nB)
-        layout = mul_quantum_layout(spec)
-        pipeline = functools.partial(multiply_registers, spec=spec, layout=layout)
     else:
-        raise PreconditionError(f"unknown command {cmd!r}")  # pragma: no cover
+        multiply = multiply_by_constant if cmd == "mul-const" else multiply_registers
+        pipeline = functools.partial(multiply, spec=spec, layout=layout)
     state = pipeline(read_state(config.infile, layout, norm_tol=config.tol))
     write_state(state, layout, config.outfile)
     if cmd.startswith("mul-"):

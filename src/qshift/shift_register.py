@@ -49,13 +49,7 @@ class ShiftSpec:
 def shift_layout(data_width: int, ancilla_width: int) -> RegisterLayout:
     """Canonical layout: ancilla a, data b, control c on the last wire."""
     k, n = integer(ancilla_width, "ancilla_width"), integer(data_width, "data_width")
-    return RegisterLayout(
-        [
-            ("a", range(k)),
-            ("b", range(k, k + n)),
-            ("c", (n + k,)),
-        ]
-    )
+    return RegisterLayout.packed([("a", k), ("b", n), ("c", 1)])
 
 
 def shift_cascade(

@@ -504,8 +504,14 @@ class RegisterLayout:
         )
 
     @classmethod
-    def single(cls, name: str, num_wires: int) -> "RegisterLayout":
-        return cls([(name, range(num_wires))])
+    def packed(cls, widths: Iterable[tuple[str, int]]) -> "RegisterLayout":
+        """One segment per ``(name, width)`` pair, in order, on consecutive wires from wire 0."""
+        segments, pos = [], 0
+        for name, width in iterable(widths, "widths", "(name, width) pairs"):
+            width = integer(width, f"segment {name!r} width")
+            segments.append((name, range(pos, pos + width)))
+            pos += width
+        return cls(segments)
 
     @property
     def segment_names(self) -> tuple[str, ...]:

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from qshift import Circuit, Gate, StateVector
+from qshift import Circuit, Gate, MulQuantumSpec, RegisterLayout, StateVector
 from qshift.gates import GATE_ARITY
 
 _SQ = 1.0 / np.sqrt(2.0)
@@ -69,6 +70,35 @@ def random_circuit(rng: np.random.Generator, num_wires: int, length: int, kinds=
         kinds = ("X", "H", "CNOT", "SWAP", "CSWAP", "TOFFOLI")
     usable = [k for k in kinds if GATE_ARITY[k] <= num_wires]
     return Circuit(num_wires, [random_gate(rng, num_wires, usable) for _ in range(length)])
+
+
+@st.composite
+def register_multiplications(draw):
+    """A MulQuantumSpec and a layout that puts its segments, in a random
+    order, on a random permutation of the wires."""
+    a_width = draw(st.integers(1, 3))
+    c_width = draw(st.integers(1, 2))
+    b_width = draw(st.integers(a_width + c_width, a_width + c_width + 1))
+    least = max(1, c_width - 1)
+    spec = MulQuantumSpec(
+        a_width, draw(st.integers(least, 2)), c_width, draw(st.integers(least, 2)), b_width
+    )
+    widths = [
+        ("A", spec.a_width),
+        ("C", spec.c_width),
+        ("B", spec.b_width),
+        ("ancA", spec.a_ancilla),
+        ("ancC", spec.c_ancilla),
+        ("carry", spec.b_width - 1),
+        ("c", 1),
+    ]
+    order = draw(st.permutations([(name, w) for name, w in widths if w]))
+    wires = draw(st.permutations(range(sum(w for _, w in order))))
+    segments, pos = [], 0
+    for name, width in order:
+        segments.append((name, wires[pos:pos + width]))
+        pos += width
+    return spec, RegisterLayout(segments), draw(st.integers(0, 2**32 - 1))
 
 
 @pytest.fixture

@@ -39,7 +39,7 @@ from qshift import (
 )
 from qshift.shift_register import shift_cascade
 from qshift.state import RegisterLayout
-from test_support_path import register_multiplications
+from conftest import register_multiplications
 
 
 def adder_layout(wa, wb):

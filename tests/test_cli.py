@@ -126,6 +126,22 @@ def test_prepare_malformed_kind(tmp_path, capsys):
     assert code == 1 and "kind" in err
 
 
+@pytest.mark.parametrize(
+    "layout, given, missing",
+    [
+        # Another layout's flags do not stand in for the missing ones.
+        ("shift", ["--nA", "2"], "--n --k"),
+        ("mul-const", ["--kA", "2", "--n", "3"], "--nA --nB"),
+        ("mul-quantum", ["--nA", "2"], "--kA --nC --kC --nB"),
+    ],
+)
+def test_prepare_names_missing_width_flags(tmp_path, capsys, layout, given, missing):
+    out = tmp_path / "s.txt"
+    code, stdout, err = run_cli(capsys, "prepare", "--layout", layout, *given, "--kind", "zero", "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: layout {layout!r} needs {missing}\n")
+    assert not out.exists()
+
+
 def test_shift_round_trip_files(tmp_path, capsys):
     a, b, c = (str(tmp_path / name) for name in ("a.txt", "b.txt", "c.txt"))
     run_cli(capsys, "prepare", "--layout", "shift", "--n", "3", "--k", "2",

@@ -23,6 +23,8 @@ from qshift import (
     extended_addend,
     gate_count,
     is_product_across,
+    mul_const_layout,
+    mul_quantum_layout,
     new_basis_state,
     num_shifts,
     run_circuit,
@@ -94,7 +96,7 @@ def test_max_wires_ceiling():
     refusals = [
         lambda: StateVector(np.broadcast_to(np.complex128(0), (1 << 25,))),
         lambda: new_basis_state(25, "0" * 25),
-        lambda: state_from_text("wires=25\n" + "0" * 25 + " 1 0\n", RegisterLayout.single("q", 25)),
+        lambda: state_from_text("wires=25\n" + "0" * 25 + " 1 0\n", RegisterLayout.packed([("q", 25)])),
     ]
     for refuse in refusals:
         with pytest.raises(PreconditionError, match="^25 wires exceeds the 24-wire ceiling$"):
@@ -249,7 +251,7 @@ def test_sweep_reads_each_slice_as_any(data):
         pytest.param(lambda s, tol: schmidt_rank(s, [0], tol=tol), id="schmidt_rank"),
         pytest.param(lambda s, tol: is_product_across(s, [0], tol), id="is_product_across"),
         pytest.param(lambda s, tol: s.allclose(s, tol), id="allclose"),
-        pytest.param(lambda s, tol: state_from_text("wires=2\n00 1 0\n", RegisterLayout.single("q", 2),
+        pytest.param(lambda s, tol: state_from_text("wires=2\n00 1 0\n", RegisterLayout.packed([("q", 2)]),
                                                     norm_tol=tol), id="state_from_text"),
     ],
 )
@@ -352,6 +354,34 @@ def test_register_layout_validation():
     assert layout.num_wires == 3
     with pytest.raises(PreconditionError):
         layout.wires("missing")
+
+
+def test_canonical_layouts_keep_their_wires():
+    # Each canonical layout's segments in order, on wires written out by hand; a
+    # width-1 B leaves no carry segment.
+    cases = [
+        (mul_const_layout(MulConstSpec(2, 1, 1, 1)), {"A": (0, 1), "B": (2,), "ancA": (3,), "c": (4,)}),
+        (
+            mul_const_layout(MulConstSpec(3, 2, 4, 0b101)),
+            {"A": (0, 1, 2), "B": (3, 4, 5, 6), "ancA": (7, 8), "carry": (9, 10, 11), "c": (12,)},
+        ),
+        (
+            mul_quantum_layout(MulQuantumSpec(1, 1, 1, 1, 2)),
+            {"A": (0,), "C": (1,), "B": (2, 3), "ancA": (4,), "ancC": (5,), "carry": (6,), "c": (7,)},
+        ),
+        (
+            mul_quantum_layout(MulQuantumSpec(2, 1, 2, 1, 4)),
+            {"A": (0, 1), "C": (2, 3), "B": (4, 5, 6, 7), "ancA": (8,), "ancC": (9,), "carry": (10, 11, 12),
+             "c": (13,)},
+        ),
+    ]
+    for n in range(1, 5):
+        for k in range(1, 5):
+            want = {"a": tuple(range(k)), "b": tuple(range(k, k + n)), "c": (k + n,)}
+            cases.append((shift_layout(n, k), want))
+    for layout, want in cases:
+        assert [(name, layout.wires(name)) for name in layout.segment_names] == list(want.items())
+        assert layout.num_wires == sum(map(len, want.values()))
 
 
 def test_layout_values_and_display():
@@ -535,6 +565,16 @@ def _run_checked(checks):
         pytest.param(lambda: RegisterLayout([("a",)]), "segment ('a',) is not a (str, wires) pair", id="layout 1-item"),
         pytest.param(
             lambda: RegisterLayout([(["a"], [0])]), "segment (['a'], [0]) is not a (str, wires) pair", id="layout list"
+        ),
+        pytest.param(
+            lambda: RegisterLayout.packed(3), "widths 3 are not an iterable of (name, width) pairs", id="packed int"
+        ),
+        pytest.param(
+            lambda: RegisterLayout.packed([("a", 2.5)]), "segment 'a' width 2.5 is not an integer", id="packed float"
+        ),
+        pytest.param(
+            lambda: RegisterLayout.packed([("a", 1), ("b", True)]), "segment 'b' width True is not an integer",
+            id="packed bool",
         ),
         pytest.param(lambda: Gate("X", 0), "X wires 0 are not an iterable of wires", id="Gate int wires"),
         pytest.param(

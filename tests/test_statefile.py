@@ -87,7 +87,7 @@ def test_rejects_bad_inputs():
             state_from_text(f"wires=5\n00001 {amplitude}\n", layout)
     # Over the 24-wire ceiling: rejected before 2**40 amplitudes are allocated.
     with pytest.raises(PreconditionError):
-        state_from_text("wires=40\n" + "0" * 40 + " 1 0\n", RegisterLayout.single("q", 40))
+        state_from_text("wires=40\n" + "0" * 40 + " 1 0\n", RegisterLayout.packed([("q", 40)]))
 
 
 @pytest.mark.parametrize("block_chars", [1, 64, statefile.READ_BLOCK_CHARS])

@@ -56,6 +56,7 @@ from qshift.state import (
     _run_on_support,
     _wire_mask,
 )
+from conftest import register_multiplications
 
 PERMUTATION_KINDS = ("X", "CNOT", "SWAP", "TOFFOLI", "CSWAP")
 
@@ -205,35 +206,6 @@ def test_support_path_matches_dense_and_label_kernels(case):
         assert not pinned or np.array_equal(path, state.nonzero_labels())
 
 
-@st.composite
-def register_multiplications(draw):
-    """A MulQuantumSpec and a layout that puts its segments, in a random
-    order, on a random permutation of the wires."""
-    a_width = draw(st.integers(1, 3))
-    c_width = draw(st.integers(1, 2))
-    b_width = draw(st.integers(a_width + c_width, a_width + c_width + 1))
-    least = max(1, c_width - 1)
-    spec = MulQuantumSpec(
-        a_width, draw(st.integers(least, 2)), c_width, draw(st.integers(least, 2)), b_width
-    )
-    widths = [
-        ("A", spec.a_width),
-        ("C", spec.c_width),
-        ("B", spec.b_width),
-        ("ancA", spec.a_ancilla),
-        ("ancC", spec.c_ancilla),
-        ("carry", spec.b_width - 1),
-        ("c", 1),
-    ]
-    order = draw(st.permutations([(name, w) for name, w in widths if w]))
-    wires = draw(st.permutations(range(sum(w for _, w in order))))
-    segments, pos = [], 0
-    for name, width in order:
-        segments.append((name, wires[pos:pos + width]))
-        pos += width
-    return spec, RegisterLayout(segments), draw(st.integers(0, 2**32 - 1))
-
-
 @settings(max_examples=40, deadline=None)
 @given(register_multiplications())
 def test_multiply_registers_on_random_layouts_matches_integer_product(case):
@@ -372,7 +344,7 @@ def test_no_pipeline_scans(pipeline):
 def test_whole_support_reads_scan_once_and_slices_not_at_all():
     # The whole support is one nonzero_labels call, which the benchmark's
     # tracer counts; a wire slice is gathered with no scan.
-    layout = RegisterLayout.single("q", 6)
+    layout = RegisterLayout.packed([("q", 6)])
     state = StateVector.from_label(6, 0b100101)
     with _counted_scans() as scans:
         state_to_text(state, layout)
@@ -401,34 +373,33 @@ def test_run_circuit_refuses_check_wires_off_the_state(permutes):
         assert state.amplitude(1 << 4) == 1
 
 
-def _gate_of(kind, m):
-    return st.permutations(range(m)).map(lambda ws: Gate(kind, ws[: GATE_ARITY[kind]]))
+def _wires(rng, m, count):
+    return [int(w) for w in rng.permutation(m)[:count]]
 
 
-@st.composite
-def controlled_runs(draw, m, controls):
+def _controlled_run(rng, m, controls):
     """A run of SWAP, CSWAP and X gates: CSWAPs on any of the control
     wires (1-3 drawn ones when ``controls`` is empty) and SWAPs on the other
     wires, with X pairs on controls inserted around parts of the run, and
     sometimes an odd X on a control or a SWAP that moves one."""
-    wires = draw(st.permutations(range(m)))
+    wires = _wires(rng, m, m)
     if not controls:
-        controls = wires[:draw(st.integers(1, min(3, m - 2)))]
+        controls = wires[:rng.integers(1, min(3, m - 2) + 1)]
     others = [w for w in wires if w not in controls]
-    control = st.sampled_from(controls)
-    pair = st.permutations(others).map(lambda ws: ws[:2])
-    gate = st.one_of(
-        pair.map(lambda ab: Gate.swap(*ab)),
-        st.tuples(control, pair).map(lambda cp: Gate.cswap(cp[0], *cp[1])),
-    )
-    run = draw(st.lists(gate, min_size=1, max_size=10))
-    inserts = [Gate.x(c) for c in draw(st.lists(control, max_size=2)) for _ in range(2)]
-    if draw(st.integers(0, 3)) == 0:
-        inserts.append(Gate.x(draw(control)))
-    if draw(st.integers(0, 3)) == 0:
-        inserts.append(Gate.swap(draw(control), draw(st.sampled_from(others))))
+    control = lambda: int(rng.choice(controls))
+    run = []
+    for _ in range(rng.integers(1, 11)):
+        pair = [int(w) for w in rng.choice(others, 2, replace=False)]
+        run.append(Gate.swap(*pair) if rng.integers(2) else Gate.cswap(control(), *pair))
+    inserts = []
+    for _ in range(rng.integers(0, 3)):
+        inserts += [Gate.x(control())] * 2
+    if rng.integers(4) == 0:
+        inserts.append(Gate.x(control()))
+    if rng.integers(4) == 0:
+        inserts.append(Gate.swap(control(), int(rng.choice(others))))
     for extra in inserts:
-        run.insert(draw(st.integers(0, len(run))), extra)
+        run.insert(rng.integers(len(run) + 1), extra)
     return run
 
 
@@ -439,34 +410,40 @@ def swap_run_circuits(draw):
     CNOT, TOFFOLI, CSWAP or H gates and X gates on marked wires; 0-3 marked
     wires, which the controlled runs use as controls; and a state
     with -0.0 on some labels and parts, and on every label where a marked
-    wire reads 1."""
-    m = draw(st.integers(1, 10))
-    marked = draw(st.permutations(range(m)))[:draw(st.integers(0, max(0, min(3, m - 2))))]
-    breakers = [_gate_of(kind, m).map(lambda g: [g])
-                for kind in ("X", "CNOT", "TOFFOLI", "CSWAP", "H") if GATE_ARITY[kind] <= m]
-    pieces = list(breakers)
+    wire reads 1. Hypothesis draws a seed and the share of zero labels; a
+    generator seeded with it draws the rest, which is much faster than
+    drawing each gate through hypothesis."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_share = draw(st.floats(0.0, 1.0))
+    m = int(rng.integers(1, 11))
+    marked = _wires(rng, m, rng.integers(0, max(0, min(3, m - 2)) + 1))
+
+    def gate(kind):
+        return Gate(kind, _wires(rng, m, GATE_ARITY[kind]))
+
+    def cascade():
+        order = _wires(rng, m, m)
+        return [Gate.swap(a, b) for a, b in zip(order, order[1:])]
+
+    pieces = [lambda kind=kind: [gate(kind)]
+              for kind in ("X", "CNOT", "TOFFOLI", "CSWAP", "H") if GATE_ARITY[kind] <= m]
     if marked:
-        pieces.append(st.sampled_from(marked).map(lambda w: [Gate.x(w)]))
+        pieces.append(lambda: [Gate.x(int(rng.choice(marked)))])
     if m >= 2:
-        swap = _gate_of("SWAP", m)
-        cascade = st.permutations(range(m)).map(
-            lambda order: [Gate.swap(a, b) for a, b in zip(order, order[1:])]
-        )
-        runs = st.lists(swap, min_size=1, max_size=12)
+        run = lambda: [gate("SWAP") for _ in range(rng.integers(1, 13))]
         pieces += [
-            runs,
-            runs,  # twice, to weight the draws toward SWAP runs
-            st.tuples(swap, st.integers(2, 4)).map(lambda gn: [gn[0]] * gn[1]),
+            run,
+            run,  # twice, to weight the draws toward SWAP runs
+            lambda: [gate("SWAP")] * int(rng.integers(2, 5)),
             cascade,
-            cascade.map(lambda gates: gates[::-1]),
+            lambda: cascade()[::-1],
         ]
     if m >= 3:
-        pieces += [controlled_runs(m, marked)] * 2
-    circuit = Circuit(m, [g for piece in draw(st.lists(st.one_of(pieces), max_size=8)) for g in piece])
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pieces += [lambda: _controlled_run(rng, m, marked)] * 2
+    circuit = Circuit(m, [g for _ in range(rng.integers(0, 9)) for g in pieces[rng.integers(len(pieces))]()])
     amps = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
     zero_imag = rng.random(2**m) < 0.3
-    zero = (rng.random(2**m) < draw(st.floats(0.0, 1.0))) | (np.arange(2**m) & _wire_mask(marked) != 0)
+    zero = (rng.random(2**m) < zero_share) | (np.arange(2**m) & _wire_mask(marked) != 0)
     zero_imag[0] = zero[0] = False
     amps.imag[zero_imag] = 0.0
     amps[zero] = 0.0
