@@ -124,8 +124,7 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _layout_for(config: argparse.Namespace, kind: str) -> tuple[RegisterLayout, object]:
-    """The layout ``kind`` on ``config``'s width flags, and the spec it is
-    built from (None for the shift register); a missing flag is named."""
+    """The layout ``kind`` on ``config``'s width flags and its spec (None for shift); names missing flags."""
     names = _LAYOUT_WIDTHS[kind].split()
     gone = [name for name in names if getattr(config, name, None) is None]
     if gone:

@@ -366,14 +366,15 @@ def _run_on_support(
     maps them, then each amplitude moves once to its final label. The dense
     path runs the gates, slice exchanges and in-place permutations of
     :func:`_dense_steps`, which leave in place the slices where a
-    ``marked`` wire reads 1; those must hold only zeros.
+    ``marked`` wire reads 1; those must hold only zeros. A circuit with an
+    H marks no wire: its sums would read the signs of the zeros left there.
 
     Both paths move every nonzero amplitude bit for bit as the gates one by
     one would. A zero, ``-0.0`` included, may stay put where the gates
     would move it: off the support, or where a marked wire reads 1.
     """
     if labels is None:
-        for step in _dense_steps(circuit, marked):
+        for step in _dense_steps(circuit, marked if circuit.is_permutation() else 0):
             if isinstance(step, Gate):
                 apply_gate(state, step)
             else:

@@ -572,6 +572,18 @@ def test_runs_compile_only_when_their_controls_stay_put():
     assert _dense_steps(Circuit(m, [Gate.cswap(6, 0, 1)]), 1 << 6) == []
 
 
+def test_a_circuit_with_an_h_leaves_no_zero_in_place():
+    # H(0) leaves zeros of both signs where the checked wire 2 reads 1, the
+    # CSWAP trades them, and H(2) adds them to the -0.0 imaginary parts of
+    # negative real amplitudes: a zero left in place would flip those parts' signs.
+    amps = np.array([-0.1, -0.3, -0.5, -0.7, 0, 0, 0, 0], dtype=np.complex128)
+    amps /= np.linalg.norm(amps)
+    amps.imag[:4] = -0.0
+    amps[4:] = complex(-0.0, -0.0)
+    circuit = Circuit(3, [Gate.h(0), Gate.cswap(2, 0, 1), Gate.h(2)])
+    assert_engines_agree(circuit, StateVector(amps), [((2,), "checked wire")])
+
+
 def test_shift_passes_fuse_their_swap_cascades():
     layout = shift_layout(10, 5)
     m, c = layout.num_wires, layout.wires("c")[0]
