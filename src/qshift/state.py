@@ -11,7 +11,7 @@ which reads contiguous slices as uint64 words first, answers the checks,
 and the support is gathered from that slice. Every other circuit runs on
 the dense array after the same sweep. Copies skip blocks that are all zero.
 
-On the dense path the wires that the circuit's zero checks proved 0 are
+On the dense path the wires that an H-free circuit's checks proved 0 are
 marked, and only the slice where they read 0 is permuted. Consecutive
 SWAPs, CSWAPs on marked controls and X gates on marked wires compose into
 one step, a wire map of that slice plus its X flips, moved by one slice
