@@ -34,9 +34,10 @@ def main():
     multiply_by_constant(state, spec, layout)
 
     print("\nbranch table (A, B, |amplitude|):")
+    labels, amplitudes = state.support()
     rows = sorted(
-        (layout.value(int(l), "A"), layout.value(int(l), "B"), abs(state.amplitudes[int(l)]))
-        for l in state.nonzero_labels()
+        (layout.value(l, "A"), layout.value(l, "B"), abs(amp))
+        for l, amp in zip(labels.tolist(), amplitudes)
     )
     for a, b, amp in rows:
         print(f"  A={a:>2}  B={b:>2}  {amp:.12f}")

@@ -37,9 +37,9 @@ def main():
 
     print("\nproduct branches (B, |amplitude|):")
     products = {}
-    for l in state.nonzero_labels():
-        l = int(l)
-        products[layout.value(l, "B")] = abs(state.amplitudes[l])
+    labels, amplitudes = state.support()
+    for l, amp in zip(labels.tolist(), amplitudes):
+        products[layout.value(l, "B")] = abs(amp)
     for b in sorted(products):
         print(f"  B={b}  {products[b]:.6f}")
     assert sorted(products) == [1, 2, 3, 6]
@@ -54,12 +54,13 @@ def main():
     state = StateVector.from_label(lay.num_wires, lay.label_with_value(0, "b", value))
     print(f"\nselect slot 3 of a register holding bits 0b{value:04b}")
     select_qubit(state, lay, "b", 3, ancilla="a")
-    label = int(state.nonzero_labels()[0])
+    (label,), _ = state.support()
     print(f"after two right shifts the lowest slot reads {lay.value(label, 'b') & 1}")
 
     shift(state, lay, "left")
     shift(state, lay, "left")
-    assert lay.value(int(state.nonzero_labels()[0]), "b") == value
+    (label,), _ = state.support()
+    assert lay.value(label, "b") == value
     print("two left shifts undo the selection")
 
 

@@ -28,6 +28,12 @@ def bits_of(layout, label, name):
     return tuple((label >> w) & 1 for w in layout.wires(name))
 
 
+def only_label(state):
+    """The label of a basis state, read through its support."""
+    (label,), _ = state.support()
+    return int(label)
+
+
 def main():
     layout = shift_layout(N, K)
     print(f"register: {N} data wires, {K} ancilla wires, control on wire {layout.wires('c')[0]}")
@@ -44,26 +50,26 @@ def main():
     print(f"\ndata starts at {value}")
     for step in range(1, 3):
         shift(state, layout, "left")
-        label = int(state.nonzero_labels()[0])
+        label = only_label(state)
         print(f"  after shift {step}: data={layout.value(label, 'b')} "
               f"ancilla bits={bits_of(layout, label, 'a')}")
 
     # Two right shifts restore the start exactly.
     shift(state, layout, "right")
     shift(state, layout, "right")
-    assert layout.value(int(state.nonzero_labels()[0]), "b") == value
+    assert layout.value(only_label(state), "b") == value
     print("  two right shifts restore the input exactly")
 
     # Rotation wraps the top bit around and has order lcm(n, k).
     state = StateVector.from_label(layout.num_wires, layout.label_with_value(0, "b", 1 << (N - 1)))
     rotate(state, layout, "left")
     print(f"\nrotation wraps {1 << (N - 1)} to "
-          f"{layout.value(int(state.nonzero_labels()[0]), 'b')}")
+          f"{layout.value(only_label(state), 'b')}")
     order = math.lcm(N, K)
     snap = state.copy()
     for _ in range(order):
         rotate(state, layout, "left")
-    assert (state.amplitudes == snap.amplitudes).all()
+    assert state.allclose(snap, 0.0)
     print(f"rotating {order} = lcm({N},{K}) times is the identity")
 
     # The circuit agrees with the classical oracle on every basis input.

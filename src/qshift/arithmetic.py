@@ -318,15 +318,15 @@ def _shift_and_add(
     a, anc, b = layout.wires("A"), layout.wires("ancA"), layout.wires("B")
     carry = layout.wires("carry") if layout.has_segment("carry") else ()
     c_wire = layout.wires("c")[0]
-    circuit = Circuit(layout.num_wires)
+    gates: list[Gate] = []
     for p, adding in enumerate(adds):
         if adding:
             addend = extended_addend(a, anc, p)[: len(b)]
-            circuit.extend(adder_gates(addend, b, carry, control))
+            gates += adder_gates(addend, b, carry, control)
         if p < len(adds) - 1:
-            circuit.extend(shift_cascade(anc, a, c_wire))
-            circuit.extend(c_shift)
-    return circuit
+            gates += shift_cascade(anc, a, c_wire)
+            gates += c_shift
+    return Circuit(layout.num_wires, gates)
 
 
 def build_multiply_by_constant_circuit(

@@ -49,3 +49,23 @@ def disjoint(groups: Mapping[str, Sequence[int]]) -> None:
             if w in seen:
                 raise PreconditionError(f"wires of {name!r} overlap {seen[w]!r}")
             seen[w] = name
+
+
+def basis_label(value, num_wires: int) -> int:
+    """``value`` as a basis label of ``num_wires`` wires: an integer in 0..2**num_wires-1."""
+    label = integer(value, "label")
+    if not 0 <= label < (1 << num_wires):
+        raise PreconditionError(f"label {label} out of range for {num_wires} wires")
+    return label
+
+
+def basis_labels(values, num_wires: int) -> np.ndarray:
+    """:func:`basis_label` over an array, checking only its min and max; returns int64, copying no int64 input."""
+    labels = np.asarray(values)
+    if labels.dtype.kind not in "iu":  # refuse the first non-integer, which astype would truncate
+        for label in labels.flat:
+            integer(label, "label")
+    if labels.size:
+        basis_label(labels.min(), num_wires)
+        basis_label(labels.max(), num_wires)
+    return labels.astype(np.int64, copy=False)

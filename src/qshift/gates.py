@@ -8,13 +8,13 @@ once, by its control and flipped wires in ``_ROLES``. The dense kernel in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionError, integer
+from .errors import PreconditionError, basis_label, basis_labels, integer, iterable
 
 # Positions in Gate.wires of each permutation kind's control wires and of
 # the wires it flips.
@@ -114,40 +114,29 @@ class Gate:
         return cls("TOFFOLI", (control_a, control_b, target))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over a fixed number of wires."""
+    """Immutable gate sequence over a fixed number of wires, checked once when built."""
 
     num_wires: int
-    gates: list[Gate] = field(default_factory=list)
+    gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        self.num_wires = integer(self.num_wires, "num_wires")
-        if self.num_wires < 1:
+        num_wires = integer(self.num_wires, "num_wires")
+        if num_wires < 1:
             raise PreconditionError("circuit needs at least one wire")
-        self.gates = list(self.gates)
-        for gate in self.gates:
-            self._check(gate)
-
-    def _check(self, gate: Gate) -> None:
-        if not isinstance(gate, Gate):
-            raise PreconditionError(f"circuit gate {gate!r} is not a Gate")
-        if max(gate.wires) >= self.num_wires:
-            raise PreconditionError(
-                f"gate {gate.kind}{gate.wires} exceeds {self.num_wires} wires"
-            )
-
-    def append(self, gate: Gate) -> None:
-        self._check(gate)
-        self.gates.append(gate)
-
-    def extend(self, gates: Iterable[Gate]) -> None:
+        gates = tuple(iterable(self.gates, "circuit gates", "gates"))
         for gate in gates:
-            self.append(gate)
+            if not isinstance(gate, Gate):
+                raise PreconditionError(f"circuit gate {gate!r} is not a Gate")
+            if max(gate.wires) >= num_wires:
+                raise PreconditionError(f"gate {gate.kind}{gate.wires} exceeds {num_wires} wires")
+        object.__setattr__(self, "num_wires", num_wires)
+        object.__setattr__(self, "gates", gates)
 
     def reversed(self) -> "Circuit":
         """Gate-reversed circuit; the inverse, since every primitive is an involution."""
-        return Circuit(self.num_wires, list(reversed(self.gates)))
+        return Circuit(self.num_wires, self.gates[::-1])
 
     def counts(self) -> dict[str, int]:
         """Tally of gates by kind (only kinds that occur)."""
@@ -187,10 +176,10 @@ def decompose_cswap(control: int, a: int, b: int) -> Circuit:
 
 
 def _expand(circuit: Circuit, kind: str, decompose) -> Circuit:
-    out = Circuit(circuit.num_wires)
+    gates = []
     for gate in circuit:
-        out.extend(decompose(*gate.wires).gates if gate.kind == kind else (gate,))
-    return out
+        gates.extend(decompose(*gate.wires).gates if gate.kind == kind else (gate,))
+    return Circuit(circuit.num_wires, gates)
 
 
 def expand_swaps(circuit: Circuit) -> Circuit:
@@ -216,16 +205,14 @@ def apply_gate_to_label(gate: Gate, label: int) -> int:
 
 def apply_circuit_to_label(circuit: Circuit, label: int) -> int:
     """Run an H-free circuit on a single basis label, gate by gate."""
-    label = integer(label, "label")
-    if not 0 <= label < (1 << circuit.num_wires):
-        raise PreconditionError(f"label {label} out of range for {circuit.num_wires} wires")
+    label = basis_label(label, circuit.num_wires)
     for gate in circuit:
         label = apply_gate_to_label(gate, label)
     return label
 
 
 def apply_circuit_to_labels(circuit: Circuit, labels: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`apply_circuit_to_label` over int64 labels (up to 63 wires).
+    """Vectorized :func:`apply_circuit_to_label` over integer labels (up to 63 wires).
 
     One boolean plane per wire: a gate ANDs its controls' planes (and, for
     a swap, the XOR of the swapped planes) and XORs that into each flipped
@@ -235,9 +222,7 @@ def apply_circuit_to_labels(circuit: Circuit, labels: np.ndarray) -> np.ndarray:
     """
     if not circuit.is_permutation():
         raise PreconditionError("H is not a basis permutation")
-    for label in (labels.min(initial=0), labels.max(initial=0)):
-        if not 0 <= label < (1 << circuit.num_wires):
-            raise PreconditionError(f"label {label} out of range for {circuit.num_wires} wires")
+    labels = basis_labels(labels, circuit.num_wires)
     planes = [(labels & (1 << w)) != 0 for w in range(circuit.num_wires)]
     for gate in circuit:
         (controls, flips), wires = _ROLES[gate.kind], gate.wires

@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, integer, iterable, tolerance
+from .errors import PreconditionError, basis_label, basis_labels, integer, iterable, tolerance
 from .gates import Circuit, Gate, apply_circuit_to_labels
 
 NORM_TOL = 1e-12
@@ -83,7 +83,7 @@ class StateVector:
         if num_wires < 1:
             raise PreconditionError("need at least one wire")
         _check_ceiling(num_wires)
-        label = _label(label, num_wires)
+        label = basis_label(label, num_wires)
         amps = np.zeros(1 << num_wires, dtype=np.complex128)
         amps[label] = 1.0
         out = object.__new__(cls)
@@ -111,7 +111,7 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def amplitude(self, label: int) -> complex:
-        return complex(self.amplitudes[_label(label, self.num_wires)])
+        return complex(self.amplitudes[basis_label(label, self.num_wires)])
 
     def nonzero_labels(self) -> np.ndarray:
         """Sorted labels of the nonzero amplitudes, as ``np.flatnonzero`` gives them."""
@@ -160,13 +160,6 @@ def new_basis_state(num_wires: int, label: str) -> StateVector:
 def _check_ceiling(num_wires: int) -> None:
     if num_wires > MAX_WIRES:
         raise PreconditionError(f"{num_wires} wires exceeds the {MAX_WIRES}-wire ceiling")
-
-
-def _label(label, num_wires: int) -> int:
-    label = integer(label, "label")
-    if not 0 <= label < (1 << num_wires):
-        raise PreconditionError(f"label {label} out of range for {num_wires} wires")
-    return label
 
 
 def check_unit_norm(amplitudes: np.ndarray, tol: float, what: str) -> None:
@@ -446,7 +439,7 @@ def _require_zero(state: StateVector, checks: Sequence[tuple[Sequence[int], str]
     if _has_one(state, [w for wires, _ in checks for w in wires]):
         for wires, what in checks:
             if _has_one(state, wires):
-                raise _nonzero_error(what)
+                raise PreconditionError(f"{what} must be zero on every supported basis state")
 
 
 def _has_one(state: StateVector, wires: Sequence[int]) -> bool:
@@ -464,10 +457,6 @@ def _nonzero(x: np.ndarray) -> bool:
     if x.ndim and x.flags.c_contiguous and not x.view(np.uint64).max():
         return False
     return bool(x.any())
-
-
-def _nonzero_error(what: str) -> PreconditionError:
-    return PreconditionError(f"{what} must be zero on every supported basis state")
 
 
 class RegisterLayout:
@@ -508,7 +497,10 @@ class RegisterLayout:
     def packed(cls, widths: Iterable[tuple[str, int]]) -> "RegisterLayout":
         """One segment per ``(name, width)`` pair, in order, on consecutive wires from wire 0."""
         segments, pos = [], 0
-        for name, width in iterable(widths, "widths", "(name, width) pairs"):
+        for pair in iterable(widths, "widths", "(name, width) pairs"):
+            if not isinstance(pair, Sequence) or len(pair) != 2:
+                raise PreconditionError(f"segment {pair!r} is not a (name, width) pair")
+            name, width = pair
             width = integer(width, f"segment {name!r} width")
             segments.append((name, range(pos, pos + width)))
             pos += width
@@ -533,18 +525,11 @@ class RegisterLayout:
 
     def value(self, label: int, name: str) -> int:
         """Integer held by a segment within a basis label."""
-        return int(self.values([_label(label, self.num_wires)], name)[0])
+        return int(self.values([basis_label(label, self.num_wires)], name)[0])
 
     def values(self, labels: np.ndarray, name: str) -> np.ndarray:
         """Vectorized :meth:`value` over an array of labels."""
-        labels = np.asarray(labels)
-        if labels.dtype.kind not in "iu":  # refuse the first non-integer, which astype would truncate
-            for label in labels.flat:
-                integer(label, "label")
-        if labels.size:  # one min/max check, as in apply_circuit_to_labels
-            for label in (labels.min(), labels.max()):
-                _label(label, self.num_wires)
-        labels = labels.astype(np.int64)
+        labels = basis_labels(labels, self.num_wires)
         out = np.zeros_like(labels)
         for slot, wire in enumerate(self.wires(name)):
             out |= ((labels >> wire) & 1) << slot
@@ -552,7 +537,7 @@ class RegisterLayout:
 
     def label_with_value(self, label: int, name: str, value: int) -> int:
         """Label with one segment replaced by an integer value."""
-        wires, label, value = self.wires(name), _label(label, self.num_wires), integer(value, "value")
+        wires, label, value = self.wires(name), basis_label(label, self.num_wires), integer(value, "value")
         if not 0 <= value < (1 << len(wires)):
             raise PreconditionError(f"value {value} does not fit segment {name!r}")
         for slot, wire in enumerate(wires):
@@ -562,7 +547,7 @@ class RegisterLayout:
 
     def display_label(self, label: int) -> str:
         """Bitstring for a label: one character per wire of ``display_wires``."""
-        label = _label(label, self.num_wires)
+        label = basis_label(label, self.num_wires)
         return "".join("1" if (label >> wire) & 1 else "0" for wire in self.display_wires)
 
     def label_from_display(self, bits: str) -> int:

@@ -599,14 +599,14 @@ def test_adder_and_multipliers_match_their_reference_gate_lists():
             spec = MulConstSpec(a_width, a_ancilla, b_width, multiplier)
             layout = mul_const_layout(spec)
             want = _reference_multiply_by_constant(spec, layout)
-            assert build_multiply_by_constant_circuit(spec).gates == want
+            assert build_multiply_by_constant_circuit(spec).gates == tuple(want)
     for a_width, c_width in itertools.product(range(1, 4), range(1, 4)):
         for a_ancilla, c_ancilla in itertools.product(range(max(1, c_width - 1), 4), repeat=2):
             for b_width in (a_width + c_width, a_width + c_width + 1):
                 spec = MulQuantumSpec(a_width, a_ancilla, c_width, c_ancilla, b_width)
                 layout = mul_quantum_layout(spec)
                 want = _reference_multiply_registers(spec, layout)
-                assert build_multiply_registers_circuit(spec).gates == want
+                assert build_multiply_registers_circuit(spec).gates == tuple(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -614,7 +614,7 @@ def test_adder_and_multipliers_match_their_reference_gate_lists():
 def test_multiply_registers_matches_its_reference_gate_list_on_random_layouts(case):
     spec, layout, _ = case
     want = _reference_multiply_registers(spec, layout)
-    assert build_multiply_registers_circuit(spec, layout).gates == want
+    assert build_multiply_registers_circuit(spec, layout).gates == tuple(want)
 
 
 def test_cost_report_paper_figures():

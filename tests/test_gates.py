@@ -1,5 +1,7 @@
 """Gate records, decompositions, and basis-label evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from qshift import (
     expand_swaps,
     run_circuit,
 )
+from qshift.errors import basis_labels
 from qshift.gates import GATE_ARITY, apply_circuit_to_labels
 from conftest import apply_circuit_matrix, random_state
 
@@ -36,13 +39,14 @@ def test_gate_validation():
     assert Gate.cnot(np.int64(0), np.uint8(1)).wires == (0, 1)
 
 
-def test_circuit_validation():
-    circ = Circuit(2)
-    circ.append(Gate.cnot(0, 1))
-    with pytest.raises(PreconditionError):
-        circ.append(Gate.x(2))
-    with pytest.raises(PreconditionError):
-        Circuit(0)
+def test_circuit_is_a_frozen_tuple_of_gates():
+    circ = Circuit(2, [Gate.cnot(0, 1)])
+    assert circ.gates == (Gate.cnot(0, 1),)
+    assert Circuit(2).gates == ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        circ.gates = [Gate.cnot(0, 1), "junk"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        circ.num_wires = 3
 
 
 def test_circuit_counts_and_reversal():
@@ -161,6 +165,8 @@ def test_plane_kernel_matches_label_by_label(case):
     assert got.dtype == np.int64
     assert got.tolist() == [apply_circuit_to_label(circuit, label) for label in labels]
     assert array.tolist() == labels
+    assert apply_circuit_to_labels(circuit, labels).tolist() == got.tolist()
+    assert basis_labels(array, circuit.num_wires) is array  # an int64 input is read, not copied
 
 
 @pytest.mark.parametrize("labels, bad", [([5], 5), ([-1], -1), ([0, 3, 4, 1], 4)])

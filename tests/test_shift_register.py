@@ -61,7 +61,7 @@ def test_minimal_register():
 def test_right_is_gate_reversed_left():
     left = build_shift_circuit(ShiftSpec(3, 2, "left"))
     right = build_shift_circuit(ShiftSpec(3, 2, "right"))
-    assert right.gates == list(reversed(left.gates))
+    assert right.gates == tuple(reversed(left.gates))
 
 
 def test_spec_validation():

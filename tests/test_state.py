@@ -36,6 +36,7 @@ from qshift import (
 )
 from qshift import state as state_module
 from qshift.arithmetic import num_additions
+from qshift.gates import apply_circuit_to_labels
 from qshift.state import _has_one, _nonzero, _slice_index
 from conftest import apply_gate_matrix, random_circuit, random_state
 
@@ -548,7 +549,20 @@ def _run_checked(checks):
             lambda: Circuit(3, [("X", (0,))]), "circuit gate ('X', (0,)) is not a Gate", id="Circuit tuple gate"
         ),
         pytest.param(
-            lambda: Circuit(3).append(("X", (0,))), "circuit gate ('X', (0,)) is not a Gate", id="append tuple gate"
+            lambda: Circuit(3, [Gate.x(0), ("X", (0,))]), "circuit gate ('X', (0,)) is not a Gate",
+            id="Circuit later tuple gate",
+        ),
+        pytest.param(
+            lambda: Circuit(2, [Gate.cnot(0, 1), Gate.x(2)]), "gate X(2,) exceeds 2 wires", id="Circuit wide gate"
+        ),
+        pytest.param(lambda: Circuit(0), "circuit needs at least one wire", id="Circuit no wires"),
+        pytest.param(lambda: Circuit(2, 5), "circuit gates 5 are not an iterable of gates", id="Circuit int gates"),
+        pytest.param(
+            lambda: Circuit(2, None), "circuit gates None are not an iterable of gates", id="Circuit None gates"
+        ),
+        pytest.param(
+            lambda: apply_circuit_to_labels(_X0, np.array([0.5, 1.0])), "label np.float64(0.5) is not an integer",
+            id="labels float",
         ),
         pytest.param(lambda: Gate(["X"], (0,)), "unknown gate kind ['X']", id="Gate list kind"),
         # A wire set, layout or state of the wrong type is named, not left to a bare TypeError.
@@ -575,6 +589,14 @@ def _run_checked(checks):
         pytest.param(
             lambda: RegisterLayout.packed([("a", 1), ("b", True)]), "segment 'b' width True is not an integer",
             id="packed bool",
+        ),
+        pytest.param(
+            lambda: RegisterLayout.packed([("a",)]), "segment ('a',) is not a (name, width) pair",
+            id="packed short pair",
+        ),
+        pytest.param(
+            lambda: RegisterLayout.packed([("a", 1, 2)]), "segment ('a', 1, 2) is not a (name, width) pair",
+            id="packed long pair",
         ),
         pytest.param(lambda: Gate("X", 0), "X wires 0 are not an iterable of wires", id="Gate int wires"),
         pytest.param(

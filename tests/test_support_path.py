@@ -104,19 +104,19 @@ def permutation_cases(draw):
     slice. Half the time one label that violates a check is added, half of
     those in the sweep's smallest slice (the lowest checked wire reads 1,
     the other checked wires 0). Some labels off the support, checked wires
-    set or not, hold -0.0."""
+    set or not, hold -0.0. A generator seeded by hypothesis draws the
+    gates, the support and its amplitudes, which is much faster than
+    drawing each gate through hypothesis."""
     m = draw(st.integers(3, 9))
-    gate = st.sampled_from(PERMUTATION_KINDS).flatmap(
-        lambda kind: st.permutations(range(m)).map(lambda ws: Gate(kind, ws[: GATE_ARITY[kind]]))
-    )
-    circuit = Circuit(m, draw(st.lists(gate, max_size=30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = [PERMUTATION_KINDS[i] for i in rng.integers(len(PERMUTATION_KINDS), size=rng.integers(0, 31))]
+    circuit = Circuit(m, [Gate(kind, _wires(rng, m, GATE_ARITY[kind])) for kind in kinds])
     checked = draw(st.permutations(range(m)))[: draw(st.integers(0, m))]
     bounds = [0, *sorted(draw(st.lists(st.integers(0, len(checked)), max_size=3))), len(checked)]
     checks = [(tuple(checked[i:j]), f"check {n}") for n, (i, j) in enumerate(zip(bounds, bounds[1:]))]
     mask = sum(1 << w for w in checked)
     pool = [label for label in range(2**m) if not label & mask]
     size = draw(st.integers(1, len(pool)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     support = list(rng.choice(pool, size=size, replace=False))
     if checked and draw(st.booleans()):
         if draw(st.booleans()):
