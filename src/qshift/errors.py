@@ -63,7 +63,7 @@ def basis_labels(values, num_wires: int) -> np.ndarray:
     """:func:`basis_label` over an array, checking only its min and max; returns int64, copying no int64 input."""
     labels = np.asarray(values)
     if labels.dtype.kind not in "iu":  # refuse the first non-integer, which astype would truncate
-        for label in labels.flat:
+        for label in labels.ravel().tolist():  # Python scalars, named as the scalar checks name them
             integer(label, "label")
     if labels.size:
         basis_label(labels.min(), num_wires)

@@ -237,7 +237,7 @@ def apply_circuit_to_labels(circuit: Circuit, labels: np.ndarray) -> np.ndarray:
             hit = hit & (planes[a] ^ planes[b])
         for p in flips:
             planes[wires[p]] ^= True if hit is None else hit
-    out = np.zeros(len(labels), dtype=np.int64)
+    out = np.zeros_like(labels)  # any shape maps elementwise
     for w, plane in enumerate(planes):
         out |= plane.astype(np.int64) << w
     return out

@@ -10,6 +10,8 @@ reads 0, holds at most ``SUPPORT_PATH_MAX_SHARE`` of the labels. One sweep,
 which reads contiguous slices as uint64 words first, answers the checks,
 and the support is gathered from that slice. Every other circuit runs on
 the dense array after the same sweep. Copies skip blocks that are all zero.
+Until its buffer is handed out through ``.amplitudes``, a state bounds the
+labels that may hold a nonzero bit; copies, sweeps and scans stop there.
 
 On the dense path the wires that an H-free circuit's checks proved 0 are
 marked, and only the slice where they read 0 is permuted. Consecutive
@@ -59,10 +61,12 @@ class StateVector:
 
     Gate application mutates the amplitude buffer in place; use
     :meth:`copy` to keep a snapshot. Callers hold exclusive access to a
-    state while operating on it.
+    state while operating on it. Every amplitude from label ``_live`` on
+    holds ``+0.0`` bits; reading or assigning :attr:`amplitudes` hands the
+    buffer out, and the bound becomes None for good.
     """
 
-    __slots__ = ("num_wires", "amplitudes")
+    __slots__ = ("num_wires", "_amps", "_live")
 
     def __init__(self, amplitudes):
         arr = np.asarray(amplitudes)
@@ -72,10 +76,9 @@ class StateVector:
         if arr.size < 2 or arr.size != 1 << m:
             raise PreconditionError(f"amplitude count {arr.size} is not 2**m with m >= 1")
         _check_ceiling(m)  # before the copy, which a broadcast input would make full size
-        arr = arr.astype(np.complex128, order="C").reshape(-1)
+        arr = arr.astype(np.complex128, order="C").reshape(-1)  # a fresh buffer, nothing known of it
         check_unit_norm(arr, NORM_TOL, "state")
-        self.num_wires = m
-        self.amplitudes = arr
+        self.num_wires, self._amps, self._live = m, arr, arr.size
 
     @classmethod
     def from_label(cls, num_wires: int, label: int) -> "StateVector":
@@ -87,35 +90,57 @@ class StateVector:
         amps = np.zeros(1 << num_wires, dtype=np.complex128)
         amps[label] = 1.0
         out = object.__new__(cls)
-        out.num_wires = num_wires
-        out.amplitudes = amps
+        out.num_wires, out._amps, out._live = num_wires, amps, label + 1
         return out
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The amplitude buffer itself; the caller may write through it at any time after."""
+        self._live = None
+        return self._amps
+
+    @amplitudes.setter
+    def amplitudes(self, amps: np.ndarray) -> None:
+        self._amps, self._live = amps, None
+
     def copy(self) -> "StateVector":
-        """Bit-exact copy; from 21 wires only blocks with a nonzero bit (-0.0, NaN) are written."""
+        """Bit-exact copy; from 21 wires only the bound's blocks with a nonzero bit (-0.0, NaN) are written."""
         out = object.__new__(StateVector)
         out.num_wires = self.num_wires
-        amps = self.amplitudes
+        amps, end = self._amps, self._amps.size if self._live is None else self._live
         if amps.nbytes < _LAZY_ZERO_BYTES or amps.dtype != np.complex128 or not amps.flags.c_contiguous:
-            out.amplitudes = amps.copy()
+            out._amps, out._live = amps.copy(), end
             return out
-        out.amplitudes = np.zeros(amps.shape, amps.dtype)
-        src, dst = amps.reshape(-1), out.amplitudes.reshape(-1)
-        for lo in range(0, src.size, _COPY_BLOCK):
+        out._amps, out._live = np.zeros(amps.shape, amps.dtype), 0
+        src, dst = amps.reshape(-1), out._amps.reshape(-1)
+        for lo in range(0, end, _COPY_BLOCK):
             block = src[lo:lo + _COPY_BLOCK]
             if block[0] or block.view(np.uint64).max():  # a dense block skips the read
                 dst[lo:lo + _COPY_BLOCK] = block
+                out._live = lo + block.size
         return out
 
+    def __copy__(self) -> "StateVector":  # never a shared buffer: each state keeps its own bound
+        return self.copy()
+
+    def _grow(self, end: int) -> None:
+        """Raise the bound to ``end`` after a write below it; a handed-out buffer keeps none."""
+        if self._live is not None:
+            self._live = max(self._live, end)
+
+    def _live_wires(self) -> int:
+        """The k low wires of the live prefix ``2**k``: a label with a 1 on a wire >= k holds +0.0."""
+        return self.num_wires if self._live is None else max(1, (self._live - 1).bit_length())
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self._amps))
 
     def amplitude(self, label: int) -> complex:
-        return complex(self.amplitudes[basis_label(label, self.num_wires)])
+        return complex(self._amps[basis_label(label, self.num_wires)])
 
     def nonzero_labels(self) -> np.ndarray:
-        """Sorted labels of the nonzero amplitudes, as ``np.flatnonzero`` gives them."""
-        return np.flatnonzero(self.amplitudes)
+        """Sorted labels of the nonzero amplitudes, as ``np.flatnonzero`` gives them, from the live prefix."""
+        return np.flatnonzero(self._amps[:1 << self._live_wires()])
 
     def support(self, wires: Iterable[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Sorted labels of the nonzero amplitudes (``-0.0`` is zero) and those amplitudes.
@@ -128,8 +153,8 @@ class StateVector:
         else:
             wires = iterable(wires, "support wires")
             labels = _assignments(sorted({_check_wire(w, "support", self.num_wires) for w in wires}))
-            labels = labels[np.flatnonzero(self.amplitudes[labels])]
-        return labels, self.amplitudes[labels]
+            labels = labels[np.flatnonzero(self._amps[labels])]
+        return labels, self._amps[labels]
 
     def allclose(self, other: "StateVector", tol: float = NORM_TOL) -> bool:
         tol = tolerance(tol, "tolerance")
@@ -137,10 +162,10 @@ class StateVector:
             raise PreconditionError(f"other state {other!r} is not a StateVector")
         if self.num_wires != other.num_wires:
             return False
-        return bool(np.max(np.abs(self.amplitudes - other.amplitudes)) <= tol)
+        return bool(np.max(np.abs(self._amps - other._amps)) <= tol)
 
     def _tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) * self.num_wires)
+        return self._amps.reshape((2,) * self.num_wires)
 
     def __repr__(self) -> str:
         return f"StateVector(num_wires={self.num_wires})"
@@ -206,6 +231,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     ws = gate.wires
     if max(ws) >= m:
         raise PreconditionError(f"gate {gate.kind}{ws} exceeds {m} wires")
+    state._grow(1 << m)
     if gate.kind == "H":
         t = state._tensor()
         lo = _slice_index(m, ws, 0)
@@ -367,6 +393,7 @@ def _run_on_support(
     would move it: off the support, or where a marked wire reads 1.
     """
     if labels is None:
+        state._grow(1 << state.num_wires)
         for step in _dense_steps(circuit, marked if circuit.is_permutation() else 0):
             if isinstance(step, Gate):
                 apply_gate(state, step)
@@ -374,10 +401,11 @@ def _run_on_support(
                 _apply_map(state, step)
         return state
     moved = apply_circuit_to_labels(circuit, labels)
-    amps = state.amplitudes
+    amps = state._amps
     values = amps[labels]
     amps[labels] = 0.0
     amps[moved] = values
+    state._grow(int(moved.max(initial=-1)) + 1)
     return state
 
 
@@ -445,10 +473,12 @@ def _require_zero(state: StateVector, checks: Sequence[tuple[Sequence[int], str]
 def _has_one(state: StateVector, wires: Sequence[int]) -> bool:
     """Whether a supported label has a 1 on one of ``wires``, by a sweep of
     the disjoint slices where one wire reads 1 and the wires above it 0,
-    which reads each amplitude off the zero slice once; as in
-    ``np.flatnonzero``, ``-0.0`` is zero."""
-    t, top = state._tensor(), sorted(set(wires), reverse=True)
-    slices = (_slice_index(state.num_wires, top[:i + 1], 1 << w) for i, w in enumerate(top))
+    which reads each amplitude of the live prefix off the zero slice once;
+    a wire above the prefix reads 0 unread. As in ``np.flatnonzero``,
+    ``-0.0`` is zero."""
+    k = state._live_wires()
+    t, top = state._amps[:1 << k].reshape((2,) * k), sorted({w for w in wires if w < k}, reverse=True)
+    slices = (_slice_index(k, top[:i + 1], 1 << w) for i, w in enumerate(top))
     return any(_nonzero(t[idx]) for idx in slices)
 
 

@@ -169,6 +169,24 @@ def test_plane_kernel_matches_label_by_label(case):
     assert basis_labels(array, circuit.num_wires) is array  # an int64 input is read, not copied
 
 
+_MIXED = Circuit(4, [Gate.x(0), Gate.cnot(0, 2), Gate.swap(1, 3), Gate.toffoli(0, 2, 1), Gate.cswap(3, 0, 2)])
+
+
+@pytest.mark.parametrize("label", [0, 3, np.int64(9), 15])
+def test_plane_kernel_maps_a_0d_label_as_the_scalar_kernel(label):
+    got = apply_circuit_to_labels(_MIXED, label)
+    assert got.shape == () and got.dtype == np.int64
+    assert int(got) == apply_circuit_to_label(_MIXED, label)
+
+
+def test_plane_kernel_maps_a_2d_array_elementwise():
+    labels = np.array([[0, 5], [10, 15]])
+    got = apply_circuit_to_labels(_MIXED, labels)
+    assert got.shape == (2, 2)
+    assert got.tolist() == apply_circuit_to_labels(_MIXED, labels.ravel()).reshape(2, 2).tolist()
+    assert got.ravel().tolist() == [apply_circuit_to_label(_MIXED, int(x)) for x in labels.ravel()]
+
+
 @pytest.mark.parametrize("labels, bad", [([5], 5), ([-1], -1), ([0, 3, 4, 1], 4)])
 def test_plane_kernel_refuses_labels_off_the_circuit(labels, bad):
     circuit = Circuit(2, [Gate.x(0)])

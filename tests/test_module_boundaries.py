@@ -35,3 +35,15 @@ def test_only_the_reader_and_the_oracle_touch_amplitudes_outside_state():
                 if isinstance(node, ast.Attribute) and node.attr == "amplitudes":
                     hits.add(f"{path.stem}.{where}")
     assert hits == {"statefile.state_from_text", "arithmetic.oracle_add"}
+
+
+def test_state_reads_its_own_buffer_not_the_property():
+    # Reading .amplitudes hands the buffer out and drops the live-prefix bound,
+    # so state.py itself reads _amps; only the property's own definition names it.
+    path = Path(qshift.__file__).parent / "state.py"
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "amplitudes":
+            hits.append(node.lineno)
+    assert hits == []
+    assert isinstance(qshift.StateVector.__dict__["amplitudes"], property)
