@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, disjoint, integer
+from .errors import PreconditionError, disjoint, integer, register_wires
 from .gates import Circuit, Gate
 from .shift_register import shift_cascade
 from .state import RegisterLayout, StateVector, run_circuit
@@ -59,21 +59,22 @@ def adder_gates(
     With a control wire, the sum is applied only on control=1 components
     while a and the carries behave identically either way.
     """
-    wa, wb = len(a_wires), len(b_wires)
+    a = register_wires(a_wires, "addend")
+    b = register_wires(b_wires, "target")
+    c = register_wires(carry_wires, "carries")
+    wa, wb = len(a), len(b)
     if wa < 1:
         raise PreconditionError("addend register must have at least one wire")
     if wb < wa:
         raise PreconditionError(
             f"target register ({wb} wires) narrower than addend ({wa} wires)"
         )
-    if len(carry_wires) != wb - 1:
+    if len(c) != wb - 1:
         raise PreconditionError(
-            f"adder needs {wb - 1} carry wires for a {wb}-wire target, got {len(carry_wires)}"
+            f"adder needs {wb - 1} carry wires for a {wb}-wire target, got {len(c)}"
         )
     controls = () if control is None else (control,)
-    disjoint({"addend": a_wires, "target": b_wires, "carries": carry_wires, "control": controls})
-
-    a, b, c = list(a_wires), list(b_wires), list(carry_wires)
+    disjoint({"addend": a, "target": b, "carries": c, "control": controls})
 
     def sum_write(source: int, target: int) -> Gate:
         if control is None:
@@ -117,12 +118,12 @@ def build_adder_circuit(
     return Circuit(num_wires, adder_gates(a_wires, b_wires, carry_wires, control))
 
 
-def _resolve(layout: RegisterLayout | None, reg) -> tuple[int, ...]:
+def _resolve(layout: RegisterLayout | None, reg, what: str, num_wires: int) -> tuple[int, ...]:
     if isinstance(reg, str):
         if layout is None:
             raise PreconditionError("segment names need a layout")
         return layout.wires(reg)
-    return tuple(integer(w, "wire") for w in reg)
+    return register_wires(reg, what, num_wires)
 
 
 def add(
@@ -138,10 +139,10 @@ def add(
     Registers may be segment names (resolved through the layout) or
     explicit wire sequences in slot order.
     """
-    a = _resolve(layout, reg_a)
-    b = _resolve(layout, reg_b)
-    c = _resolve(layout, carries)
     num_wires = state.num_wires if layout is None else layout.num_wires
+    a = _resolve(layout, reg_a, "addend", num_wires)
+    b = _resolve(layout, reg_b, "target", num_wires)
+    c = _resolve(layout, carries, "carries", num_wires)
     circuit = build_adder_circuit(num_wires, a, b, c, control)
     return run_circuit(state, circuit, [(c, "carry wires")])
 
@@ -163,14 +164,11 @@ def oracle_add(state: StateVector, reg_a: Sequence[int], reg_b: Sequence[int]) -
 
     Relabels amplitudes directly from integer arithmetic; no gates.
     """
-    a = tuple(integer(w, "addend wire") for w in reg_a)
-    b = tuple(integer(w, "target wire") for w in reg_b)
-    m = state.num_wires
+    a = register_wires(reg_a, "addend", state.num_wires)
+    b = register_wires(reg_b, "target", state.num_wires)
     for name, wires in (("addend", a), ("target", b)):
         if not wires:
             raise PreconditionError(f"{name} register must have at least one wire")
-        if min(wires) < 0 or max(wires) >= m:
-            raise PreconditionError(f"{name} register wires {list(wires)} are not all in 0..{m - 1}")
     disjoint({"addend": a, "target": b})
     labels = np.arange(state.amplitudes.size, dtype=np.int64)
     a_val = np.zeros_like(labels)
@@ -301,6 +299,7 @@ def extended_addend(a_wires: Sequence[int], anc_wires: Sequence[int], shifts_don
     After s left shifts the bits pushed out of A sit in the top ancilla
     slots, highest slot least significant, continuing A upward.
     """
+    a_wires, anc_wires = register_wires(a_wires, "addend"), register_wires(anc_wires, "ancilla")
     if _nonnegative(shifts_done, "shifts_done") > len(anc_wires):
         raise PreconditionError("more shifts than ancilla wires")
     ext = list(a_wires)
@@ -317,15 +316,14 @@ def _shift_and_add(
     ancA, then the gates ``c_shift`` run."""
     a, anc, b = layout.wires("A"), layout.wires("ancA"), layout.wires("B")
     carry = layout.wires("carry") if layout.has_segment("carry") else ()
-    c_wire = layout.wires("c")[0]
+    shift_gates = [*shift_cascade(anc, a, layout.wires("c")[0]), *c_shift]
     gates: list[Gate] = []
     for p, adding in enumerate(adds):
         if adding:
             addend = extended_addend(a, anc, p)[: len(b)]
             gates += adder_gates(addend, b, carry, control)
         if p < len(adds) - 1:
-            gates += shift_cascade(anc, a, c_wire)
-            gates += c_shift
+            gates += shift_gates
     return Circuit(layout.num_wires, gates)
 
 

@@ -1,4 +1,8 @@
-"""Error type shared by all qshift operations, and the input checks they share."""
+"""Error type shared by all qshift operations, and the input checks they share.
+
+Each input rule is written once here, and its message names the input it refuses:
+``integer``, ``iterable``, ``register_wires``, ``disjoint``, ``tolerance`` and ``basis_label``.
+"""
 
 import math
 import numbers
@@ -31,6 +35,16 @@ def iterable(value, what: str, items: str = "wires") -> Iterable:
     if isinstance(value, Iterable):
         return value
     raise PreconditionError(f"{what} {value!r} are not an iterable of {items}")
+
+
+def register_wires(value, what: str, num_wires: int | None = None) -> tuple[int, ...]:
+    """The wires of register ``value`` as ints, in order, each in 0..num_wires-1 when that is given."""
+    wires = tuple(integer(w, f"{what} wire") for w in iterable(value, f"{what} wires"))
+    if num_wires is not None:
+        for w in wires:
+            if not 0 <= w < num_wires:
+                raise PreconditionError(f"{what} wire {w} is off the state's {num_wires} wires")
+    return wires
 
 
 def tolerance(value, what: str) -> float:

@@ -158,21 +158,14 @@ class Circuit:
 
 def decompose_swap(a: int, b: int) -> Circuit:
     """SWAP(a, b) as its three-CNOT equivalent."""
-    if a == b:
-        raise PreconditionError("swap wires must differ")
-    wires = max(a, b) + 1
-    return Circuit(wires, [Gate.cnot(a, b), Gate.cnot(b, a), Gate.cnot(a, b)])
+    gates = [Gate.cnot(a, b), Gate.cnot(b, a), Gate.cnot(a, b)]
+    return Circuit(max(gates[0].wires) + 1, gates)
 
 
 def decompose_cswap(control: int, a: int, b: int) -> Circuit:
     """CSWAP(control, a, b) as CNOT, TOFFOLI, CNOT."""
-    if len({control, a, b}) != 3:
-        raise PreconditionError("cswap wires must be distinct")
-    wires = max(control, a, b) + 1
-    return Circuit(
-        wires,
-        [Gate.cnot(b, a), Gate.toffoli(control, a, b), Gate.cnot(b, a)],
-    )
+    gates = [Gate.cnot(b, a), Gate.toffoli(control, a, b), Gate.cnot(b, a)]
+    return Circuit(max(gates[1].wires) + 1, gates)
 
 
 def _expand(circuit: Circuit, kind: str, decompose) -> Circuit:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import PreconditionError, disjoint, integer
+from .errors import PreconditionError, disjoint, integer, iterable, register_wires
 from .gates import Circuit, Gate, expand_cswaps, expand_swaps
 from .state import RegisterLayout, StateVector, run_circuit
 
@@ -64,6 +64,7 @@ def shift_cascade(
     involution.
     """
     _check_direction(direction)
+    a_wires, b_wires = register_wires(a_wires, "ancilla"), register_wires(b_wires, "data")
     k, n = len(a_wires), len(b_wires)
     if k < 1 or n < 1:
         raise PreconditionError("need at least one ancilla and one data wire")
@@ -96,8 +97,8 @@ def classical_shift_oracle(
     _check_direction(direction)
     if integer(c_bit, "control bit") not in (0, 1):
         raise PreconditionError("control bit must be 0 or 1")
-    a = tuple(integer(x, "bit") for x in a_bits)
-    b = tuple(integer(x, "bit") for x in b_bits)
+    a = tuple(integer(x, "bit") for x in iterable(a_bits, "ancilla bits", "bits"))
+    b = tuple(integer(x, "bit") for x in iterable(b_bits, "data bits", "bits"))
     if not a or not b or set(a + b) - {0, 1}:
         raise PreconditionError("bit vectors must be nonempty and 0/1 valued")
     if direction == "left":

@@ -29,7 +29,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, basis_label, basis_labels, integer, iterable, tolerance
+from .errors import (
+    PreconditionError, basis_label, basis_labels, disjoint, integer, iterable, register_wires, tolerance,
+)
 from .gates import Circuit, Gate, apply_circuit_to_labels
 
 NORM_TOL = 1e-12
@@ -151,8 +153,7 @@ class StateVector:
         if wires is None:
             labels = self.nonzero_labels()
         else:
-            wires = iterable(wires, "support wires")
-            labels = _assignments(sorted({_check_wire(w, "support", self.num_wires) for w in wires}))
+            labels = _assignments(sorted(set(register_wires(wires, "support", self.num_wires))))
             labels = labels[np.flatnonzero(self._amps[labels])]
         return labels, self._amps[labels]
 
@@ -227,6 +228,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     moves amplitudes exactly; H is the standard one-wire Hadamard butterfly.
     Norm is preserved (exactly for permutations).
     """
+    if not isinstance(gate, Gate):
+        raise PreconditionError(f"gate {gate!r} is not a Gate")
     m = state.num_wires
     ws = gate.wires
     if max(ws) >= m:
@@ -422,6 +425,8 @@ def run_circuit(
     wire-count mismatch fails first, then a check wire off the state, then
     the checks, which one sweep answers before any gate runs.
     """
+    if not isinstance(circuit, Circuit):
+        raise PreconditionError(f"circuit {circuit!r} is not a Circuit")
     m = state.num_wires
     if circuit.num_wires != m:
         raise PreconditionError(f"circuit has {circuit.num_wires} wires, state has {m}")
@@ -439,15 +444,7 @@ def _zero_check(check, num_wires: int) -> tuple[tuple[int, ...], str]:
     if not isinstance(check, Sequence) or len(check) != 2:
         raise PreconditionError(f"check {check!r} is not a (wires, what) pair")
     wires, what = check
-    wires = iterable(wires, f"check {what!r} wires")
-    return tuple(_check_wire(w, f"check {what!r}", num_wires) for w in wires), what
-
-
-def _check_wire(wire, what: str, num_wires: int) -> int:
-    wire = integer(wire, f"{what} wire")
-    if 0 <= wire < num_wires:
-        return wire
-    raise PreconditionError(f"{what} wire {wire} is off the state's {num_wires} wires")
+    return register_wires(wires, f"check {what!r}", num_wires), what
 
 
 def _wire_mask(wires: Iterable[int]) -> int:
@@ -498,30 +495,26 @@ class RegisterLayout:
 
     def __init__(self, segments: Iterable[tuple[str, Sequence[int]]]):
         self._segments: dict[str, tuple[int, ...]] = {}
-        seen: set[int] = set()
         for segment in iterable(segments, "segments", "(str, wires) pairs"):
             if not isinstance(segment, Sequence) or len(segment) != 2 or not isinstance(segment[0], str):
                 raise PreconditionError(f"segment {segment!r} is not a (str, wires) pair")
             name, wires = segment
-            wires = tuple(integer(w, f"segment {name!r} wire") for w in iterable(wires, f"segment {name!r} wires"))
+            wires = register_wires(wires, f"segment {name!r}")
             if not wires:
                 raise PreconditionError(f"segment {name!r} is empty")
             if name in self._segments:
                 raise PreconditionError(f"duplicate segment {name!r}")
-            overlap = seen.intersection(wires)
-            if overlap or len(set(wires)) != len(wires):
-                raise PreconditionError(f"segment {name!r} overlaps other wires")
-            seen.update(wires)
             self._segments[name] = wires
         if not self._segments:
             raise PreconditionError("layout needs at least one segment")
-        if seen != set(range(len(seen))):
-            raise PreconditionError("segments must cover wires 0..m-1 exactly")
-        self.num_wires = len(seen)
+        disjoint(self._segments)
         # Display order: segments in declaration order, each MSB-first.
         self.display_wires: tuple[int, ...] = tuple(
             wire for wires in self._segments.values() for wire in reversed(wires)
         )
+        self.num_wires = len(self.display_wires)
+        if set(self.display_wires) != set(range(self.num_wires)):
+            raise PreconditionError("segments must cover wires 0..m-1 exactly")
 
     @classmethod
     def packed(cls, widths: Iterable[tuple[str, int]]) -> "RegisterLayout":
@@ -623,11 +616,9 @@ class ProductCheck(NamedTuple):
 def schmidt_rank(state: StateVector, cut: Iterable[int], tol: float = SCHMIDT_TOL) -> int:
     """Number of singular values above ``tol`` across the given bipartition."""
     m, tol = state.num_wires, tolerance(tol, "Schmidt tolerance")
-    cut_set = {integer(w, "cut wire") for w in iterable(cut, "cut wires")}
-    if not cut_set or any(w < 0 or w >= m for w in cut_set):
-        raise PreconditionError("cut must be a nonempty set of in-range wires")
-    if len(cut_set) == m:
-        raise PreconditionError("cut must be a proper subset of the wires")
+    cut_set = set(register_wires(cut, "cut", m))
+    if not 0 < len(cut_set) < m:
+        raise PreconditionError("cut must be a nonempty proper subset of the wires")
     cut_axes = [m - 1 - w for w in sorted(cut_set, reverse=True)]
     rest_axes = [a for a in range(m) if a not in cut_axes]
     mat = state._tensor().transpose(cut_axes + rest_axes).reshape(1 << len(cut_set), -1)

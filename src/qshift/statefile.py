@@ -144,6 +144,8 @@ def _line_blocks(text: str) -> Iterator[list[str]]:
 
 
 def state_from_text(text: str, layout: RegisterLayout, *, norm_tol: float = NORM_TOL) -> StateVector:
+    if not isinstance(text, str):  # a name, not a repr: bytes read from a file may be megabytes
+        raise PreconditionError(f"state text of type {type(text).__name__} is not a str")
     blocks = _line_blocks(text)
     for block in blocks:
         head = next((i for i, ln in enumerate(block) if ln.strip()), None)

@@ -37,6 +37,7 @@ from qshift import (
     shift,
     shift_layout,
 )
+from qshift import arithmetic
 from qshift.shift_register import shift_cascade
 from qshift.state import RegisterLayout
 from conftest import register_multiplications
@@ -116,13 +117,13 @@ def test_add_width_and_carry_preconditions():
     for reg_a, reg_b, message in [
         ([0.5], [1], "addend wire 0.5 is not an integer"),
         ([0], [2.0], "target wire 2.0 is not an integer"),
-        ([-1], [0], "addend register wires [-1]"),
-        ([], [], "addend register must have"),
-        ([0], [-2, 1], "target register wires [-2, 1]"),
-        ([0], [], "target register must have"),
-        ([0], [lay.num_wires], f"are not all in 0..{lay.num_wires - 1}"),
+        ([-1], [0], "addend wire -1 is off the state's 11 wires"),
+        ([], [], "addend register must have at least one wire"),
+        ([0], [-2, 1], "target wire -2 is off the state's 11 wires"),
+        ([0], [], "target register must have at least one wire"),
+        ([0], [lay.num_wires], "target wire 11 is off the state's 11 wires"),
     ]:
-        with pytest.raises(PreconditionError, match=re.escape(message)):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
             oracle_add(dirty.copy(), reg_a, reg_b)
 
 
@@ -615,6 +616,24 @@ def test_multiply_registers_matches_its_reference_gate_list_on_random_layouts(ca
     spec, layout, _ = case
     want = _reference_multiply_registers(spec, layout)
     assert build_multiply_registers_circuit(spec, layout).gates == tuple(want)
+
+
+@pytest.mark.parametrize(
+    "build, spec, cascades",
+    [
+        (build_multiply_by_constant_circuit, MulConstSpec(2, 3, 5, 0b1011), 1),
+        (build_multiply_by_constant_circuit, MulConstSpec(2, 1, 3, 1), 1),  # one round, no shift
+        (build_multiply_registers_circuit, MulQuantumSpec(3, 2, 3, 2, 6), 2),
+        (build_multiply_registers_circuit, MulQuantumSpec(2, 1, 1, 1, 3), 2),  # one round, no shift
+    ],
+)
+def test_multipliers_build_each_shift_cascade_once(build, spec, cascades, monkeypatch):
+    # Every round's shift is the same gates, so each cascade is built once
+    # per circuit, and one-round schedules still build.
+    calls = []
+    monkeypatch.setattr(arithmetic, "shift_cascade", lambda *args: calls.append(args) or shift_cascade(*args))
+    build(spec)
+    assert len(calls) == cascades
 
 
 def test_cost_report_paper_figures():

@@ -47,3 +47,32 @@ def test_state_reads_its_own_buffer_not_the_property():
             hits.append(node.lineno)
     assert hits == []
     assert isinstance(qshift.StateVector.__dict__["amplitudes"], property)
+
+
+def _string_owners(path: Path, fragment: str) -> set[str]:
+    """Qualified names of the functions (or ``<module>``) whose string literals contain ``fragment``."""
+    owners = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, str) and fragment in child.value:
+                owners.add(where)
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return owners
+
+
+def test_the_register_rule_is_written_only_in_errors():
+    # Every entry point that takes a register of wires checks it through
+    # errors.register_wires, so its messages are written there alone. The one
+    # other copy is Gate.__post_init__'s iterable check: it runs for every gate
+    # a circuit build makes, and the benchmark's tracer patches that method.
+    for fragment in ("are not an iterable of", "is off the state's"):
+        owners = {f"{path.stem}.{owner}" for path in SOURCES for owner in _string_owners(path, fragment)}
+        allowed = {"gates.Gate.__post_init__"} if fragment == "are not an iterable of" else set()
+        assert {o for o in owners if not o.startswith("errors.")} == allowed
+        assert any(o.startswith("errors.") for o in owners)

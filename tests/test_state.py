@@ -718,6 +718,14 @@ def _run_checked(checks):
             lambda: _run_checked(5), "checks 5 are not an iterable of (wires, what) pairs", id="run_circuit int checks"
         ),
         pytest.param(lambda: _run_checked([[0]]), "check [0] is not a (wires, what) pair", id="run_circuit 1-item check"),
+        pytest.param(lambda: run_circuit(_STATE, "c"), "circuit 'c' is not a Circuit", id="run_circuit str circuit"),
+        pytest.param(lambda: apply_gate(_STATE, "X"), "gate 'X' is not a Gate", id="apply_gate str gate"),
+        # A state text is named by its type: bytes read from a file may be megabytes long.
+        pytest.param(
+            lambda: state_from_text(b"wires=6\n", _LAYOUT), "state text of type bytes is not a str",
+            id="state_from_text bytes",
+        ),
+        pytest.param(lambda: state_from_text(5, _LAYOUT), "state text of type int is not a str", id="state_from_text int"),
         pytest.param(
             lambda: _run_checked([((0,), "a", 1)]), "check ((0,), 'a', 1) is not a (wires, what) pair",
             id="run_circuit 3-item check",
