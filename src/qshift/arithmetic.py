@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, disjoint, integer, register_wires
-from .gates import Circuit, Gate
+from .errors import PreconditionError, disjoint, instance, integer, register_wires
+from .gates import Circuit, Gate, compiled
 from .shift_register import shift_cascade
 from .state import RegisterLayout, StateVector, run_circuit
 
@@ -208,9 +208,9 @@ class MulConstSpec:
         _check_schedule((self.a_width, self.a_ancilla, self.b_width), self.a_ancilla, self.multiplier)
 
 
-def _check_schedule(widths: Sequence[int], a_ancilla: int, multiplier: int) -> None:
-    """The rule a constant multiplication's spec and its cost report share: every
-    width is at least 1 and the ancilla of A holds the multiplier's shifts."""
+def _check_schedule(widths: Sequence[int], a_ancilla: int = 0, multiplier: int = 0) -> None:
+    """The rule both specs and the cost report share: every width is at least 1,
+    and the ancilla of A holds a constant multiplier's shifts."""
     if min(widths) < 1:
         raise PreconditionError("register widths must be at least 1")
     if num_shifts(multiplier) > a_ancilla:
@@ -233,9 +233,7 @@ class MulQuantumSpec:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, integer(getattr(self, f.name), f.name))
-        widths = (self.a_width, self.a_ancilla, self.c_width, self.c_ancilla, self.b_width)
-        if min(widths) < 1:
-            raise PreconditionError("register widths must be at least 1")
+        _check_schedule((self.a_width, self.a_ancilla, self.c_width, self.c_ancilla, self.b_width))
         passes = self.c_width - 1
         if self.a_ancilla < passes or self.c_ancilla < passes:
             raise PreconditionError(
@@ -268,19 +266,20 @@ def _mul_quantum_widths(spec: MulQuantumSpec) -> tuple[tuple[str, int], ...]:
 def _check_layout(layout: RegisterLayout, widths: Sequence[tuple[str, int]]) -> None:
     """The layout has exactly the spec's segments, each with the spec's width (width 0: absent)."""
     for name, width in widths:
-        if width and not layout.has_segment(name):
-            raise PreconditionError(f"layout is missing segment {name!r}")
-        found = layout.width(name) if layout.has_segment(name) else 0
+        found = layout.width(name) if layout.has_segment(name) else 0  # a segment has at least 1 wire
         if found != width:
-            raise PreconditionError(
-                f"layout segment {name!r} has {found} wires, the spec needs {width}"
-            )
+            raise PreconditionError(f"layout segment {name!r} has {found} wires, the spec needs {width}" if found
+                                    else f"layout is missing segment {name!r}")
     named = dict(widths)
     for name in layout.segment_names:
         if name not in named:
-            raise PreconditionError(
-                f"layout has segment {name!r}, which the spec does not name"
-            )
+            raise PreconditionError(f"layout has segment {name!r}, which the spec does not name")
+
+
+def _spec_layout(spec, kind: type, layout: RegisterLayout | None, default) -> tuple:
+    """``spec``, checked to be a ``kind``, and ``layout`` (``default(spec)`` when None), checked to be a layout."""
+    spec = instance(spec, kind, "spec")
+    return spec, default(spec) if layout is None else instance(layout, RegisterLayout, "layout")
 
 
 def mul_const_layout(spec: MulConstSpec) -> RegisterLayout:
@@ -333,9 +332,12 @@ def build_multiply_by_constant_circuit(
     """Add-then-shift schedule over the multiplier's bits, LSB first.
 
     Built on ``layout`` (default ``mul_const_layout(spec)``), whose
-    segments must have the spec's widths.
+    segments must have the spec's widths, once per spec and layout.
     """
-    layout = layout or mul_const_layout(spec)
+    return compiled(_mul_const_circuit, *_spec_layout(spec, MulConstSpec, layout, mul_const_layout))
+
+
+def _mul_const_circuit(spec: MulConstSpec, layout: RegisterLayout) -> Circuit:
     _check_layout(layout, _mul_const_widths(spec))
     return _shift_and_add(layout, _bits_lsb_first(spec.multiplier))
 
@@ -370,8 +372,9 @@ def multiply_by_constant(
     A holds its value shifted left by the schedule's shift count,
     recoverable with that many right shifts.
     """
-    layout = layout or mul_const_layout(spec)
-    circuit = build_multiply_by_constant_circuit(spec, layout)
+    instance(state, StateVector, "state")
+    spec, layout = _spec_layout(spec, MulConstSpec, layout, mul_const_layout)
+    circuit = compiled(_mul_const_circuit, spec, layout)
     checks = _zero_checks(layout)
     if layout.num_wires == state.num_wires:
         # A valid input's support lies on A's slice, so its largest A value
@@ -392,9 +395,12 @@ def build_multiply_registers_circuit(
     """Conditional add on C's lowest wire, then shift A left and C right.
 
     Built on ``layout`` (default ``mul_quantum_layout(spec)``), whose
-    segments must have the spec's widths.
+    segments must have the spec's widths, once per spec and layout.
     """
-    layout = layout or mul_quantum_layout(spec)
+    return compiled(_mul_quantum_circuit, *_spec_layout(spec, MulQuantumSpec, layout, mul_quantum_layout))
+
+
+def _mul_quantum_circuit(spec: MulQuantumSpec, layout: RegisterLayout) -> Circuit:
     _check_layout(layout, _mul_quantum_widths(spec))
     c_reg = layout.wires("C")
     c_shift = shift_cascade(layout.wires("ancC"), c_reg, layout.wires("c")[0], "right")
@@ -409,8 +415,8 @@ def multiply_registers(
     B ends holding a*c on every joint basis branch; the consumed bits of C
     sit in its shift ancilla, recoverable by reversing the circuit.
     """
-    layout = layout or mul_quantum_layout(spec)
-    circuit = build_multiply_registers_circuit(spec, layout)
+    spec, layout = _spec_layout(spec, MulQuantumSpec, layout, mul_quantum_layout)
+    circuit = compiled(_mul_quantum_circuit, spec, layout)
     # No capacity check: the spec makes B at least a_width + c_width wires,
     # so every product of an A and a C value fits.
     return run_circuit(state, circuit, _zero_checks(layout))
@@ -430,7 +436,7 @@ def select_qubit(
     Needs slot-1 ancilla slots free at the top of the ancilla register,
     since each right shift feeds the top ancilla slot into the data MSB.
     """
-    wires, slot = layout.wires(reg), integer(slot, "slot")
+    wires, slot = instance(layout, RegisterLayout, "layout").wires(reg), integer(slot, "slot")
     if not 1 <= slot <= len(wires):
         raise PreconditionError(f"slot {slot} outside register {reg!r}")
     passes = slot - 1

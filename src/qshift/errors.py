@@ -1,7 +1,7 @@
 """Error type shared by all qshift operations, and the input checks they share.
 
 Each input rule is written once here, and its message names the input it refuses:
-``integer``, ``iterable``, ``register_wires``, ``disjoint``, ``tolerance`` and ``basis_label``.
+``instance``, ``integer``, ``iterable``, ``register_wires``, ``disjoint``, ``tolerance`` and ``basis_label``.
 """
 
 import math
@@ -18,6 +18,13 @@ class PreconditionError(ValueError):
     The message names the violated precondition. The CLI maps this
     exception to exit status 1.
     """
+
+
+def instance(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; anything else is named, not left to fail on a missing attribute."""
+    if isinstance(value, kind):
+        return value
+    raise PreconditionError(f"{what} {value!r} is not a {kind.__name__}")
 
 
 def integer(value, what: str) -> int:

@@ -9,12 +9,12 @@ once, by its control and flipped wires in ``_ROLES``. The dense kernel in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, NamedTuple
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionError, basis_label, basis_labels, integer, iterable
+from .errors import PreconditionError, basis_label, basis_labels, instance, integer, iterable
 
 # Positions in Gate.wires of each permutation kind's control wires and of
 # the wires it flips.
@@ -25,9 +25,6 @@ _ROLES = {
     "SWAP": ((), (0, 1)),
     "CSWAP": ((0,), (1, 2)),
 }
-
-# Every supported gate kind except H permutes basis labels with phase +1.
-PERMUTATION_KINDS = frozenset(_ROLES)
 
 GATE_ARITY = {"H": 1, **{kind: len(c) + len(f) for kind, (c, f) in _ROLES.items()}}
 
@@ -62,9 +59,7 @@ class Gate:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in GATE_ARITY:
             raise PreconditionError(f"unknown gate kind {self.kind!r}")
-        if not hasattr(self.wires, "__iter__"):  # isinstance(..., Iterable) took ~1 us per gate
-            raise PreconditionError(f"{self.kind} wires {self.wires!r} are not an iterable of wires")
-        wires = tuple(integer(w, "wire") for w in self.wires)
+        wires = tuple(integer(w, "wire") for w in iterable(self.wires, f"{self.kind} wires"))
         object.__setattr__(self, "wires", wires)
         if len(wires) != GATE_ARITY[self.kind]:
             raise PreconditionError(
@@ -127,8 +122,7 @@ class Circuit:
             raise PreconditionError("circuit needs at least one wire")
         gates = tuple(iterable(self.gates, "circuit gates", "gates"))
         for gate in gates:
-            if not isinstance(gate, Gate):
-                raise PreconditionError(f"circuit gate {gate!r} is not a Gate")
+            instance(gate, Gate, "circuit gate")
             if max(gate.wires) >= num_wires:
                 raise PreconditionError(f"gate {gate.kind}{gate.wires} exceeds {num_wires} wires")
         object.__setattr__(self, "num_wires", num_wires)
@@ -147,13 +141,38 @@ class Circuit:
 
     def is_permutation(self) -> bool:
         """True when the circuit contains no H gate."""
-        return all(g.kind in PERMUTATION_KINDS for g in self.gates)
+        return self._plane_plan is not None
+
+    @cached_property
+    def _plane_plan(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None:
+        """Each gate's control wires and flipped wires, from ``_ROLES``; None with an H among the gates."""
+        at = lambda gate, positions: tuple(gate.wires[p] for p in positions)
+        roles = [_ROLES.get(g.kind) for g in self.gates]
+        return None if None in roles else tuple((at(g, c), at(g, f)) for g, (c, f) in zip(self.gates, roles))
+
+    def derived(self, derive: Callable, *args):
+        """``derive(self, *args)``, computed on first use and kept: the gates never change, nor does it."""
+        memo, key = self.__dict__.setdefault("_derived", {}), (derive, *args)
+        if key not in memo:
+            memo[key] = derive(self, *args)
+        return memo[key]
 
     def __len__(self) -> int:
         return len(self.gates)
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
+
+
+# A process runs few distinct pipelines (a benchmark workload at most 4), and a circuit under the
+# 24-wire ceiling holds at most ~550 gates (0.12 MB with its plans), so 64 circuits stay under 8 MB.
+CIRCUIT_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=CIRCUIT_CACHE_SIZE)
+def compiled(build: Callable[..., Circuit], *key) -> Circuit:
+    """``build(*key)``, built once while among the most recently used; a refusal is raised afresh."""
+    return build(*key)
 
 
 def decompose_swap(a: int, b: int) -> Circuit:
@@ -209,27 +228,27 @@ def apply_circuit_to_labels(circuit: Circuit, labels: np.ndarray) -> np.ndarray:
 
     One boolean plane per wire: a gate ANDs its controls' planes (and, for
     a swap, the XOR of the swapped planes) and XORs that into each flipped
-    plane; an uncontrolled SWAP trades two planes. ``_ROLES`` is read, not
-    ``Gate.masks``: on 64 labels, building the masks made the 119 gates of
-    ``MulQuantumSpec(3, 2, 3, 2, 6)`` take 1.1 ms, against 0.3 ms (2 cores).
+    plane; an uncontrolled SWAP trades two planes. The circuit's plan from
+    ``_ROLES`` is read, not ``Gate.masks``: on 64 labels, building the masks
+    made the 119 gates of ``MulQuantumSpec(3, 2, 3, 2, 6)`` take 1.1 ms,
+    against 0.3 ms (2 cores).
     """
     if not circuit.is_permutation():
         raise PreconditionError("H is not a basis permutation")
     labels = basis_labels(labels, circuit.num_wires)
     planes = [(labels & (1 << w)) != 0 for w in range(circuit.num_wires)]
-    for gate in circuit:
-        (controls, flips), wires = _ROLES[gate.kind], gate.wires
+    for controls, flips in circuit._plane_plan:
         hit = None
-        for p in controls:
-            hit = planes[wires[p]] if hit is None else hit & planes[wires[p]]
+        for w in controls:
+            hit = planes[w] if hit is None else hit & planes[w]
         if len(flips) == 2:
-            a, b = wires[flips[0]], wires[flips[1]]
+            a, b = flips
             if hit is None:
                 planes[a], planes[b] = planes[b], planes[a]
                 continue
             hit = hit & (planes[a] ^ planes[b])
-        for p in flips:
-            planes[wires[p]] ^= True if hit is None else hit
+        for w in flips:
+            planes[w] ^= True if hit is None else hit
     out = np.zeros_like(labels)  # any shape maps elementwise
     for w, plane in enumerate(planes):
         out |= plane.astype(np.int64) << w

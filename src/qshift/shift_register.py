@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import PreconditionError, disjoint, integer, iterable, register_wires
-from .gates import Circuit, Gate, expand_cswaps, expand_swaps
+from .errors import PreconditionError, disjoint, instance, integer, iterable, register_wires
+from .gates import Circuit, Gate, compiled, expand_cswaps, expand_swaps
 from .state import RegisterLayout, StateVector, run_circuit
 
 DIRECTIONS = ("left", "right")
@@ -81,9 +81,9 @@ def shift_cascade(
 
 def build_shift_circuit(spec: ShiftSpec) -> Circuit:
     """The full register circuit in the spec's direction: n+k-1 SWAPs plus one CSWAP."""
-    layout = shift_layout(spec.data_width, spec.ancilla_width)
+    layout = shift_layout(instance(spec, ShiftSpec, "spec").data_width, spec.ancilla_width)
     a, b, c = layout.wires("a"), layout.wires("b"), layout.wires("c")[0]
-    return Circuit(layout.num_wires, shift_cascade(a, b, c, spec.direction))
+    return compiled(_pass_circuit, layout.num_wires, a, b, c, spec.direction, False)
 
 
 def classical_shift_oracle(
@@ -115,13 +115,20 @@ def classical_shift_oracle(
 def _run_pass(
     state: StateVector, layout: RegisterLayout, direction: str, rotating: bool
 ) -> StateVector:
-    """One pass over segments a, b and c, after the check that c reads 0."""
-    c_wire = layout.wires("c")[0]
-    gates = shift_cascade(layout.wires("a"), layout.wires("b"), c_wire, direction)
+    """One pass over segments a, b and c, after the check that c reads 0; the
+    circuit is compiled once per wire count, a, b and c wires and direction."""
+    layout = instance(layout, RegisterLayout, "layout")
+    c, a, b = layout.wires("c"), layout.wires("a"), layout.wires("b")
+    _check_direction(direction)
+    circuit = compiled(_pass_circuit, layout.num_wires, a, b, c[0], direction, rotating)
+    return run_circuit(state, circuit, [(c, "control wire 'c'")])
+
+
+def _pass_circuit(num_wires: int, a: tuple, b: tuple, c_wire: int, direction: str, rotating: bool) -> Circuit:
+    gates = shift_cascade(a, b, c_wire, direction)
     if rotating:
         gates = [Gate.x(c_wire), *gates, Gate.x(c_wire)]
-    circuit = Circuit(layout.num_wires, gates)
-    return run_circuit(state, circuit, [(layout.wires("c"), "control wire 'c'")])
+    return Circuit(num_wires, gates)
 
 
 def shift(state: StateVector, layout: RegisterLayout, direction: str = "left") -> StateVector:

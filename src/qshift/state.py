@@ -2,7 +2,8 @@
 
 Basis labels are integers; wire w contributes bit w of the label. Register
 slots are little-endian: slot 1 of a segment is its least significant bit.
-Displayed bitstrings are MSB-first within each segment.
+Displayed bitstrings are MSB-first within each segment. Layouts are values, so
+the pipelines compile each circuit once per spec and layout (64 kept) and run it here.
 
 A permutation circuit runs on its basis support when its zero checks cover
 enough wires that their zero slice, the labels where every checked wire
@@ -25,12 +26,13 @@ A shift or rotate pass is one step; other gates and flips are exchanges.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
-    PreconditionError, basis_label, basis_labels, disjoint, integer, iterable, register_wires, tolerance,
+    PreconditionError, basis_label, basis_labels, disjoint, instance, integer, iterable, register_wires, tolerance,
 )
 from .gates import Circuit, Gate, apply_circuit_to_labels
 
@@ -159,8 +161,7 @@ class StateVector:
 
     def allclose(self, other: "StateVector", tol: float = NORM_TOL) -> bool:
         tol = tolerance(tol, "tolerance")
-        if not isinstance(other, StateVector):
-            raise PreconditionError(f"other state {other!r} is not a StateVector")
+        instance(other, StateVector, "other state")
         if self.num_wires != other.num_wires:
             return False
         return bool(np.max(np.abs(self._amps - other._amps)) <= tol)
@@ -228,12 +229,10 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     moves amplitudes exactly; H is the standard one-wire Hadamard butterfly.
     Norm is preserved (exactly for permutations).
     """
-    if not isinstance(gate, Gate):
-        raise PreconditionError(f"gate {gate!r} is not a Gate")
+    instance(gate, Gate, "gate")
     m = state.num_wires
     ws = gate.wires
-    if max(ws) >= m:
-        raise PreconditionError(f"gate {gate.kind}{ws} exceeds {m} wires")
+    Circuit(m, (gate,))  # refuses a gate off the state's wires, as a circuit of them does
     state._grow(1 << m)
     if gate.kind == "H":
         t = state._tensor()
@@ -268,7 +267,7 @@ def _dense_steps(circuit: Circuit, marked: int) -> list[Gate | _Map]:
     that control is flipped; an X on a marked wire toggles its flip. A swap
     that moves a marked wire unmarks it. Any other gate ends the map (see
     :func:`_end_map`) and runs alone; it and the map's flips unmark the
-    wires they write.
+    wires they write. The runner keeps the list on the circuit and never changes it.
     """
     m = circuit.num_wires
     steps: list[Gate | _Map] = []
@@ -397,7 +396,7 @@ def _run_on_support(
     """
     if labels is None:
         state._grow(1 << state.num_wires)
-        for step in _dense_steps(circuit, marked if circuit.is_permutation() else 0):
+        for step in circuit.derived(_dense_steps, marked if circuit.is_permutation() else 0):
             if isinstance(step, Gate):
                 apply_gate(state, step)
             else:
@@ -425,9 +424,8 @@ def run_circuit(
     wire-count mismatch fails first, then a check wire off the state, then
     the checks, which one sweep answers before any gate runs.
     """
-    if not isinstance(circuit, Circuit):
-        raise PreconditionError(f"circuit {circuit!r} is not a Circuit")
-    m = state.num_wires
+    instance(circuit, Circuit, "circuit")
+    m = instance(state, StateVector, "state").num_wires
     if circuit.num_wires != m:
         raise PreconditionError(f"circuit has {circuit.num_wires} wires, state has {m}")
     checks = [_zero_check(check, m) for check in iterable(checks, "checks", "(wires, what) pairs")]
@@ -486,35 +484,39 @@ def _nonzero(x: np.ndarray) -> bool:
     return bool(x.any())
 
 
+@dataclass(frozen=True, repr=False)
 class RegisterLayout:
     """Named, disjoint wire segments covering all wires of a state.
 
     Segment order is the declaration order; it fixes the display order of
-    bitstrings (each segment printed MSB-first, slot 1 being the LSB).
+    bitstrings (each segment printed MSB-first, slot 1 being the LSB). A layout is
+    a frozen value, equal and hashed by ``segments``, its ``(name, wires)`` tuples.
     """
 
-    def __init__(self, segments: Iterable[tuple[str, Sequence[int]]]):
-        self._segments: dict[str, tuple[int, ...]] = {}
-        for segment in iterable(segments, "segments", "(str, wires) pairs"):
+    segments: tuple[tuple[str, tuple[int, ...]], ...]
+
+    def __post_init__(self):
+        named: dict[str, tuple[int, ...]] = {}
+        for segment in iterable(self.segments, "segments", "(str, wires) pairs"):
             if not isinstance(segment, Sequence) or len(segment) != 2 or not isinstance(segment[0], str):
                 raise PreconditionError(f"segment {segment!r} is not a (str, wires) pair")
             name, wires = segment
             wires = register_wires(wires, f"segment {name!r}")
             if not wires:
                 raise PreconditionError(f"segment {name!r} is empty")
-            if name in self._segments:
+            if name in named:
                 raise PreconditionError(f"duplicate segment {name!r}")
-            self._segments[name] = wires
-        if not self._segments:
+            named[name] = wires
+        if not named:
             raise PreconditionError("layout needs at least one segment")
-        disjoint(self._segments)
+        disjoint(named)
         # Display order: segments in declaration order, each MSB-first.
-        self.display_wires: tuple[int, ...] = tuple(
-            wire for wires in self._segments.values() for wire in reversed(wires)
-        )
-        self.num_wires = len(self.display_wires)
-        if set(self.display_wires) != set(range(self.num_wires)):
+        display = tuple(wire for wires in named.values() for wire in reversed(wires))
+        if set(display) != set(range(len(display))):
             raise PreconditionError("segments must cover wires 0..m-1 exactly")
+        for attr, value in (("segments", tuple(named.items())), ("_wires", named), ("segment_names", tuple(named)),
+                            ("display_wires", display), ("num_wires", len(display))):
+            object.__setattr__(self, attr, value)
 
     @classmethod
     def packed(cls, widths: Iterable[tuple[str, int]]) -> "RegisterLayout":
@@ -529,18 +531,17 @@ class RegisterLayout:
             pos += width
         return cls(segments)
 
-    @property
-    def segment_names(self) -> tuple[str, ...]:
-        return tuple(self._segments)
-
     def has_segment(self, name: str) -> bool:
-        return name in self._segments
+        try:
+            return name in self._wires
+        except TypeError:  # an unhashable name
+            return False
 
     def wires(self, name: str) -> tuple[int, ...]:
         """Wires of a segment in slot order (slot 1 first)."""
         try:
-            return self._segments[name]
-        except KeyError:
+            return self._wires[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise PreconditionError(f"unknown segment {name!r}") from None
 
     def width(self, name: str) -> int:
@@ -585,7 +586,7 @@ class RegisterLayout:
         return label
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={list(w)}" for n, w in self._segments.items())
+        inner = ", ".join(f"{n}={list(w)}" for n, w in self.segments)
         return f"RegisterLayout({inner})"
 
 

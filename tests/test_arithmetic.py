@@ -38,6 +38,7 @@ from qshift import (
     shift_layout,
 )
 from qshift import arithmetic
+from qshift.gates import compiled
 from qshift.shift_register import shift_cascade
 from qshift.state import RegisterLayout
 from conftest import register_multiplications
@@ -629,7 +630,9 @@ def test_multiply_registers_matches_its_reference_gate_list_on_random_layouts(ca
 )
 def test_multipliers_build_each_shift_cascade_once(build, spec, cascades, monkeypatch):
     # Every round's shift is the same gates, so each cascade is built once
-    # per circuit, and one-round schedules still build.
+    # per circuit, and one-round schedules still build. The cache is emptied
+    # first, so that the build is a cold one.
+    compiled.cache_clear()
     calls = []
     monkeypatch.setattr(arithmetic, "shift_cascade", lambda *args: calls.append(args) or shift_cascade(*args))
     build(spec)

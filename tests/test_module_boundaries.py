@@ -49,30 +49,42 @@ def test_state_reads_its_own_buffer_not_the_property():
     assert isinstance(qshift.StateVector.__dict__["amplitudes"], property)
 
 
-def _string_owners(path: Path, fragment: str) -> set[str]:
-    """Qualified names of the functions (or ``<module>``) whose string literals contain ``fragment``."""
-    owners = set()
+def _literals(path: Path):
+    """``(owner, text)`` for each string literal, the owner the qualified name of its function
+    (or ``<module>``); an f-string's text is its template, each replacement field written ``{}``."""
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
-                continue
-            if isinstance(child, ast.Constant) and isinstance(child.value, str) and fragment in child.value:
-                owners.add(where)
-            visit(child, where)
+                yield from visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+            elif isinstance(child, ast.JoinedStr):
+                yield where, "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in child.values)
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                yield where, child.value
+            else:
+                yield from visit(child, where)
 
-    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
-    return owners
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+
+
+def _string_owners(path: Path, fragment: str) -> set[str]:
+    """Qualified names of the functions (or ``<module>``) whose string literals contain ``fragment``."""
+    return {owner for owner, text in _literals(path) if fragment in text}
 
 
 def test_the_register_rule_is_written_only_in_errors():
     # Every entry point that takes a register of wires checks it through
-    # errors.register_wires, so its messages are written there alone. The one
-    # other copy is Gate.__post_init__'s iterable check: it runs for every gate
-    # a circuit build makes, and the benchmark's tracer patches that method.
+    # errors.register_wires, and Gate.__post_init__ through errors.iterable,
+    # so their messages are written there alone.
     for fragment in ("are not an iterable of", "is off the state's"):
         owners = {f"{path.stem}.{owner}" for path in SOURCES for owner in _string_owners(path, fragment)}
-        allowed = {"gates.Gate.__post_init__"} if fragment == "are not an iterable of" else set()
-        assert {o for o in owners if not o.startswith("errors.")} == allowed
+        assert {o for o in owners if not o.startswith("errors.")} == set()
         assert any(o.startswith("errors.") for o in owners)
+
+
+def test_the_width_and_gate_fit_rules_are_written_once():
+    # MulQuantumSpec and the constant schedule share one width rule, and
+    # apply_gate refuses a gate off the state through Circuit's own rule.
+    for fragment in ("register widths must be at least 1", "exceeds {} wires"):
+        hits = [f"{path.stem}.{owner}" for path in SOURCES for owner, text in _literals(path) if fragment in text]
+        assert len(hits) == 1, hits

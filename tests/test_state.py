@@ -19,6 +19,9 @@ from qshift import (
     StateVector,
     apply_circuit_to_label,
     apply_gate,
+    build_multiply_by_constant_circuit,
+    build_multiply_registers_circuit,
+    build_shift_circuit,
     classical_shift_oracle,
     cost_report,
     extended_addend,
@@ -26,13 +29,16 @@ from qshift import (
     is_product_across,
     mul_const_layout,
     mul_quantum_layout,
+    multiply_by_constant,
     multiply_registers,
     new_basis_state,
     num_shifts,
+    rotate,
     run_circuit,
     schmidt_rank,
     segment_value_distribution,
     select_qubit,
+    shift,
     shift_layout,
     state_from_text,
 )
@@ -738,6 +744,73 @@ def _run_checked(checks):
         # num_additions keeps the integer rule that num_shifts keeps.
         pytest.param(lambda: num_additions(-4), "multiplier must be nonnegative", id="num_additions negative"),
         pytest.param(lambda: num_additions(2.5), "multiplier 2.5 is not an integer", id="num_additions float"),
+        # Each pipeline and builder names a state, layout or spec of the wrong
+        # type before its circuit is looked up, not with a bare AttributeError.
+        pytest.param(lambda: shift(_STATE, "layout"), "layout 'layout' is not a RegisterLayout", id="shift str layout"),
+        pytest.param(lambda: shift("state", _LAYOUT), "state 'state' is not a StateVector", id="shift str state"),
+        pytest.param(lambda: rotate(_STATE, None), "layout None is not a RegisterLayout", id="rotate None layout"),
+        pytest.param(lambda: rotate(5, _LAYOUT, "right"), "state 5 is not a StateVector", id="rotate int state"),
+        pytest.param(
+            lambda: select_qubit(_STATE, [("b", (0,))], "b", 1, ancilla="a"),
+            "layout [('b', (0,))] is not a RegisterLayout", id="select_qubit list layout",
+        ),
+        pytest.param(
+            lambda: select_qubit("state", _LAYOUT, "b", 1, ancilla="a"), "state 'state' is not a StateVector",
+            id="select_qubit str state",
+        ),
+        pytest.param(
+            lambda: multiply_registers(_STATE, 5), "spec 5 is not a MulQuantumSpec", id="multiply_registers int spec"
+        ),
+        pytest.param(
+            lambda: multiply_registers(_STATE, MulQuantumSpec(1, 1, 1, 1, 2), "layout"),
+            "layout 'layout' is not a RegisterLayout", id="multiply_registers str layout",
+        ),
+        pytest.param(
+            lambda: multiply_registers(None, MulQuantumSpec(1, 1, 1, 1, 2)), "state None is not a StateVector",
+            id="multiply_registers None state",
+        ),
+        pytest.param(
+            lambda: multiply_by_constant(_STATE, ShiftSpec(1, 1)),
+            "spec ShiftSpec(data_width=1, ancilla_width=1, direction='left') is not a MulConstSpec",
+            id="multiply_by_constant ShiftSpec",
+        ),
+        pytest.param(
+            lambda: multiply_by_constant(_STATE, MulConstSpec(1, 1, 2, 1), {}), "layout {} is not a RegisterLayout",
+            id="multiply_by_constant dict layout",
+        ),
+        pytest.param(
+            lambda: multiply_by_constant([1, 0], MulConstSpec(1, 1, 2, 1)), "state [1, 0] is not a StateVector",
+            id="multiply_by_constant list state",
+        ),
+        pytest.param(
+            lambda: build_multiply_registers_circuit([3, 2, 3, 2, 6]), "spec [3, 2, 3, 2, 6] is not a MulQuantumSpec",
+            id="build_multiply_registers_circuit list spec",
+        ),
+        pytest.param(
+            lambda: build_multiply_registers_circuit(MulQuantumSpec(1, 1, 1, 1, 2), _STATE),
+            "layout StateVector(num_wires=6) is not a RegisterLayout",
+            id="build_multiply_registers_circuit state layout",
+        ),
+        pytest.param(
+            lambda: build_multiply_by_constant_circuit(None), "spec None is not a MulConstSpec",
+            id="build_multiply_by_constant_circuit None spec",
+        ),
+        pytest.param(
+            lambda: build_multiply_by_constant_circuit(MulConstSpec(1, 1, 2, 1), "layout"),
+            "layout 'layout' is not a RegisterLayout", id="build_multiply_by_constant_circuit str layout",
+        ),
+        pytest.param(
+            lambda: build_shift_circuit((3, 2)), "spec (3, 2) is not a ShiftSpec", id="build_shift_circuit tuple"
+        ),
+        # An unhashable segment name is an unknown segment, not a bare TypeError.
+        pytest.param(
+            lambda: select_qubit(_STATE, _LAYOUT, ["b"], 1, ancilla="a"), "unknown segment ['b']",
+            id="select_qubit list segment",
+        ),
+        pytest.param(
+            lambda: segment_value_distribution(_STATE, _LAYOUT, ["b"]), "unknown segment ['b']",
+            id="segment_value_distribution list segment",
+        ),
     ],
 )
 def test_entry_points_refuse_inputs_off_their_domain(call, message):
