@@ -1,11 +1,12 @@
 """Reversible adders and the two shift-and-add multiplication pipelines.
 
-The adder is a ripple-carry circuit over {CNOT, TOFFOLI}: carries are
-computed forward, the top bit is summed, and a backward pass uncomputes
-every carry while writing the remaining sum bits. Addition is modulo
-2**|B| and needs |B|-1 carry wires, all returned to zero. The controlled
-variant gates only the sum writes, so the carry bookkeeping cancels
-identically when the control is 0.
+The adder is a ripple-carry circuit over {CNOT, TOFFOLI} (Vedral, Barenco
+and Ekert, quant-ph/9511018): carries are computed forward, the top bit is
+summed, and a backward pass undoes each carry block by running it in
+reverse, then writes that position's sum bit. Addition is modulo 2**|B|
+and needs |B|-1 carry wires, all returned to zero. The controlled variant
+gates only the sum writes, so the carry bookkeeping cancels identically
+when the control is 0.
 
 Multiplication by a constant interleaves conditional adds with left shifts
 of register A through its shift ancilla; register-times-register
@@ -73,38 +74,25 @@ def adder_gates(
         raise PreconditionError(
             f"adder needs {wb - 1} carry wires for a {wb}-wire target, got {len(c)}"
         )
-    controls = () if control is None else (control,)
+    controls = () if control is None else (integer(control, "control wire"),)
     disjoint({"addend": a, "target": b, "carries": c, "control": controls})
 
-    def sum_write(source: int, target: int) -> Gate:
-        if control is None:
-            return Gate.cnot(source, target)
-        return Gate.toffoli(control, source, target)
+    def carry(p: int) -> list[Gate]:
+        """The carry into position p+1, leaving b_p := a_p xor b_p; run backwards, it undoes both."""
+        low = [Gate.toffoli(a[p], b[p], c[p]), Gate.cnot(a[p], b[p])] if p < wa else []
+        return low + ([Gate.toffoli(c[p - 1], b[p], c[p])] if p >= 1 else [])
 
-    gates: list[Gate] = []
-    # Forward: compute the carry into each position 1..wb-1.
-    for p in range(wb - 1):
-        if p < wa:
-            gates.append(Gate.toffoli(a[p], b[p], c[p]))
-            gates.append(Gate.cnot(a[p], b[p]))  # b_p := a_p xor b_p
-        if p >= 1:
-            gates.append(Gate.toffoli(c[p - 1], b[p], c[p]))
-    # Top position: sum only, the carry out is dropped (mod 2**wb).
+    def sums(p: int) -> list[Gate]:
+        """b_p gains a_p (p < |a|) and the carry into p (p >= 1), only on control=1 components if controlled."""
+        sources = ([a[p]] if p < wa else []) + ([c[p - 1]] if p >= 1 else [])
+        return [Gate.cnot(s, b[p]) if control is None else Gate.toffoli(control, s, b[p]) for s in sources]
+
+    # Compute every carry and sum the top bit, its carry out dropped (mod 2**wb); then
+    # undo each carry block by running it backwards, and write its position's sum bit.
     top = wb - 1
-    if top < wa:
-        gates.append(sum_write(a[top], b[top]))
-    if top >= 1:
-        gates.append(sum_write(c[top - 1], b[top]))
-    # Backward: uncompute carries, write the remaining sum bits.
-    for p in range(wb - 2, -1, -1):
-        if p >= 1:
-            gates.append(Gate.toffoli(c[p - 1], b[p], c[p]))
-        if p < wa:
-            gates.append(Gate.cnot(a[p], b[p]))  # restore b_p
-            gates.append(Gate.toffoli(a[p], b[p], c[p]))
-            gates.append(sum_write(a[p], b[p]))
-        if p >= 1:
-            gates.append(sum_write(c[p - 1], b[p]))
+    gates = [g for p in range(top) for g in carry(p)] + sums(top)
+    for p in reversed(range(top)):
+        gates += carry(p)[::-1] + sums(p)
     return gates
 
 
@@ -139,7 +127,8 @@ def add(
     Registers may be segment names (resolved through the layout) or
     explicit wire sequences in slot order.
     """
-    num_wires = state.num_wires if layout is None else layout.num_wires
+    instance(state, StateVector, "state")
+    num_wires = state.num_wires if layout is None else instance(layout, RegisterLayout, "layout").num_wires
     a = _resolve(layout, reg_a, "addend", num_wires)
     b = _resolve(layout, reg_b, "target", num_wires)
     c = _resolve(layout, carries, "carries", num_wires)
@@ -156,7 +145,7 @@ def controlled_add(
     carries,
 ) -> StateVector:
     """Adds on control=1 basis components, identity on control=0 ones."""
-    return add(state, layout, reg_a, reg_b, carries, control=integer(control, "control wire"))
+    return add(state, layout, reg_a, reg_b, carries, control=control)
 
 
 def oracle_add(state: StateVector, reg_a: Sequence[int], reg_b: Sequence[int]) -> StateVector:
@@ -164,7 +153,7 @@ def oracle_add(state: StateVector, reg_a: Sequence[int], reg_b: Sequence[int]) -
 
     Relabels amplitudes directly from integer arithmetic; no gates.
     """
-    a = register_wires(reg_a, "addend", state.num_wires)
+    a = register_wires(reg_a, "addend", instance(state, StateVector, "state").num_wires)
     b = register_wires(reg_b, "target", state.num_wires)
     for name, wires in (("addend", a), ("target", b)):
         if not wires:
@@ -247,13 +236,13 @@ class MulQuantumSpec:
 
 
 def _mul_const_widths(spec: MulConstSpec) -> tuple[tuple[str, int], ...]:
-    nb = spec.b_width
+    nb = instance(spec, MulConstSpec, "spec").b_width
     return (("A", spec.a_width), ("B", nb), ("ancA", spec.a_ancilla), ("carry", nb - 1), ("c", 1))
 
 
 def _mul_quantum_widths(spec: MulQuantumSpec) -> tuple[tuple[str, int], ...]:
     return (
-        ("A", spec.a_width),
+        ("A", instance(spec, MulQuantumSpec, "spec").a_width),
         ("C", spec.c_width),
         ("B", spec.b_width),
         ("ancA", spec.a_ancilla),
@@ -301,10 +290,7 @@ def extended_addend(a_wires: Sequence[int], anc_wires: Sequence[int], shifts_don
     a_wires, anc_wires = register_wires(a_wires, "addend"), register_wires(anc_wires, "ancilla")
     if _nonnegative(shifts_done, "shifts_done") > len(anc_wires):
         raise PreconditionError("more shifts than ancilla wires")
-    ext = list(a_wires)
-    for j in range(shifts_done):
-        ext.append(anc_wires[len(anc_wires) - 1 - j])
-    return ext
+    return [*a_wires, *anc_wires[::-1][:shifts_done]]
 
 
 def _shift_and_add(

@@ -189,7 +189,7 @@ def decompose_cswap(control: int, a: int, b: int) -> Circuit:
 
 def _expand(circuit: Circuit, kind: str, decompose) -> Circuit:
     gates = []
-    for gate in circuit:
+    for gate in instance(circuit, Circuit, "circuit"):
         gates.extend(decompose(*gate.wires).gates if gate.kind == kind else (gate,))
     return Circuit(circuit.num_wires, gates)
 
@@ -217,7 +217,7 @@ def apply_gate_to_label(gate: Gate, label: int) -> int:
 
 def apply_circuit_to_label(circuit: Circuit, label: int) -> int:
     """Run an H-free circuit on a single basis label, gate by gate."""
-    label = basis_label(label, circuit.num_wires)
+    label = basis_label(label, instance(circuit, Circuit, "circuit").num_wires)
     for gate in circuit:
         label = apply_gate_to_label(gate, label)
     return label

@@ -68,6 +68,7 @@ def shift_cascade(
     k, n = len(a_wires), len(b_wires)
     if k < 1 or n < 1:
         raise PreconditionError("need at least one ancilla and one data wire")
+    c_wire = integer(c_wire, "control wire")
     disjoint({"ancilla": a_wires, "data": b_wires, "control": (c_wire,)})
     gates = []
     for i in range(k - 1):

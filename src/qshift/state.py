@@ -201,6 +201,12 @@ def check_unit_norm(amplitudes: np.ndarray, tol: float, what: str) -> None:
         raise PreconditionError(f"{what} norm {norm!r} deviates from 1 beyond {tol}")
 
 
+def check_layout_on_state(state: StateVector, layout: RegisterLayout) -> None:
+    """Refuse a ``state`` or ``layout`` of the wrong type, or a layout of another wire count than the state."""
+    if instance(state, StateVector, "state").num_wires != instance(layout, RegisterLayout, "layout").num_wires:
+        raise PreconditionError("layout and state wire counts differ")
+
+
 def _slice_index(m: int, wires: Sequence[int], bits: int) -> tuple:
     """Tensor index fixing each of ``wires`` to its bit in ``bits``."""
     # Axis for wire w in the reshaped tensor is m - 1 - w.
@@ -230,7 +236,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     Norm is preserved (exactly for permutations).
     """
     instance(gate, Gate, "gate")
-    m = state.num_wires
+    m = instance(state, StateVector, "state").num_wires
     ws = gate.wires
     Circuit(m, (gate,))  # refuses a gate off the state's wires, as a circuit of them does
     state._grow(1 << m)
@@ -446,10 +452,7 @@ def _zero_check(check, num_wires: int) -> tuple[tuple[int, ...], str]:
 
 
 def _wire_mask(wires: Iterable[int]) -> int:
-    mask = 0
-    for wire in wires:
-        mask |= 1 << wire
-    return mask
+    return sum(1 << wire for wire in set(wires))
 
 
 def _require_zero(state: StateVector, checks: Sequence[tuple[Sequence[int], str]]) -> None:
@@ -575,7 +578,7 @@ class RegisterLayout:
         return "".join("1" if (label >> wire) & 1 else "0" for wire in self.display_wires)
 
     def label_from_display(self, bits: str) -> int:
-        if len(bits) != self.num_wires or set(bits) - {"0", "1"}:
+        if len(instance(bits, str, "bitstring")) != self.num_wires or set(bits) - {"0", "1"}:
             raise PreconditionError(
                 f"bitstring {bits!r} is not {self.num_wires} bits"
             )
@@ -598,8 +601,7 @@ def segment_value_distribution(
     Values with exactly zero probability are omitted; the returned
     probabilities sum to 1 within 1e-12.
     """
-    if layout.num_wires != state.num_wires:
-        raise PreconditionError("layout and state wire counts differ")
+    check_layout_on_state(state, layout)
     width = layout.width(name)
     labels, amps = state.support()
     # Zero amplitudes would only add exact zeros, so the support gives the
@@ -616,7 +618,7 @@ class ProductCheck(NamedTuple):
 
 def schmidt_rank(state: StateVector, cut: Iterable[int], tol: float = SCHMIDT_TOL) -> int:
     """Number of singular values above ``tol`` across the given bipartition."""
-    m, tol = state.num_wires, tolerance(tol, "Schmidt tolerance")
+    m, tol = instance(state, StateVector, "state").num_wires, tolerance(tol, "Schmidt tolerance")
     cut_set = set(register_wires(cut, "cut", m))
     if not 0 < len(cut_set) < m:
         raise PreconditionError("cut must be a nonempty proper subset of the wires")

@@ -19,8 +19,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import PreconditionError
-from .state import NORM_TOL, RegisterLayout, StateVector, check_unit_norm
+from .errors import PreconditionError, instance
+from .state import NORM_TOL, RegisterLayout, StateVector, check_layout_on_state, check_unit_norm
 
 # Parse block size. Each block's lines, tokens, digits and floats are freed
 # before the next, so beyond the text and the amplitudes a parse holds one
@@ -34,8 +34,7 @@ _ZERO = ord("0")
 
 
 def state_to_text(state: StateVector, layout: RegisterLayout) -> str:
-    if layout.num_wires != state.num_wires:
-        raise PreconditionError("layout and state wire counts differ")
+    check_layout_on_state(state, layout)
     m = state.num_wires
     labels, amps = state.support()
     # All bitstrings have m characters, so their order is that of the
@@ -160,7 +159,7 @@ def state_from_text(text: str, layout: RegisterLayout, *, norm_tol: float = NORM
         m = int(header.split("=", 1)[1])
     except ValueError:
         raise PreconditionError(f"bad header {header!r}") from None
-    if m != layout.num_wires:
+    if m != instance(layout, RegisterLayout, "layout").num_wires:
         raise PreconditionError(
             f"file has {m} wires, layout expects {layout.num_wires}"
         )
@@ -195,7 +194,7 @@ def write_state(state: StateVector, layout: RegisterLayout, path: str) -> None:
     The file gets the mode a plain ``open(path, "w")`` would give it:
     0o666 less the process umask.
     """
-    text = state_to_text(state, layout)
+    path, text = _path(path), state_to_text(state, layout)
     directory = os.path.dirname(os.path.abspath(path))
     while True:
         tmp = os.path.join(directory, f".qshift-{os.urandom(8).hex()}")
@@ -214,8 +213,17 @@ def write_state(state: StateVector, layout: RegisterLayout, path: str) -> None:
         raise
 
 
+def _path(path) -> str:
+    """``path`` as a str, refused by type before any open: ``open(True)`` would open stdout."""
+    try:
+        return os.fsdecode(path)
+    except TypeError:
+        kind = type(path).__name__
+        raise PreconditionError(f"state file path of type {kind} is not a str, bytes or os.PathLike") from None
+
+
 def read_state(path: str, layout: RegisterLayout, *, norm_tol: float = NORM_TOL) -> StateVector:
-    with open(path, "rb") as fh:
+    with open(_path(path), "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("ascii")

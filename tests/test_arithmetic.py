@@ -591,11 +591,14 @@ def _reference_multiply_registers(spec, layout):
 
 
 def test_adder_and_multipliers_match_their_reference_gate_lists():
-    for wa in range(1, 5):
-        for wb in range(wa, 6):
-            a, b, c = range(wa), range(wa, wa + wb), range(wa + wb, wa + 2 * wb - 1)
-            for control in (None, wa + 2 * wb - 1):
-                assert adder_gates(a, b, c, control) == _reference_adder_gates(a, b, c, control)
+    rng = np.random.default_rng(24)
+    for wa in range(1, 9):
+        for wb in range(wa, 9):
+            # Registers on consecutive wires, then on shuffled wires with gaps among 40.
+            for wires in (list(range(wa + 2 * wb)), rng.choice(40, wa + 2 * wb, replace=False).tolist()):
+                a, b, c = wires[:wa], wires[wa:wa + wb], wires[wa + wb:wa + 2 * wb - 1]
+                for control in (None, wires[-1]):
+                    assert adder_gates(a, b, c, control) == _reference_adder_gates(a, b, c, control)
     for a_width, a_ancilla, b_width in itertools.product(range(1, 4), range(1, 4), range(1, 7)):
         for multiplier in range(1 << (a_ancilla + 1)):
             spec = MulConstSpec(a_width, a_ancilla, b_width, multiplier)

@@ -84,7 +84,8 @@ def test_the_register_rule_is_written_only_in_errors():
 
 def test_the_width_and_gate_fit_rules_are_written_once():
     # MulQuantumSpec and the constant schedule share one width rule, and
-    # apply_gate refuses a gate off the state through Circuit's own rule.
-    for fragment in ("register widths must be at least 1", "exceeds {} wires"):
+    # apply_gate refuses a gate off the state through Circuit's own rule; the
+    # state-file writer and the marginals check a layout against a state by one rule.
+    for fragment in ("register widths must be at least 1", "exceeds {} wires", "layout and state wire counts differ"):
         hits = [f"{path.stem}.{owner}" for path in SOURCES for owner, text in _literals(path) if fragment in text]
         assert len(hits) == 1, hits

@@ -85,6 +85,20 @@ def _state(num_wires=4):
             lambda: shift_cascade([0], [1.0, 2.0], 3), "data wire 1.0 is not an integer",
             id="shift_cascade data",
         ),
+        # A control wire goes through the integer rule before the overlap rule:
+        # True is named as a bool, not taken for the wire 1 of the target.
+        pytest.param(lambda: adder_gates([0], [1], [], True), "control wire True is not an integer",
+                     id="adder_gates bool control"),
+        pytest.param(lambda: build_adder_circuit(4, [0], [1], [], True), "control wire True is not an integer",
+                     id="build_adder_circuit bool control"),
+        pytest.param(lambda: add(_state(), None, [0], [1], [], True), "control wire True is not an integer",
+                     id="add bool control"),
+        pytest.param(lambda: adder_gates([0], [1], [], [5]), "control wire [5] is not an integer",
+                     id="adder_gates list control"),
+        pytest.param(lambda: shift_cascade([0], [1], True), "control wire True is not an integer",
+                     id="shift_cascade bool control"),
+        pytest.param(lambda: shift_cascade([0], [1], [2]), "control wire [2] is not an integer",
+                     id="shift_cascade list control"),
     ],
 )
 def test_each_register_entry_point_names_a_bad_register(call, message):
@@ -104,7 +118,7 @@ _junk_wires = st.one_of(
 )
 _junk_registers = st.one_of(_junk_wires, st.lists(_junk_wires, max_size=4))
 
-# Each takes one register, the others held to valid wires of a 7-wire state.
+# Each takes one register (or a control wire), the others held to valid wires of a 7-wire state.
 _REGISTER_ENTRY_POINTS = [
     lambda reg: _state(7).support(reg),
     lambda reg: run_circuit(_state(7), Circuit(7), [(reg, "probe")]),
@@ -120,6 +134,8 @@ _REGISTER_ENTRY_POINTS = [
     lambda reg: oracle_add(_state(7), [0], reg),
     lambda reg: shift_cascade(reg, [4, 5], 6),
     lambda reg: shift_cascade([0, 1], reg, 6),
+    lambda reg: shift_cascade([0, 1], [4, 5], reg),  # the control wire, a scalar
+    lambda reg: adder_gates([0], [4, 5], [6], reg),
     lambda reg: extended_addend(reg, [4, 5], 1),
     lambda reg: extended_addend([0], reg, 1),
     lambda reg: classical_shift_oracle(reg, [0, 1], 0),

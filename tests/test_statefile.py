@@ -2,6 +2,8 @@
 
 import os
 import stat
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -116,6 +118,45 @@ def test_negative_zero_is_normalized():
     layout = RegisterLayout([("q", [0])])
     state = StateVector(np.array([1.0, -0.0 + 0.0j]))
     assert "-0" not in state_to_text(state, layout)
+
+
+@pytest.mark.parametrize(
+    "call, kind",
+    [
+        pytest.param(lambda: read_state(None, _layout()), "NoneType", id="read None"),
+        pytest.param(lambda: write_state(StateVector.from_label(5, 0), _layout(), 3.5), "float", id="write float"),
+        pytest.param(lambda: write_state(StateVector.from_label(5, 0), _layout(), None), "NoneType", id="write None"),
+        pytest.param(lambda: write_state(StateVector.from_label(5, 0), _layout(), True), "bool", id="write bool"),
+        pytest.param(lambda: write_state(StateVector.from_label(5, 0), _layout(), 1), "int", id="write int"),
+    ],
+)
+def test_a_path_that_os_fspath_refuses_is_named_by_its_type(call, kind, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(PreconditionError) as excinfo:
+        call()
+    assert str(excinfo.value) == f"state file path of type {kind} is not a str, bytes or os.PathLike"
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_bool_or_int_read_path_is_refused_before_anything_is_opened():
+    # open(True) and open(1) open file descriptor 1, and leaving the read's
+    # block would close the process's stdout; run apart, so the test
+    # runner's own stdout stays open whatever happens.
+    script = (
+        "import os, qshift\n"
+        "for path in (True, 1):\n"
+        "    try:\n"
+        "        qshift.read_state(path, qshift.shift_layout(2, 2))\n"
+        "    except qshift.PreconditionError as exc:\n"
+        "        print(exc)\n"
+        "os.fstat(1)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        f"state file path of type {kind} is not a str, bytes or os.PathLike" for kind in ("bool", "int")
+    ]
 
 
 def test_written_file_mode_follows_umask(tmp_path):
