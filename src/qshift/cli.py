@@ -21,7 +21,7 @@ from .arithmetic import (
     multiply_by_constant,
     multiply_registers,
 )
-from .errors import PreconditionError, tolerance
+from .errors import PreconditionError, instance, tolerance
 from .gates import Circuit, Gate
 from .shift_register import ShiftSpec, gate_count, rotate, shift, shift_layout
 from .state import NORM_TOL, RegisterLayout, StateVector, run_circuit
@@ -164,15 +164,14 @@ def prepare_state(kind: str, layout: RegisterLayout) -> StateVector:
     "uniform A" puts H on every wire of segment A; "uniform A:1" or
     "uniform A:1-2" restricts to a slot range.
     """
-    words = kind.split()
+    words, m = instance(kind, str, "preparation kind").split(), instance(layout, RegisterLayout, "layout").num_wires
     if words == ["zero"]:
-        return StateVector.from_label(layout.num_wires, 0)
+        return StateVector.from_label(m, 0)
     if len(words) == 2 and words[0] == "basis":
-        return StateVector.from_label(layout.num_wires, layout.label_from_display(words[1]))
+        return StateVector.from_label(m, layout.label_from_display(words[1]))
     if len(words) == 2 and words[0] == "uniform":
-        state = StateVector.from_label(layout.num_wires, 0)
         gates = [Gate.h(wire) for wire in _segment_wires(layout, words[1])]
-        return run_circuit(state, Circuit(layout.num_wires, gates))
+        return run_circuit(StateVector.from_label(m, 0), Circuit(m, gates))
     raise PreconditionError(f"malformed preparation kind {kind!r}")
 
 

@@ -10,7 +10,8 @@ enough wires that their zero slice, the labels where every checked wire
 reads 0, holds at most ``SUPPORT_PATH_MAX_SHARE`` of the labels. One sweep,
 which reads contiguous slices as uint64 words first, answers the checks,
 and the support is gathered from that slice. Every other circuit runs on
-the dense array after the same sweep. Copies skip blocks that are all zero.
+the dense array after the same sweep. Copies and support reads visit only the blocks
+that one scan finds holding a nonzero bit; it reads a block only if its head is zero.
 Until its buffer is handed out through ``.amplitudes``, a state bounds the
 labels that may hold a nonzero bit; copies, sweeps and scans stop there.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,9 +52,9 @@ MAX_WIRES = 24  # a dense vector of 2**24 amplitudes takes 256 MiB
 # slice exchange over the array.
 SUPPORT_PATH_MAX_SHARE = 1 / 8
 
-# StateVector.copy writes only nonzero blocks from 32 MiB (21 wires), which glibc mmaps afresh, so
-# np.zeros takes 0.01 ms (a reused 16 MiB chunk: 0.85 ms). 2**15-amplitude blocks copy 64 labels at
-# 22 wires in 1.9 ms, not 19.5, a dense state in 17, not 21 (2**13-2**16 within 10%; 2 cores).
+# StateVector.copy writes only occupied blocks from 32 MiB (21 wires), which glibc mmaps afresh, so
+# np.zeros takes 0.01 ms (a reused 16 MiB chunk: 0.85 ms). 2**15-amplitude blocks copy 64 labels at 22 wires
+# in 1.6 ms, 1.2 of them the scan, not 19 (a plain copy); a dense state as a plain copy (2**13-2**16 within 25%).
 _LAZY_ZERO_BYTES = 1 << 25
 _COPY_BLOCK = 1 << 15
 
@@ -108,20 +109,17 @@ class StateVector:
         self._amps, self._live = amps, None
 
     def copy(self) -> "StateVector":
-        """Bit-exact copy; from 21 wires only the bound's blocks with a nonzero bit (-0.0, NaN) are written."""
+        """Bit-exact copy; from 21 wires the rows :func:`_occupied` yields go into zeros, bounded at the last one."""
         out = object.__new__(StateVector)
         out.num_wires = self.num_wires
-        amps, end = self._amps, self._amps.size if self._live is None else self._live
-        if amps.nbytes < _LAZY_ZERO_BYTES or amps.dtype != np.complex128 or not amps.flags.c_contiguous:
-            out._amps, out._live = amps.copy(), end
+        if self._amps.nbytes < _LAZY_ZERO_BYTES:
+            out._amps, out._live = self._amps.copy(), self._live
             return out
-        out._amps, out._live = np.zeros(amps.shape, amps.dtype), 0
-        src, dst = amps.reshape(-1), out._amps.reshape(-1)
-        for lo in range(0, end, _COPY_BLOCK):
-            block = src[lo:lo + _COPY_BLOCK]
-            if block[0] or block.view(np.uint64).max():  # a dense block skips the read
-                dst[lo:lo + _COPY_BLOCK] = block
-                out._live = lo + block.size
+        rows, out._amps, i = self._rows(), np.zeros(self._amps.shape, np.complex128), -1
+        dst = out._amps.reshape(-1, rows.shape[1])
+        for i in _occupied(rows):  # while the scan's read of the row is still in cache
+            dst[i] = rows[i]
+        out._live = (i + 1) * rows.shape[1]
         return out
 
     def __copy__(self) -> "StateVector":  # never a shared buffer: each state keeps its own bound
@@ -132,9 +130,11 @@ class StateVector:
         if self._live is not None:
             self._live = max(self._live, end)
 
-    def _live_wires(self) -> int:
-        """The k low wires of the live prefix ``2**k``: a label with a 1 on a wire >= k holds +0.0."""
-        return self.num_wires if self._live is None else max(1, (self._live - 1).bit_length())
+    def _rows(self) -> np.ndarray:
+        """The buffer as C-contiguous complex128 rows of ``_COPY_BLOCK`` amplitudes (one if fewer), up to the bound."""
+        amps = np.ascontiguousarray(self._amps, np.complex128).reshape(-1)
+        block, end = min(_COPY_BLOCK, amps.size), amps.size if self._live is None else self._live
+        return amps.reshape(-1, block)[:-(-end // block)]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self._amps))
@@ -143,8 +143,13 @@ class StateVector:
         return complex(self._amps[basis_label(label, self.num_wires)])
 
     def nonzero_labels(self) -> np.ndarray:
-        """Sorted labels of the nonzero amplitudes, as ``np.flatnonzero`` gives them, from the live prefix."""
-        return np.flatnonzero(self._amps[:1 << self._live_wires()])
+        """Sorted labels of the nonzero amplitudes, as ``np.flatnonzero`` gives them, read from the runs of rows
+        that :func:`_occupied` yields; ``!= 0`` marks the amplitudes that flatnonzero's complex test does, 2x faster."""
+        rows = self._rows()
+        live = np.isin(np.arange(len(rows) + 1), list(_occupied(rows)))  # a False after the last row
+        edges = np.flatnonzero(np.diff(live, prepend=False)).tolist()  # each run's first row, then its end
+        runs = [np.flatnonzero(rows[lo:hi] != 0) + lo * rows.shape[1] for lo, hi in zip(edges[::2], edges[1::2])]
+        return runs[0] if len(runs) == 1 else np.concatenate([np.zeros(0, np.intp), *runs])
 
     def support(self, wires: Iterable[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Sorted labels of the nonzero amplitudes (``-0.0`` is zero) and those amplitudes.
@@ -171,6 +176,23 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(num_wires={self.num_wires})"
+
+
+def _occupied(rows: np.ndarray) -> Iterator[int]:
+    """Indices of the rows holding a nonzero bit (``-0.0``, NaN too), ascending; a row with a nonzero first
+    amplitude is yielded unread. The others' uint64 words are read by one max per stretch, which doubles while it
+    finds only zeros and is one row after a live one, so a caller writing each row as it comes has it in cache."""
+    heads, words, lo, step = (rows[:, 0] != 0).tolist() + [True], rows.view(np.uint64), 0, 1
+    while lo < len(rows):
+        hi = lo + 1 if heads[lo] else min(heads.index(True, lo), lo + step)  # stop at the next nonzero head
+        if hi == lo + 1:  # a live head, or one row read: the same answer in fewer calls
+            live = heads[lo] or bool(words[lo].max())
+            if live:
+                yield lo
+        else:
+            live = (lo + np.flatnonzero(words[lo:hi].max(axis=1))).tolist()
+            yield from live
+        lo, step = hi, 1 if live else 2 * step
 
 
 def new_basis_state(num_wires: int, label: str) -> StateVector:
@@ -474,7 +496,7 @@ def _has_one(state: StateVector, wires: Sequence[int]) -> bool:
     which reads each amplitude of the live prefix off the zero slice once;
     a wire above the prefix reads 0 unread. As in ``np.flatnonzero``,
     ``-0.0`` is zero."""
-    k = state._live_wires()
+    k = state.num_wires if state._live is None else max(1, (state._live - 1).bit_length())
     t, top = state._amps[:1 << k].reshape((2,) * k), sorted({w for w in wires if w < k}, reverse=True)
     slices = (_slice_index(k, top[:i + 1], 1 << w) for i, w in enumerate(top))
     return any(_nonzero(t[idx]) for idx in slices)

@@ -1,7 +1,8 @@
 """Every public callable refuses junk input with a ``PreconditionError``: one
 valid call per callable in ``qshift.__all__`` (and per ``StateVector`` and
-``RegisterLayout`` method that takes outside input), each positional argument
-replaced in turn by each junk value, lets no other exception escape."""
+``RegisterLayout`` method that takes outside input, and ``qshift.cli.prepare_state``),
+each positional argument replaced in turn by each junk value, lets no other
+exception escape."""
 
 import functools
 import os
@@ -9,6 +10,7 @@ import os
 import pytest
 
 import qshift
+import qshift.cli
 from qshift import (
     Circuit,
     Gate,
@@ -108,6 +110,8 @@ _VALID_CALLS = {
     "RegisterLayout.label_with_value": lambda: (_shift_layout().label_with_value, [12, "b", 1]),
     "RegisterLayout.display_label": lambda: (_shift_layout().display_label, [12]),
     "RegisterLayout.label_from_display": lambda: (_shift_layout().label_from_display, ["00011"]),
+    # Public in qshift.cli, though not in __all__: library callers reach it with any values.
+    "cli.prepare_state": lambda: (qshift.cli.prepare_state, ["uniform b", _shift_layout()]),
 }
 
 

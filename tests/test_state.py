@@ -179,8 +179,8 @@ def _holding(amps):
 
 
 # Lone values that a block or slice may hold: each has a nonzero bit, and
-# only the signed zeros read as zero.
-_LONE = [1.0, 1j, 5e-324, complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.nan, 0.0)]
+# only the signed zeros read as zero. The largest float of -1 - 0j is -0.0.
+_LONE = [1.0, 1j, 5e-324, complex(-1.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.nan, 0.0)]
 
 
 def _assert_copied(state, copied):
@@ -191,29 +191,83 @@ def _assert_copied(state, copied):
     assert np.array_equal(_bits(state.amplitudes.copy()), _bits(before))
 
 
-@settings(max_examples=100, deadline=None)
+def _block_pattern(rng, m, block):
+    """2**m amplitudes whose blocks of ``block`` are each, at random, all zero, dense, or one ``_LONE`` value
+    at the block's first amplitude, its last or a random offset: mixed runs of live and zero blocks,
+    signed-zero and NaN heads, and live blocks behind zero heads."""
+    amps = np.zeros(1 << m, dtype=np.complex128)
+    for start in range(0, 1 << m, block):
+        kind = int(rng.integers(3))
+        if kind == 1:
+            amps[start:start + block] = rng.normal(size=2 * block).view(np.complex128)
+        elif kind == 2:
+            offset = [0, block - 1, int(rng.integers(block))][int(rng.integers(3))]
+            amps[start + offset] = _LONE[int(rng.integers(len(_LONE)))]
+    return amps
+
+
+def _occupied_end(amps, block):
+    """The end of the last block of ``amps`` that holds a nonzero bit, or 0."""
+    occupied = np.flatnonzero(_bits(np.ascontiguousarray(amps)).reshape(-1, 2 * block).any(axis=1))
+    return int(occupied[-1] + 1) * block if occupied.size else 0
+
+
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_block_copy_is_bit_exact(data):
-    # Blocks of 4-64 amplitudes stand in for 2**15, with every size on the block path.
+    # Blocks of 4-64 amplitudes stand in for 2**15, with every size on the block path; the
+    # copy's bound is the end of the last block it wrote.
     m, block = data.draw(st.integers(8, 12)), 1 << data.draw(st.integers(2, 6))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     amps = np.zeros(1 << m, dtype=np.complex128)
-    kind = data.draw(st.sampled_from(["signed zeros", "block edge", "one block", "dense"]))
+    kind = data.draw(st.sampled_from(["signed zeros", "block edge", "one block", "dense", "mixed", "fresh"]))
     if kind == "signed zeros":
         amps.real[rng.random(1 << m) < 0.01] = -0.0
         amps.imag[rng.random(1 << m) < 0.01] = -0.0
     elif kind == "block edge":
         start = block * data.draw(st.integers(0, (1 << m) // block - 1))
         amps[start + data.draw(st.sampled_from([0, block - 1]))] = data.draw(st.sampled_from(_LONE))
-    else:
+    elif kind == "mixed":
+        amps = _block_pattern(rng, m, block)
+    elif kind != "fresh":
         start = block * int(rng.integers((1 << m) // block))
         live = slice(None) if kind == "dense" else slice(start, start + block)
         amps[live] = rng.normal(size=2 * amps[live].size).view(np.complex128)
-    state = _holding(amps[::2] if data.draw(st.booleans()) else amps)  # a strided buffer is copied whole
+    if kind == "fresh":  # a bound that is rarely a whole number of blocks
+        state = StateVector.from_label(m, int(rng.integers(1 << m)))
+    else:
+        state = _holding(amps[::2] if data.draw(st.booleans()) else amps)  # a strided buffer is read converted
+    end = _occupied_end(state._amps, block)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(state_module, "_LAZY_ZERO_BYTES", 0)
         patch.setattr(state_module, "_COPY_BLOCK", block)
-        _assert_copied(state, state.copy().amplitudes)
+        copied = state.copy()
+    assert copied._live == end
+    _assert_copied(state, copied.amplitudes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_nonzero_labels_and_support_read_the_occupied_blocks_as_flatnonzero(data):
+    # The mixed block patterns of the copy test, with blocks of 4-64 amplitudes (some larger
+    # than the state), in a handed-out buffer or under a bound anywhere past the last nonzero bit.
+    m, block = data.draw(st.integers(4, 11)), 1 << data.draw(st.integers(2, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = _block_pattern(rng, m, min(block, 1 << m))
+    want = np.flatnonzero(amps)
+    if data.draw(st.booleans()):
+        state = _holding(amps)
+    else:
+        state = StateVector.from_label(m, 0)
+        state._amps[:] = amps
+        last = int(np.flatnonzero(_bits(amps).reshape(-1, 2).any(axis=1)).max(initial=-1))
+        state._live = int(rng.integers(last + 1, (1 << m) + 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(state_module, "_COPY_BLOCK", block)
+        labels = state.nonzero_labels()
+        got, values = state.support()
+    assert labels.dtype == want.dtype and np.array_equal(labels, want) and np.array_equal(got, want)
+    assert np.array_equal(_bits(values), _bits(amps[want]))
 
 
 def test_sparse_22_wire_copy_is_bit_exact():
