@@ -12,8 +12,9 @@ which reads contiguous slices as uint64 words first, answers the checks,
 and the support is gathered from that slice. Every other circuit runs on
 the dense array after the same sweep. Copies and support reads visit only the blocks
 that one scan finds holding a nonzero bit; it reads a block only if its head is zero.
-Until its buffer is handed out through ``.amplitudes``, a state bounds the
-labels that may hold a nonzero bit; copies, sweeps and scans stop there.
+Until its buffer is handed out through ``.amplitudes``, a state bounds the labels that may hold a nonzero
+bit; copies, sweeps and scans stop there, and each gate runs on the smallest power-of-two prefix that holds
+the bound and its wires, so a state prepared by H gates costs the wires they touch.
 
 On the dense path the wires that an H-free circuit's checks proved 0 are
 marked, and only the slice where they read 0 is permuted. Consecutive
@@ -66,9 +67,9 @@ class StateVector:
 
     Gate application mutates the amplitude buffer in place; use
     :meth:`copy` to keep a snapshot. Callers hold exclusive access to a
-    state while operating on it. Every amplitude from label ``_live`` on
-    holds ``+0.0`` bits; reading or assigning :attr:`amplitudes` hands the
-    buffer out, and the bound becomes None for good.
+    state while operating on it. Every amplitude from label ``_live`` on holds ``+0.0`` bits; copies,
+    sweeps, scans and gates stop at the power-of-two prefix that holds it. Reading or assigning
+    :attr:`amplitudes` hands the buffer out, and the bound becomes None for good.
     """
 
     __slots__ = ("num_wires", "_amps", "_live")
@@ -171,8 +172,14 @@ class StateVector:
             return False
         return bool(np.max(np.abs(self._amps - other._amps)) <= tol)
 
-    def _tensor(self) -> np.ndarray:
-        return self._amps.reshape((2,) * self.num_wires)
+    def _span(self, end: int) -> int:
+        """Bits k of the smallest prefix ``2**k`` that holds the bound and wires below ``end``; m with no bound."""
+        return self.num_wires if self._live is None else max(end, (self._live - 1).bit_length())
+
+    def _tensor(self, k: int | None = None) -> np.ndarray:
+        """The first ``2**k`` amplitudes, all by default, as a k-wire tensor."""
+        k = self.num_wires if k is None else k
+        return self._amps[:1 << k].reshape((2,) * k)
 
     def __repr__(self) -> str:
         return f"StateVector(num_wires={self.num_wires})"
@@ -238,13 +245,10 @@ def _slice_index(m: int, wires: Sequence[int], bits: int) -> tuple:
     return tuple(idx)
 
 
-def _apply_exchange(state: StateVector, wires: Sequence[int], a: int, b: int) -> None:
-    """A slice exchange: the sub-tensors that fix ``wires`` to the bits of
-    label ``a`` and to those of label ``b`` trade places."""
-    m = state.num_wires
-    t = state._tensor()
-    idx_a = _slice_index(m, wires, a)
-    idx_b = _slice_index(m, wires, b)
+def _apply_exchange(t: np.ndarray, wires: Sequence[int], a: int, b: int) -> None:
+    """A slice exchange on the tensor ``t``: the sub-tensors that fix ``wires``
+    to the bits of label ``a`` and to those of label ``b`` trade places."""
+    idx_a, idx_b = _slice_index(t.ndim, wires, a), _slice_index(t.ndim, wires, b)
     tmp = t[idx_a].copy()
     t[idx_a] = t[idx_b]
     t[idx_b] = tmp
@@ -255,35 +259,36 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
     A permutation gate exchanges the two slices its masks pair up, so it
     moves amplitudes exactly; H is the standard one-wire Hadamard butterfly.
-    Norm is preserved (exactly for permutations).
+    Norm is preserved (exactly for permutations). The gate runs on the prefix of ``state._span`` bits,
+    whose end becomes the bound: above it, H and the exchanges would pair ``+0.0`` with ``+0.0``.
     """
     instance(gate, Gate, "gate")
     m = instance(state, StateVector, "state").num_wires
     ws = gate.wires
     Circuit(m, (gate,))  # refuses a gate off the state's wires, as a circuit of them does
-    state._grow(1 << m)
+    k = state._span(1 + max(ws))
+    t = state._tensor(k)
+    state._grow(1 << k)
     if gate.kind == "H":
-        t = state._tensor()
-        lo = _slice_index(m, ws, 0)
-        hi = _slice_index(m, ws, 1 << ws[0])
-        a = t[lo].copy()
-        b = t[hi]
+        lo, hi = _slice_index(k, ws, 0), _slice_index(k, ws, 1 << ws[0])
+        a, b = t[lo].copy(), t[hi]
         t[lo] = (a + b) * _SQRT_HALF
         t[hi] = (a - b) * _SQRT_HALF
         return state
     control, flip, pattern = gate.masks
-    _apply_exchange(state, ws, control | pattern, control | (pattern ^ flip))
+    _apply_exchange(t, ws, control | pattern, control | (pattern ^ flip))
     return state
 
 
 class _Map(NamedTuple):
     """One dense step: on the slice where every ``fixed`` wire reads 0, wire
-    w takes the bit of wire ``src[w]`` (``src`` keeps the fixed wires in
-    place); then each wire of the mask ``flips`` is flipped."""
+    w takes the bit of wire ``src[w]`` (``src`` keeps the fixed wires in place); then each
+    wire of the mask ``flips`` is flipped. Every wire it moves or flips lies below ``end``."""
 
     fixed: tuple[int, ...]
     src: tuple[int, ...]
     flips: int
+    end: int
 
 
 def _dense_steps(circuit: Circuit, marked: int) -> list[Gate | _Map]:
@@ -322,7 +327,8 @@ def _dense_steps(circuit: Circuit, marked: int) -> list[Gate | _Map]:
 def _end_map(m: int, marked: int, src: list[int], flips: int) -> list[_Map]:
     """The step of a map that fixes the ``marked`` wires; none if it moves and flips nothing."""
     fixed = tuple(w for w in range(m) if marked >> w & 1)
-    return [_Map(fixed, tuple(src), flips)] if flips or src != list(range(m)) else []
+    written = [w for w in range(m) if src[w] != w or flips >> w & 1]
+    return [_Map(fixed, tuple(src), flips, written[-1] + 1)] if written else []
 
 
 def _assignments(wires: Sequence[int]) -> np.ndarray:
@@ -338,7 +344,8 @@ def _apply_map(state: StateVector, step: _Map) -> None:
     zeros, and stay put. A map of two wires is one slice exchange (0.75
     copies per amplitude), of more one :func:`_apply_permute` (1.75); with
     no fixed wire, a swap peeled off to keep the top wire runs after it.
-    Each flip then runs as a one-wire slice exchange.
+    Each flip then runs as a one-wire slice exchange. The map reads its fixed wires, so it runs
+    on the whole array; the bound then grows to the prefix that holds ``step.end``.
     """
     m, fixed, src = state.num_wires, step.fixed, list(step.src)
     exchanges = [((w,), 0, 1 << w) for w in range(m) if step.flips >> w & 1]
@@ -352,7 +359,8 @@ def _apply_map(state: StateVector, step: _Map) -> None:
     elif moved:
         _apply_permute(state, fixed, src)
     for wires, a, b in exchanges:
-        _apply_exchange(state, wires, a, b)
+        _apply_exchange(state._tensor(), wires, a, b)
+    state._grow(1 << state._span(step.end))
 
 
 def _apply_permute(state: StateVector, fixed: tuple[int, ...], src: Sequence[int]) -> None:
@@ -420,10 +428,10 @@ def _run_on_support(
 
     Both paths move every nonzero amplitude bit for bit as the gates one by
     one would. A zero, ``-0.0`` included, may stay put where the gates
-    would move it: off the support, or where a marked wire reads 1.
+    would move it: off the support, or where a marked wire reads 1. Both keep the bound:
+    the label path raises it past the highest label it writes, the dense path to the prefix it writes.
     """
     if labels is None:
-        state._grow(1 << state.num_wires)
         for step in circuit.derived(_dense_steps, marked if circuit.is_permutation() else 0):
             if isinstance(step, Gate):
                 apply_gate(state, step)
@@ -496,8 +504,8 @@ def _has_one(state: StateVector, wires: Sequence[int]) -> bool:
     which reads each amplitude of the live prefix off the zero slice once;
     a wire above the prefix reads 0 unread. As in ``np.flatnonzero``,
     ``-0.0`` is zero."""
-    k = state.num_wires if state._live is None else max(1, (state._live - 1).bit_length())
-    t, top = state._amps[:1 << k].reshape((2,) * k), sorted({w for w in wires if w < k}, reverse=True)
+    k = state._span(1)
+    t, top = state._tensor(k), sorted({w for w in wires if w < k}, reverse=True)
     slices = (_slice_index(k, top[:i + 1], 1 << w) for i, w in enumerate(top))
     return any(_nonzero(t[idx]) for idx in slices)
 

@@ -59,6 +59,13 @@ def random_state(rng: np.random.Generator, num_wires: int) -> StateVector:
     return StateVector(amps)
 
 
+def holding(amps: np.ndarray) -> StateVector:
+    """A state whose buffer is ``amps`` itself, unit norm or not, handed out: it keeps no live-prefix bound."""
+    state = StateVector.from_label(int(amps.size).bit_length() - 1, 0)
+    state.amplitudes = amps
+    return state
+
+
 def random_gate(rng: np.random.Generator, num_wires: int, kinds) -> Gate:
     kind = kinds[rng.integers(len(kinds))]
     wires = rng.choice(num_wires, size=GATE_ARITY[kind], replace=False)

@@ -41,12 +41,14 @@ from qshift import (
     shift,
     shift_layout,
     state_from_text,
+    state_to_text,
 )
 from qshift import state as state_module
+from qshift.cli import prepare_state
 from qshift.arithmetic import num_additions
 from qshift.gates import apply_circuit_to_labels
 from qshift.state import _has_one, _nonzero, _slice_index
-from conftest import apply_gate_matrix, random_circuit, random_gate, random_state
+from conftest import apply_gate_matrix, holding, random_circuit, random_gate, random_state
 
 ALL_KINDS = ("X", "H", "CNOT", "SWAP", "CSWAP", "TOFFOLI")
 
@@ -171,13 +173,6 @@ def test_support_matches_the_nonzero_labels(data):
     assert np.array_equal(got, on_wires) and np.array_equal(_bits(values), _bits(state.amplitudes[on_wires]))
 
 
-def _holding(amps):
-    """A state whose buffer is ``amps`` itself, unit norm or not."""
-    state = StateVector.from_label(int(amps.size).bit_length() - 1, 0)
-    state.amplitudes = amps
-    return state
-
-
 # Lone values that a block or slice may hold: each has a nonzero bit, and
 # only the signed zeros read as zero. The largest float of -1 - 0j is -0.0.
 _LONE = [1.0, 1j, 5e-324, complex(-1.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.nan, 0.0)]
@@ -236,7 +231,7 @@ def test_block_copy_is_bit_exact(data):
     if kind == "fresh":  # a bound that is rarely a whole number of blocks
         state = StateVector.from_label(m, int(rng.integers(1 << m)))
     else:
-        state = _holding(amps[::2] if data.draw(st.booleans()) else amps)  # a strided buffer is read converted
+        state = holding(amps[::2] if data.draw(st.booleans()) else amps)  # a strided buffer is read converted
     end = _occupied_end(state._amps, block)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(state_module, "_LAZY_ZERO_BYTES", 0)
@@ -256,7 +251,7 @@ def test_nonzero_labels_and_support_read_the_occupied_blocks_as_flatnonzero(data
     amps = _block_pattern(rng, m, min(block, 1 << m))
     want = np.flatnonzero(amps)
     if data.draw(st.booleans()):
-        state = _holding(amps)
+        state = holding(amps)
     else:
         state = StateVector.from_label(m, 0)
         state._amps[:] = amps
@@ -333,13 +328,22 @@ def test_live_bound_holds_and_changes_no_verdict(data):
                 states.append(state.copy() if step == "copy" else copy.copy(state))
                 assert states[-1]._amps is not state._amps
                 assert np.array_equal(_bits(states[-1]._amps), _bits(state._amps))
-            elif step == "run":
-                circuit, checks = _random_run(rng, state)
-                twin = _holding(state._amps.copy())
-                assert _outcome(state, circuit, checks) == _outcome(twin, circuit, checks)
+            elif step in ("run", "gate"):
+                # A bounded state keeps a bound, at most the smallest 2**j above its old
+                # bound and the step's wires, whether its gates ran on the prefix or not.
+                bound, twin = state._live, holding(state._amps.copy())
+                if step == "run":
+                    circuit, checks = _random_run(rng, state)
+                    assert _outcome(state, circuit, checks) == _outcome(twin, circuit, checks)
+                else:
+                    gate = random_gate(rng, m, ("H",) if rng.random() < 0.25 else _PERMUTATIONS)
+                    circuit = Circuit(m, [gate])
+                    apply_gate(state, gate)
+                    apply_gate(twin, gate)
                 assert np.array_equal(_bits(state._amps), _bits(twin._amps))
-            elif step == "gate":
-                apply_gate(state, random_gate(rng, m, ("H",) if rng.random() < 0.25 else _PERMUTATIONS))
+                if bound is not None:
+                    j = max([(bound - 1).bit_length(), *(w + 1 for gate in circuit for w in gate.wires)])
+                    assert state._live is not None and state._live <= 1 << j
             elif step == "read":
                 refs.append(state.amplitudes)
                 assert state._live is None
@@ -348,6 +352,28 @@ def test_live_bound_holds_and_changes_no_verdict(data):
                 refs[int(rng.integers(len(refs)))][int(rng.integers(1 << m))] = value
             states = states[-4:]
             assert all(_bound_holds(s) for s in states)
+
+
+def test_a_prepared_superposition_reads_only_the_prefix_its_gates_touch(monkeypatch):
+    # H on A's three wires, the lowest, of a 22-wire state: each step reads 2**3 amplitudes, not 2**22.
+    layout = mul_quantum_layout(MulQuantumSpec(3, 2, 3, 2, 6))
+    assert layout.wires("A") == (0, 1, 2)
+    read, tensor = [], StateVector._tensor
+
+    def spy(self, *k):
+        t = tensor(self, *k)
+        read.append(t.size)
+        return t
+
+    monkeypatch.setattr(StateVector, "_tensor", spy)
+    state = prepare_state("uniform A", layout)
+    monkeypatch.undo()
+    assert state._live == 1 << 3 and read and max(read) <= 1 << 3
+    twin = holding(StateVector.from_label(layout.num_wires, 0).amplitudes)  # every gate runs on the whole array
+    for wire in layout.wires("A"):
+        apply_gate(twin, Gate.h(wire))
+    assert twin._live is None
+    assert state_to_text(state, layout) == state_to_text(twin, layout)
 
 
 def test_a_write_through_a_kept_reference_reaches_the_next_copy():
@@ -381,7 +407,7 @@ def test_the_multiplier_sweeps_only_the_live_prefix_of_a_fresh_copy(monkeypatch)
     labels = np.array([layout.label_with_value(layout.label_with_value(0, "A", a), "C", c)
                        for a in range(8) for c in range(8)])
     amps[labels] = np.random.default_rng(7).normal(size=128).view(np.complex128) / np.sqrt(64)
-    twin = multiply_registers(_holding(amps.copy()), spec, layout)
+    twin = multiply_registers(holding(amps.copy()), spec, layout)
     state = source.copy()
     swept = []
     nonzero = state_module._nonzero
@@ -411,7 +437,7 @@ def test_sweep_reads_each_slice_as_any(data):
     if data.draw(st.booleans()):  # a lone value at either end of one slice
         where = labels[data.draw(st.sampled_from(slices))].reshape(-1)
         amps[where[data.draw(st.sampled_from([0, -1]))]] = data.draw(st.sampled_from(_LONE))
-    state = _holding(amps)
+    state = holding(amps)
     for idx in slices:
         x = state._tensor()[idx]
         assert _nonzero(x) == bool(x.any())

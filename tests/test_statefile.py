@@ -92,6 +92,22 @@ def test_rejects_bad_inputs():
         state_from_text("wires=40\n" + "0" * 40 + " 1 0\n", RegisterLayout.packed([("q", 40)]))
 
 
+def test_the_norm_is_checked_over_the_listed_amplitudes_alone(monkeypatch):
+    # Every label the file does not list holds 0, so the check reads the listed lines' amplitudes, not 2**m.
+    checked, check = [], statefile.check_unit_norm
+
+    def spy(amplitudes, *args):
+        checked.append(amplitudes.copy())
+        return check(amplitudes, *args)
+
+    monkeypatch.setattr(statefile, "check_unit_norm", spy)
+    state = state_from_text("wires=5\n10000 0 0.8\n00001 0.6 0\n", _layout())
+    (listed,) = checked
+    assert listed.tolist() == [0.8j, 0.6] and state.norm() == pytest.approx(1.0)
+    with pytest.raises(PreconditionError, match=r"^state file norm \S*0\.6\S* deviates from 1 beyond 1e-12$"):
+        state_from_text("wires=5\n00001 0.6 0\n", _layout())
+
+
 @pytest.mark.parametrize("block_chars", [1, 64, statefile.READ_BLOCK_CHARS])
 def test_blank_lines_are_skipped(block_chars, monkeypatch, rng):
     # Blank and whitespace-only lines lead, sit between lines and trail, and

@@ -1,10 +1,10 @@
 """Engine agreement and the support path.
 
 ``assert_engines_agree`` runs each generator's circuit, state and zero
-checks on every engine: ``apply_gate`` gate by gate, the fused dense maps,
-the label path, the plane kernel and the scalar label kernel; a new engine
-joins as one row. The other tests pin the path rule, scans, step shapes
-and peak memory.
+checks on every engine: ``apply_gate`` gate by gate, the fused dense maps
+with and without a live-prefix bound, the label path, the plane kernel and
+the scalar label kernel; a new engine joins as one row. The other tests
+pin the path rule, scans, step shapes and peak memory.
 """
 
 import sys
@@ -56,7 +56,7 @@ from qshift.state import (
     _run_on_support,
     _wire_mask,
 )
-from conftest import register_multiplications
+from conftest import holding, register_multiplications
 
 PERMUTATION_KINDS = ("X", "CNOT", "SWAP", "TOFFOLI", "CSWAP")
 
@@ -137,6 +137,18 @@ def _gate_by_gate(state, circuit):
     return state
 
 
+def _twin(state):
+    """A handed-out copy of ``state``: with no bound, every step runs on the whole array."""
+    return holding(state._amps.copy())
+
+
+def _bounded(state):
+    """A copy of ``state`` under its tightest bound, one past the last label that holds a nonzero bit."""
+    out = _twin(state)
+    out._live = int(np.flatnonzero(_bits(state._amps).reshape(-1, 2).any(axis=1)).max(initial=-1)) + 1
+    return out
+
+
 def _moved(state, labels, images):
     """The amplitudes on ``labels`` moved to ``images``, with zeros elsewhere."""
     amps = np.zeros_like(state.amplitudes)
@@ -146,12 +158,14 @@ def _moved(state, labels, images):
 
 def assert_engines_agree(circuit, state, checks=()):
     """Assert that every engine runs ``circuit`` on a copy of ``state`` as
-    ``apply_gate`` does gate by gate: equal as values (a zero may be -0.0)
-    and bit for bit on the reference's nonzero labels, or everywhere on the
-    dense path and ``run_circuit`` with no checked wire, and on
-    ``run_circuit`` where it runs the label path. If ``state`` violates a
-    ``(wires, what)`` check, ``run_circuit`` on either path must instead
-    name the first violated one, run no path and leave the state untouched.
+    ``apply_gate`` does gate by gate on a handed-out twin: equal as values
+    (a zero may be -0.0) and bit for bit on the reference's nonzero labels,
+    or everywhere on the dense path and ``run_circuit`` with no checked
+    wire, and on ``run_circuit`` where it runs the label path. The dense
+    path under the tightest bound equals it with none bit for bit
+    everywhere. If ``state`` violates a ``(wires, what)`` check,
+    ``run_circuit`` on either path must instead name the first violated
+    one, run no path and leave the state untouched.
     Returns the runs and scans of its ``run_circuit`` calls, as
     ``_observed_runs`` and ``_counted_scans`` record them."""
     labels = state.nonzero_labels()
@@ -173,19 +187,24 @@ def assert_engines_agree(circuit, state, checks=()):
         return runs, scans
     ((_, _, path),) = runs
     marked = _wire_mask(w for wires, _ in checks for w in wires)
-    rows = {"dense": _run_on_support(state.copy(), circuit, None, marked).amplitudes, "run_circuit": ran}
+    rows = {
+        "dense": _run_on_support(_twin(state), circuit, None, marked).amplitudes,
+        "bounded": _run_on_support(_bounded(state), circuit, None, marked).amplitudes,
+        "run_circuit": ran,
+    }
     if circuit.is_permutation():
         rows["labels"] = _run_on_support(state.copy(), circuit, labels, marked).amplitudes
         rows["plane kernel"] = _moved(state, labels, apply_circuit_to_labels(circuit, labels))
         if labels.size <= 1024:  # a Python loop per label
             images = [apply_circuit_to_label(circuit, int(label)) for label in labels]
             rows["label by label"] = _moved(state, labels, images)
-    reference = _gate_by_gate(state.copy(), circuit)
+    reference = _gate_by_gate(_twin(state), circuit)
     want, nonzero = reference.amplitudes, reference.nonzero_labels()
     for name, got in rows.items():
-        at = slice(None) if not marked and name in ("dense", "run_circuit") else nonzero
+        at = slice(None) if not marked and name in ("dense", "bounded", "run_circuit") else nonzero
         assert np.array_equal(got, want), name
         assert np.array_equal(_bits(got[at]), _bits(want[at])), name
+    assert np.array_equal(_bits(rows["bounded"]), _bits(rows["dense"]))
     if path is not None:
         assert np.array_equal(_bits(ran), _bits(rows["labels"]))
     return runs, scans
@@ -476,6 +495,7 @@ def test_fused_dense_path_matches_gate_by_gate(case):
         assert sorted(step.src) == list(range(m))
         assert all(marked >> w & 1 and step.src[w] == w for w in step.fixed)
         assert step.flips or step.src != tuple(range(m))
+        assert step.end == 1 + max(w for w in range(m) if step.src[w] != w or step.flips >> w & 1)
         # Each flip is a one-wire exchange after the wires have moved.
         moves = _moves(step, m)
         flips = [("exchange", (w,), 0, 1 << w) for w in range(m) if step.flips >> w & 1]
@@ -506,7 +526,7 @@ def _moves(step, m):
     on ``m`` wires: ``("exchange", wires, a, b)`` or ``("permute", fixed, src)``."""
     calls = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(state_module, "_apply_exchange", lambda state, *args: calls.append(("exchange", *args)))
+        patch.setattr(state_module, "_apply_exchange", lambda t, *args: calls.append(("exchange", *args)))
         patch.setattr(state_module, "_apply_permute", lambda state, *args: calls.append(("permute", *args)))
         state_module._apply_map(StateVector.from_label(m, 0), step)
     return calls
@@ -565,7 +585,7 @@ def test_runs_compile_only_when_their_controls_stay_put():
     (step,) = _dense_steps(Circuit(m, [Gate.swap(0, 1), Gate.swap(1, 2), Gate.swap(0, 1)]), 0)
     assert _moves(step, m) == [("exchange", (0, 2), 1, 4)]
     (step,) = _dense_steps(Circuit(m, [Gate.x(6), Gate.cswap(6, 0, 1), Gate.x(6)]), 1 << 6)
-    assert step == _Map((6,), (1, 0, 2, 3, 4, 5, 6), 0) and _moves(step, m) == [("exchange", (6, 0, 1), 1, 2)]
+    assert step == _Map((6,), (1, 0, 2, 3, 4, 5, 6), 0, 2) and _moves(step, m) == [("exchange", (6, 0, 1), 1, 2)]
     # Maps that compose to the identity leave no step.
     assert _dense_steps(Circuit(m, [Gate.swap(0, 1), Gate.swap(1, 2)] * 3), 0) == []
     assert _dense_steps(Circuit(m, [Gate.x(6), Gate.cswap(6, 0, 1), Gate.x(6)] * 2), 1 << 6) == []
@@ -592,14 +612,15 @@ def test_shift_passes_fuse_their_swap_cascades():
     passes = [left, left[::-1], rotate_left, rotate_left[::-1], left[::-1] * 3]
     for gates in passes:
         # With c marked, no gate is left: the pass, and three right passes
-        # in one map, is one permutation of the slice where c reads 0.
+        # in one map, is one permutation of the slice where c reads 0. It
+        # writes every wire below c, the top wire.
         (step,) = _dense_steps(Circuit(m, gates), 1 << c)
-        assert step == _Map((c,), step.src, 0) and _fixes_to_zero(step, c)
+        assert step == _Map((c,), step.src, 0, c) and c == m - 1 and _fixes_to_zero(step, c)
         assert [move[:2] for move in _moves(step, m)] == [("permute", (c,))]
     # With no marked wire, a map of three wires that moves the top one
     # leaves two moved wires once a swap is peeled off: slice exchanges only.
     (step,) = _dense_steps(Circuit(3, [Gate.swap(0, 1), Gate.swap(1, 2)]), 0)
-    assert step == _Map((), (1, 2, 0), 0)
+    assert step == _Map((), (1, 2, 0), 0, 3)
     assert _moves(step, 3) == [
         ("exchange", (0, 1), 0b001, 0b010),
         ("exchange", (2, 1), 0b100, 0b010),
