@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError, disjoint, instance, integer, register_wires
 from .gates import Circuit, Gate, compiled
-from .shift_register import shift_cascade
+from .shift_register import Report, shift_cascade
 from .state import RegisterLayout, StateVector, run_circuit
 
 
@@ -441,7 +441,7 @@ def select_qubit(
 
 
 @dataclass(frozen=True)
-class CostReport:
+class CostReport(Report):
     """Gate-count accounting of one constant multiplication.
 
     Quantum side: shift and add totals for a single superposed register.
@@ -459,36 +459,19 @@ class CostReport:
     num_values: int
     classical_operations: int
 
-    def as_text(self) -> str:
-        rows = [
-            ("shifts", self.shifts),
-            ("swaps per shift", self.swaps_per_shift),
-            ("swap gates", self.swap_gates),
-            ("additions", self.additions),
-            ("classical operations", self.classical_operations),
-        ]
-        width = max(len(r[0]) for r in rows)
-        head = (
-            f"multiplier {bin(self.multiplier)[2:] or '0'} on a "
-            f"{self.a_width}-wire register ({self.a_ancilla} shift ancilla), "
-            f"{self.num_values} superposed values"
-        )
-        body = "\n".join(f"{name:<{width}}  {val:>6}" for name, val in rows)
-        return head + "\n" + body
+    WIDTH = 6
+    KEYS_ONLY = ("multiplier", "a_width", "a_ancilla", "num_values")
 
-    def as_keyvalues(self) -> str:
-        pairs = [
-            ("multiplier", bin(self.multiplier)[2:] or "0"),
-            ("a_width", self.a_width),
-            ("a_ancilla", self.a_ancilla),
-            ("shifts", self.shifts),
-            ("swaps_per_shift", self.swaps_per_shift),
-            ("swap_gates", self.swap_gates),
-            ("additions", self.additions),
-            ("num_values", self.num_values),
-            ("classical_operations", self.classical_operations),
-        ]
-        return "\n".join(f"{k}={v}" for k, v in pairs)
+    @property
+    def head(self) -> str:
+        return (
+            f"multiplier {self.multiplier:b} on a {self.a_width}-wire register "
+            f"({self.a_ancilla} shift ancilla), {self.num_values} superposed values"
+        )
+
+    def rows(self) -> list[tuple[str, object]]:
+        rest = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "multiplier"]
+        return [("multiplier", f"{self.multiplier:b}"), *rest]  # the multiplier first, in binary
 
 
 def cost_report(

@@ -146,11 +146,37 @@ def rotate(state: StateVector, layout: RegisterLayout, direction: str = "left") 
     return _run_pass(state, layout, direction, rotating=True)
 
 
+class Report:
+    """Rows of ``(key, value)`` from ``rows()``, printed as a table and as ``key=value`` lines.
+
+    A table label is its key with spaces for underscores, and values are
+    right-aligned in ``WIDTH`` columns. ``KEYS_ONLY`` rows are key=value lines
+    alone; ``TABLE_HEAD`` rows and a nonempty ``head`` line are text alone.
+    """
+
+    TABLE_HEAD: tuple[tuple[str, str], ...] = ()
+    KEYS_ONLY: tuple[str, ...] = ()
+    head = ""
+
+    def as_text(self) -> str:
+        body = [(key.replace("_", " "), val) for key, val in self.rows() if key not in self.KEYS_ONLY]
+        rows = [*self.TABLE_HEAD, *body]
+        width = max(len(label) for label, _ in rows)
+        lines = [f"{label:<{width}}  {val:>{self.WIDTH}}" for label, val in rows]
+        return "\n".join([self.head, *lines] if self.head else lines)
+
+    def as_keyvalues(self) -> str:
+        return "\n".join(f"{key}={val}" for key, val in self.rows())
+
+
 @dataclass(frozen=True)
-class GateCountReport:
+class GateCountReport(Report):
     """Per-kind gate tallies plus derived CNOT-equivalent figures."""
 
     counts: dict[str, int]
+
+    WIDTH = 5
+    TABLE_HEAD = (("gate", "count"),)
 
     @property
     def cnot_equivalent(self) -> int:
@@ -163,23 +189,9 @@ class GateCountReport:
         """Toffolis after decomposing every CSWAP."""
         return self.counts.get("TOFFOLI", 0) + self.counts.get("CSWAP", 0)
 
-    def as_text(self) -> str:
-        rows = [("gate", "count")]
-        rows += [(kind.lower(), str(n)) for kind, n in sorted(self.counts.items())]
-        rows += [
-            ("cnot equivalent", str(self.cnot_equivalent)),
-            ("toffoli equivalent", str(self.toffoli_equivalent)),
-        ]
-        width = max(len(r[0]) for r in rows)
-        return "\n".join(f"{name:<{width}}  {val:>5}" for name, val in rows)
-
-    def as_keyvalues(self) -> str:
-        pairs = [(kind.lower(), n) for kind, n in sorted(self.counts.items())]
-        pairs += [
-            ("cnot_equivalent", self.cnot_equivalent),
-            ("toffoli_equivalent", self.toffoli_equivalent),
-        ]
-        return "\n".join(f"{k}={v}" for k, v in pairs)
+    def rows(self) -> list[tuple[str, int]]:
+        tallies = [(kind.lower(), n) for kind, n in sorted(self.counts.items())]
+        return tallies + [("cnot_equivalent", self.cnot_equivalent), ("toffoli_equivalent", self.toffoli_equivalent)]
 
 
 _DECOMPOSE_MODES = {

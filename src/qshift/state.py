@@ -227,7 +227,7 @@ def check_unit_norm(amplitudes: np.ndarray, tol: float, what: str) -> None:
     if not math.isfinite(norm) and not np.isfinite(amplitudes).all():
         raise PreconditionError(f"{what} has a NaN or infinite amplitude")
     if abs(norm - 1.0) > tol:
-        raise PreconditionError(f"{what} norm {norm!r} deviates from 1 beyond {tol}")
+        raise PreconditionError(f"{what} norm {float(norm)!r} deviates from 1 beyond {tol}")
 
 
 def check_layout_on_state(state: StateVector, layout: RegisterLayout) -> None:

@@ -8,7 +8,9 @@ Amplitude components use 17 significant digits, which round-trips doubles
 exactly. Files are ASCII.
 
 Label and bitstring work runs as whole-array bit operations; the only
-per-line work left is float formatting and parsing and ``str.split``.
+per-line work left is float formatting and parsing and ``str.split``. A file
+with a malformed line or a repeated label is walked line by line from its
+header, to name the first fault in file order.
 """
 
 from __future__ import annotations
@@ -92,18 +94,16 @@ def _parse_block(
     return labels, re, im
 
 
-def _raise_first_fault(block: list[str], layout: RegisterLayout, seen: set[int]) -> None:
-    """Raise PreconditionError on the first faulty line of a block that
-    :func:`_parse_block` declined, or on an earlier line that repeats a label.
-
-    ``seen`` holds the labels of the lines before the block. Walking the
-    lines one by one reports each fault with the same message and in the
-    same file order as a plain loop would.
-    """
-    for ln in block:
+def _raise_first_fault(text: str, layout: RegisterLayout) -> None:
+    """Raise PreconditionError on the first faulty line after the header of ``text``:
+    not three fields, a bad bitstring, a label an earlier line holds, or an amplitude
+    ``float()`` refuses. Called once the block parse or the repeat check has found a
+    fault, this plain loop names it with one message and in file order."""
+    lines = filter(str.strip, itertools.chain.from_iterable(_line_blocks(text)))  # one block held at a time
+    next(lines)  # the header
+    seen = set()
+    for ln in lines:
         parts = ln.split()
-        if not parts:
-            continue
         if len(parts) != 3:
             raise PreconditionError(f"bad amplitude line {ln!r}")
         label = layout.label_from_display(parts[0])
@@ -115,17 +115,6 @@ def _raise_first_fault(block: list[str], layout: RegisterLayout, seen: set[int])
             float(parts[2])
         except ValueError:
             raise PreconditionError(f"bad amplitude line {ln!r}") from None
-
-
-def _check_no_duplicates(labels: np.ndarray, layout: RegisterLayout) -> None:
-    """Raise PreconditionError naming the first line, in file order, that repeats a label."""
-    _, first = np.unique(labels, return_index=True)
-    if first.size == labels.size:
-        return
-    repeated = np.ones(labels.size, dtype=bool)
-    repeated[first] = False
-    label = int(labels[np.argmax(repeated)])
-    raise PreconditionError(f"duplicate basis label {layout.display_label(label)!r}")
 
 
 def _line_blocks(text: str) -> Iterator[list[str]]:
@@ -176,14 +165,15 @@ def state_from_text(text: str, layout: RegisterLayout, *, norm_tol: float = NORM
     for block in itertools.chain([rest], blocks):
         parsed = _parse_block(block, layout)
         if parsed is None:
-            _check_no_duplicates(seen[:count], layout)
-            _raise_first_fault(block, layout, set(seen[:count].tolist()))
+            _raise_first_fault(text, layout)
         labels, re, im = parsed
         amps.real[labels] = re  # two real writes: re + 1j * im would turn inf into nan
         amps.imag[labels] = im
         seen[count:count + labels.size] = labels
         count += labels.size
-    _check_no_duplicates(seen[:count], layout)
+    ordered = np.sort(seen[:count], kind="stable")  # merges a file's long ascending runs
+    if (ordered[1:] == ordered[:-1]).any():
+        _raise_first_fault(text, layout)
     check_unit_norm(amps[seen[:count]], norm_tol, "state file")  # every other amplitude is 0
     return state
 

@@ -174,6 +174,50 @@ def test_gatecount_output(capsys):
     assert "cnot=15" in out and "cswap=1" in out
 
 
+# The reports' exact stdout: a table, then the same figures as key=value lines.
+_GATECOUNT_OUT = {
+    "none": """\
+gate                count
+cswap                   1
+swap                    5
+cnot equivalent        17
+toffoli equivalent      1
+cswap=1
+swap=5
+cnot_equivalent=17
+toffoli_equivalent=1
+""",
+    "cnot": """\
+gate                count
+cnot                   15
+cswap                   1
+cnot equivalent        17
+toffoli equivalent      1
+cnot=15
+cswap=1
+cnot_equivalent=17
+toffoli_equivalent=1
+""",
+    "all": """\
+gate                count
+cnot                   17
+toffoli                 1
+cnot equivalent        17
+toffoli equivalent      1
+cnot=17
+toffoli=1
+cnot_equivalent=17
+toffoli_equivalent=1
+""",
+}
+
+
+@pytest.mark.parametrize("decompose", sorted(_GATECOUNT_OUT))
+def test_gatecount_prints_its_report_exactly(capsys, decompose):
+    code, out, err = run_cli(capsys, "gatecount", "--n", "4", "--k", "2", "--decompose", decompose)
+    assert (code, out, err) == (0, _GATECOUNT_OUT[decompose], "")
+
+
 def test_mul_const_golden_end_to_end(tmp_path, capsys):
     src = str(tmp_path / "in.txt")
     dst = str(tmp_path / "out.txt")
@@ -247,6 +291,67 @@ def test_cost_output(capsys):
     assert "swap_gates=18" in out
     assert "additions=2" in out
     assert "classical_operations=48" in out
+
+
+_COST_OUT = {
+    ("--l", "1100"): """\
+multiplier 1100 on a 4-wire register (3 shift ancilla), 16 superposed values
+shifts                     3
+swaps per shift            6
+swap gates                18
+additions                  2
+classical operations      48
+multiplier=1100
+a_width=4
+a_ancilla=3
+shifts=3
+swaps_per_shift=6
+swap_gates=18
+additions=2
+num_values=16
+classical_operations=48
+""",
+    ("--l", "0"): """\
+multiplier 0 on a 4-wire register (3 shift ancilla), 16 superposed values
+shifts                     0
+swaps per shift            6
+swap gates                 0
+additions                  0
+classical operations       0
+multiplier=0
+a_width=4
+a_ancilla=3
+shifts=0
+swaps_per_shift=6
+swap_gates=0
+additions=0
+num_values=16
+classical_operations=0
+""",
+    ("--l", "1100", "--values", "5"): """\
+multiplier 1100 on a 4-wire register (3 shift ancilla), 5 superposed values
+shifts                     3
+swaps per shift            6
+swap gates                18
+additions                  2
+classical operations      15
+multiplier=1100
+a_width=4
+a_ancilla=3
+shifts=3
+swaps_per_shift=6
+swap_gates=18
+additions=2
+num_values=5
+classical_operations=15
+""",
+}
+
+
+@pytest.mark.parametrize("flags", list(_COST_OUT), ids=" ".join)
+def test_cost_prints_its_report_exactly(capsys, flags):
+    code, out, err = run_cli(capsys, "cost", "--nA", "4", "--kA", "3", *flags)
+    assert (code, out, err) == (0, _COST_OUT[flags], "")
 
 
 def test_cost_refuses_the_schedule_mul_const_refuses(tmp_path, capsys):

@@ -85,7 +85,23 @@ def test_the_register_rule_is_written_only_in_errors():
 def test_the_width_and_gate_fit_rules_are_written_once():
     # MulQuantumSpec and the constant schedule share one width rule, and
     # apply_gate refuses a gate off the state through Circuit's own rule; the
-    # state-file writer and the marginals check a layout against a state by one rule.
-    for fragment in ("register widths must be at least 1", "exceeds {} wires", "layout and state wire counts differ"):
+    # state-file writer and the marginals check a layout against a state by one rule;
+    # the reader names a repeated label from its one line-by-line walk.
+    for fragment in (
+        "register widths must be at least 1", "exceeds {} wires", "layout and state wire counts differ",
+        "duplicate basis label {}",
+    ):
         hits = [f"{path.stem}.{owner}" for path in SOURCES for owner, text in _literals(path) if fragment in text]
         assert len(hits) == 1, hits
+
+
+def test_the_report_renderers_are_written_once():
+    # GateCountReport and CostReport give their rows; shift_register.Report prints both forms.
+    for method in ("as_text", "as_keyvalues"):
+        hits = [
+            f"{path.stem}:{node.lineno}"
+            for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.FunctionDef) and node.name == method
+        ]
+        assert len(hits) == 1 and hits[0].startswith("shift_register:"), hits

@@ -76,6 +76,8 @@ def test_state_vector_norm_enforced():
         with pytest.raises(PreconditionError):
             StateVector(np.array([1.0, bad]))
     StateVector(np.array([1.0, 0.0]))  # fine
+    with pytest.raises(PreconditionError, match=r"^state norm 0\.6 deviates from 1 beyond 1e-12$"):
+        StateVector(np.array([0.6, 0.0]))
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,20 @@ def test_rejects_bad_inputs():
                 state_from_text("wires=5\n00001 1 0\n00001 1 0\n00010 one 0\n", layout)
             with pytest.raises(PreconditionError, match="duplicate basis label '00010'"):
                 state_from_text("wires=5\n00001 1 0\n00010 1 0\n00010 1 0\n00001 1 0\n", layout)
+    # A malformed line before a repeat is named first, and a repeat whose two lines
+    # fall in different blocks is found, also ahead of a later malformed line.
+    spread = "wires=5\n00001 1 0\n" + "".join(f"{i:05b} 0 0\n" for i in range(2, 12)) + "00001 0 0\n"
+    with mock.patch.object(statefile, "READ_BLOCK_CHARS", 64):
+        first, *later = statefile._line_blocks(spread)
+    assert "00001 1 0" in first and "00001 0 0" not in first and later
+    for block in (1, 64, statefile.READ_BLOCK_CHARS):
+        with mock.patch.object(statefile, "READ_BLOCK_CHARS", block):
+            with pytest.raises(PreconditionError, match="^bad amplitude line '00010 one 0'$"):
+                state_from_text("wires=5\n00001 1 0\n00010 one 0\n00001 1 0\n", layout)
+            with pytest.raises(PreconditionError, match="^duplicate basis label '00001'$"):
+                state_from_text(spread, layout)
+            with pytest.raises(PreconditionError, match="^duplicate basis label '00001'$"):
+                state_from_text(spread + "11111 one 0\n", layout)
     # Shortest possible lines, repeated: the parser's label buffer must hold them all.
     with pytest.raises(PreconditionError, match="duplicate basis label '00001'"):
         state_from_text("wires=5\n" + "00001 0 0\n" * 500, layout)
@@ -104,7 +118,7 @@ def test_the_norm_is_checked_over_the_listed_amplitudes_alone(monkeypatch):
     state = state_from_text("wires=5\n10000 0 0.8\n00001 0.6 0\n", _layout())
     (listed,) = checked
     assert listed.tolist() == [0.8j, 0.6] and state.norm() == pytest.approx(1.0)
-    with pytest.raises(PreconditionError, match=r"^state file norm \S*0\.6\S* deviates from 1 beyond 1e-12$"):
+    with pytest.raises(PreconditionError, match=r"^state file norm 0\.6 deviates from 1 beyond 1e-12$"):
         state_from_text("wires=5\n00001 0.6 0\n", _layout())
 
 
