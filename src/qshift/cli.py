@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -222,11 +223,15 @@ def run(config: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     try:
-        config = parse_args(argv if argv is not None else sys.argv[1:])
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return run(config)
+        try:
+            status = run(parse_args(argv if argv is not None else sys.argv[1:]))
+        except SystemExit as exc:  # help printed, or a usage error
+            status = int(exc.code or 0)
+        sys.stdout.flush()  # a closed stdout pipe fails here, not in the flush at exit
+        return status
+    except BrokenPipeError:  # stdout's reader has gone: exit as SIGPIPE would, with the exit flush sent nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

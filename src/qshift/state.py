@@ -81,22 +81,40 @@ class StateVector:
         m = int(arr.size).bit_length() - 1
         if arr.size < 2 or arr.size != 1 << m:
             raise PreconditionError(f"amplitude count {arr.size} is not 2**m with m >= 1")
-        _check_ceiling(m)  # before the copy, which a broadcast input would make full size
+        check_wire_count(m)  # before the copy, which a broadcast input would make full size
         arr = arr.astype(np.complex128, order="C").reshape(-1)  # a fresh buffer, nothing known of it
         check_unit_norm(arr, NORM_TOL, "state")
         self.num_wires, self._amps, self._live = m, arr, arr.size
 
     @classmethod
     def from_label(cls, num_wires: int, label: int) -> "StateVector":
-        num_wires = integer(num_wires, "num_wires")
-        if num_wires < 1:
-            raise PreconditionError("need at least one wire")
-        _check_ceiling(num_wires)
+        num_wires = check_wire_count(num_wires)
         label = basis_label(label, num_wires)
         amps = np.zeros(1 << num_wires, dtype=np.complex128)
         amps[label] = 1.0
         out = object.__new__(cls)
         out.num_wires, out._amps, out._live = num_wires, amps, label + 1
+        return out
+
+    @classmethod
+    def from_support(cls, num_wires: int, labels, values, *, norm_tol: float = NORM_TOL) -> "StateVector":
+        """The state holding ``values`` at ``labels`` and 0 elsewhere, the dual of :meth:`support`: the
+        labels come in any order but none twice, the norm is checked over ``values``, and the bound is the
+        highest label + 1."""
+        num_wires = check_wire_count(num_wires)
+        labels, values = basis_labels(labels, num_wires), np.asarray(values)
+        if values.dtype.kind not in "biufc":
+            raise PreconditionError(f"amplitudes of dtype {values.dtype} are not numbers")
+        if labels.ndim != 1 or values.shape != labels.shape:
+            raise PreconditionError(f"labels {labels.shape} and amplitudes {values.shape} are not 1-D of one length")
+        ordered = np.sort(labels)
+        twice = ordered[1:][ordered[1:] == ordered[:-1]]
+        if twice.size:
+            raise PreconditionError(f"label {twice[0]} is listed twice")
+        check_unit_norm(values, norm_tol, "state")
+        out = object.__new__(cls)
+        out.num_wires, out._amps, out._live = num_wires, np.zeros(1 << num_wires, np.complex128), int(ordered[-1]) + 1
+        out._amps[labels] = values
         return out
 
     @property
@@ -213,9 +231,14 @@ def new_basis_state(num_wires: int, label: str) -> StateVector:
     return StateVector.from_label(num_wires, int(label, 2))
 
 
-def _check_ceiling(num_wires: int) -> None:
+def check_wire_count(num_wires) -> int:
+    """``num_wires`` as an int from 1 to the ``MAX_WIRES`` ceiling, checked before any allocation."""
+    num_wires = integer(num_wires, "num_wires")
+    if num_wires < 1:
+        raise PreconditionError("need at least one wire")
     if num_wires > MAX_WIRES:
         raise PreconditionError(f"{num_wires} wires exceeds the {MAX_WIRES}-wire ceiling")
+    return num_wires
 
 
 def check_unit_norm(amplitudes: np.ndarray, tol: float, what: str) -> None:

@@ -7,32 +7,34 @@ sorted by bitstring, so identical states serialize byte-identically.
 Amplitude components use 17 significant digits, which round-trips doubles
 exactly. Files are ASCII.
 
-Label and bitstring work runs as whole-array bit operations; the only
-per-line work left is float formatting and parsing and ``str.split``. A file
-with a malformed line or a repeated label is walked line by line from its
-header, to name the first fault in file order.
+Label and bitstring work runs as whole-array bit operations, and the reader splits
+each block of lines once, so the only per-line work left on the writer's own files
+is float formatting and parsing. The read state keeps the bound after its highest
+label. A fault is named in file order, walking only the block that holds it.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
+import re
 from typing import Iterator
 
 import numpy as np
 
 from .errors import PreconditionError, instance
-from .state import NORM_TOL, RegisterLayout, StateVector, check_layout_on_state, check_unit_norm
+from .state import NORM_TOL, RegisterLayout, StateVector, check_layout_on_state, check_unit_norm, check_wire_count
 
-# Parse block size. Each block's lines, tokens, digits and floats are freed
-# before the next, so beyond the text and the amplitudes a parse holds one
-# block. On a 32768-line, 18-wire file (2.1 MB of text; 2 cores, numpy 2.4),
-# 1 << 17-character blocks (~1900 lines) parsed in a median 38 ms with a
-# tracemalloc peak of 6.3 MB; the whole text as one block took 52 ms and
-# 23.1 MB, and 8192-character blocks took 40 ms and 6.1 MB.
+# Parse block size. Each block's fields, digits and floats are freed before
+# the next, so beyond the text, the values read and the amplitudes a parse
+# holds one block. On a 32768-line, 18-wire file (2.1 MB of text; 2 cores,
+# numpy 2.4, a busy host), 1 << 17-character blocks (~1900 lines) read in a
+# median 64 ms with a tracemalloc peak of 6.7 MB; the whole text as one block
+# took 69 ms and 15.2 MB, 1 << 15-character blocks 71 ms and 1 << 18 63 ms.
 READ_BLOCK_CHARS = 1 << 17
 
 _ZERO = ord("0")
+
+_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")  # str.splitlines's, "\r\n" as one
 
 
 def state_to_text(state: StateVector, layout: RegisterLayout) -> str:
@@ -60,7 +62,7 @@ def state_to_text(state: StateVector, layout: RegisterLayout) -> str:
     return ("wires=%d\n" + "%s %.17g %.17g\n" * labels.size) % tuple(fields)
 
 
-def _labels_from_bits(bits: tuple[str, ...], layout: RegisterLayout) -> np.ndarray | None:
+def _labels_from_bits(bits: list[str], layout: RegisterLayout) -> np.ndarray | None:
     """Labels of valid display bitstrings, or None if any is not ``m`` ASCII 0/1s."""
     m = layout.num_wires
     joined = "".join(bits)
@@ -75,40 +77,42 @@ def _labels_from_bits(bits: tuple[str, ...], layout: RegisterLayout) -> np.ndarr
     return labels
 
 
-def _parse_block(
-    block: list[str], layout: RegisterLayout
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Labels, real and imaginary parts of a block's nonblank lines, or None if one is faulty."""
-    rows = list(filter(None, map(str.split, block)))
-    if set(map(len, rows)) - {3}:
+def _parse_block(block: str, layout: RegisterLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Labels, real and imaginary parts of a block's nonblank lines, or None if one is faulty. The fields are
+    the lines' triplets if the writer's line form, filled with them, gives the block back, or if each holds three."""
+    fields = block.split()
+    n = len(fields) // 3
+    written = 3 * n == len(fields) and ("%s %s %s\n" * n) % tuple(fields) == block
+    if not written and set(map(len, map(str.split, block.splitlines()))) - {0, 3}:  # CRLF, tabs, blank lines
         return None
-    bits, re_text, im_text = zip(*rows) if rows else ((), (), ())
-    labels = _labels_from_bits(bits, layout)
+    labels = _labels_from_bits(fields[0::3], layout)
     if labels is None:
         return None
     try:  # accepts and rejects the same strings as float()
-        re = np.array(re_text, dtype=np.float64)
-        im = np.array(im_text, dtype=np.float64)
+        real = np.array(fields[1::3], dtype=np.float64)
+        imag = np.array(fields[2::3], dtype=np.float64)
     except ValueError:
         return None
-    return labels, re, im
+    return labels, real, imag
 
 
-def _raise_first_fault(text: str, layout: RegisterLayout) -> None:
-    """Raise PreconditionError on the first faulty line after the header of ``text``:
-    not three fields, a bad bitstring, a label an earlier line holds, or an amplitude
-    ``float()`` refuses. Called once the block parse or the repeat check has found a
-    fault, this plain loop names it with one message and in file order."""
-    lines = filter(str.strip, itertools.chain.from_iterable(_line_blocks(text)))  # one block held at a time
-    next(lines)  # the header
-    seen = set()
-    for ln in lines:
+def _raise_first_fault(block: str, earlier: np.ndarray, layout: RegisterLayout) -> None:
+    """Raise PreconditionError on the first fault in file order: a repeat among ``earlier``, the labels read
+    before ``block``, found from the array whole, else the first faulty nonblank line of ``block``: not three
+    fields, a bad bitstring, a label read before, or an amplitude ``float()`` refuses. Called once the block
+    parse or the repeat check has found a fault, this names it with one message."""
+    order = np.argsort(earlier, kind="stable")  # each label's lines in file order
+    repeats = order[1:][earlier[order[1:]] == earlier[order[:-1]]]
+    if repeats.size:
+        raise _repeated(int(earlier[repeats.min()]), layout)
+    seen = set(earlier.tolist())
+    for ln in filter(str.strip, block.splitlines()):
         parts = ln.split()
         if len(parts) != 3:
             raise PreconditionError(f"bad amplitude line {ln!r}")
         label = layout.label_from_display(parts[0])
         if label in seen:
-            raise PreconditionError(f"duplicate basis label {parts[0]!r}")
+            raise _repeated(label, layout)
         seen.add(label)
         try:
             float(parts[1])
@@ -117,31 +121,34 @@ def _raise_first_fault(text: str, layout: RegisterLayout) -> None:
             raise PreconditionError(f"bad amplitude line {ln!r}") from None
 
 
-def _line_blocks(text: str) -> Iterator[list[str]]:
-    """``text.splitlines()`` in blocks of about ``READ_BLOCK_CHARS`` characters.
+def _repeated(label: int, layout: RegisterLayout) -> PreconditionError:
+    return PreconditionError(f"duplicate basis label {layout.display_label(label)!r}")
+
+
+def _line_blocks(text: str, start: int = 0) -> Iterator[str]:
+    """``text[start:]`` in blocks of whole lines, about ``READ_BLOCK_CHARS`` characters each.
 
     Each block but the last ends just after a newline, so no line and no
     ``\\r\\n`` pair is cut in two.
     """
-    start = 0
     while start < len(text):
         cut = text.find("\n", start + READ_BLOCK_CHARS)
         end = len(text) if cut < 0 else cut + 1
-        yield text[start:end].splitlines()
+        yield text[start:end]
         start = end
 
 
 def state_from_text(text: str, layout: RegisterLayout, *, norm_tol: float = NORM_TOL) -> StateVector:
     if not isinstance(text, str):  # a name, not a repr: bytes read from a file may be megabytes
         raise PreconditionError(f"state text of type {type(text).__name__} is not a str")
-    blocks = _line_blocks(text)
-    for block in blocks:
-        head = next((i for i, ln in enumerate(block) if ln.strip()), None)
-        if head is not None:
-            header, rest = block[head], block[head + 1:]
+    start = 0
+    for brk in _LINE_END.finditer(text):  # the header is the first nonblank line
+        if text[start:brk.start()].strip():
+            header, start = text[start:brk.start()], brk.end()
             break
+        start = brk.end()
     else:
-        header = ""
+        header, start = text[start:], len(text)
     if not header.startswith("wires="):
         raise PreconditionError("state file must start with a wires=<m> header")
     try:
@@ -152,30 +159,25 @@ def state_from_text(text: str, layout: RegisterLayout, *, norm_tol: float = NORM
         raise PreconditionError(
             f"file has {m} wires, layout expects {layout.num_wires}"
         )
-    state = StateVector.from_label(m, 0)  # checks the wire ceiling before allocating
-    amps = state.amplitudes
-    amps[0] = 0.0
+    check_wire_count(m)  # the ceiling, before the parse
     # Every label read comes from a line of at least m + 4 characters and a
-    # line break, which bounds their count. One array allocated up front
-    # holds them all: per-block arrays kept to the end of the parse
-    # fragmented the heap, and the cli-files benchmark's peak RSS rose by
-    # 1-3 MB.
-    seen = np.empty((len(text) + 1) // (m + 5) + 1, dtype=np.int64)
-    count = 0
-    for block in itertools.chain([rest], blocks):
+    # line break, which bounds their count. Arrays allocated up front hold
+    # them all: per-block arrays kept to the end of the parse fragmented the
+    # heap, and the cli-files benchmark's peak RSS rose by 1-3 MB.
+    size = (len(text) + 1) // (m + 5) + 1
+    seen, values, count = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.complex128), 0
+    for block in _line_blocks(text, start):
         parsed = _parse_block(block, layout)
         if parsed is None:
-            _raise_first_fault(text, layout)
-        labels, re, im = parsed
-        amps.real[labels] = re  # two real writes: re + 1j * im would turn inf into nan
-        amps.imag[labels] = im
-        seen[count:count + labels.size] = labels
-        count += labels.size
-    ordered = np.sort(seen[:count], kind="stable")  # merges a file's long ascending runs
-    if (ordered[1:] == ordered[:-1]).any():
-        _raise_first_fault(text, layout)
-    check_unit_norm(amps[seen[:count]], norm_tol, "state file")  # every other amplitude is 0
-    return state
+            _raise_first_fault(block, seen[:count], layout)
+        end = count + parsed[0].size  # real and imag go in by two real writes: real + 1j * imag turns inf to nan
+        seen[count:end], values.real[count:end], values.imag[count:end] = parsed
+        count = end
+    labels, values = seen[:count], values[:count]
+    if not np.diff(np.sort(labels, kind="stable")).all():  # a repeat; the sort merges a file's ascending runs
+        _raise_first_fault("", labels, layout)
+    check_unit_norm(values, norm_tol, "state file")
+    return StateVector.from_support(m, labels, values, norm_tol=norm_tol)
 
 
 def write_state(state: StateVector, layout: RegisterLayout, path: str) -> None:

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: exit codes, state files, branch tables, determinism."""
 
 import argparse
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +355,29 @@ classical_operations=15
 def test_cost_prints_its_report_exactly(capsys, flags):
     code, out, err = run_cli(capsys, "cost", "--nA", "4", "--kA", "3", *flags)
     assert (code, out, err) == (0, _COST_OUT[flags], "")
+
+
+_GATECOUNT = ["gatecount", "--n", "3", "--k", "2"]
+_COST = ["cost", "--nA", "4", "--kA", "3", "--l", "1100"]
+
+
+# With PYTHONUNBUFFERED set each print writes at once; without it the write waits for the flush.
+# argparse drops a failed write of its own help, so help is checked buffered only.
+@pytest.mark.parametrize(
+    "argv, unbuffered", [(_GATECOUNT, "1"), (_GATECOUNT, ""), (_COST, "1"), (_COST, ""), (["--help"], "")]
+)
+def test_a_closed_stdout_pipe_exits_141_and_writes_no_error(argv, unbuffered):
+    # The pipe's read end is closed before the child starts, so its first write to stdout,
+    # in a print or in the flush at exit, fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONUNBUFFERED": unbuffered}
+    try:
+        done = subprocess.run([sys.executable, "-m", "qshift.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_cost_refuses_the_schedule_mul_const_refuses(tmp_path, capsys):

@@ -98,6 +98,7 @@ _VALID_CALLS = {
     "state_to_text": lambda: (qshift.state_to_text, [_state(5), _shift_layout()]),
     "write_state": lambda: (qshift.write_state, [_state(5), _shift_layout(), "x"]),
     "StateVector.from_label": lambda: (StateVector.from_label, [3, 5]),
+    "StateVector.from_support": lambda: (StateVector.from_support, [3, [5, 1], [0.6, 0.8j]]),
     "StateVector.amplitude": lambda: (_state(3).amplitude, [5]),
     "StateVector.support": lambda: (_state(3).support, [[0, 2]]),
     "StateVector.allclose": lambda: (_state(3).allclose, [_state(3), 1e-9]),

@@ -22,9 +22,9 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_only_the_reader_and_the_oracle_touch_amplitudes_outside_state():
     # Everything else reads a state through StateVector.support, so a new
-    # state form changes that method, not its callers. The reader fills the
-    # array it allocates; the gate-free oracle adder stays independent of
-    # the engine it cross-checks.
+    # state form changes that method, not its callers; the reader builds its
+    # state through StateVector.from_support. The gate-free oracle adder stays
+    # independent of the engine it cross-checks.
     hits = set()
     for path in SOURCES:
         if path.name == "state.py":
@@ -34,7 +34,7 @@ def test_only_the_reader_and_the_oracle_touch_amplitudes_outside_state():
             for node in ast.walk(top):
                 if isinstance(node, ast.Attribute) and node.attr == "amplitudes":
                     hits.add(f"{path.stem}.{where}")
-    assert hits == {"statefile.state_from_text", "arithmetic.oracle_add"}
+    assert hits == {"arithmetic.oracle_add"}
 
 
 def test_state_reads_its_own_buffer_not_the_property():
@@ -86,7 +86,7 @@ def test_the_width_and_gate_fit_rules_are_written_once():
     # MulQuantumSpec and the constant schedule share one width rule, and
     # apply_gate refuses a gate off the state through Circuit's own rule; the
     # state-file writer and the marginals check a layout against a state by one rule;
-    # the reader names a repeated label from its one line-by-line walk.
+    # the reader names a repeated label through one helper of its fault walk.
     for fragment in (
         "register widths must be at least 1", "exceeds {} wires", "layout and state wire counts differ",
         "duplicate basis label {}",

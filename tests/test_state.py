@@ -94,6 +94,25 @@ def test_state_vector_norm_enforced():
             lambda: run_circuit(StateVector.from_label(2, 0), Circuit(2), [(1, "x")]),
             "check 'x' wires 1 are not an iterable of wires", id="bare check wire",
         ),
+        pytest.param(
+            lambda: StateVector.from_support(2, [0, 1], ["1", "0"]), "amplitudes of dtype <U1 are not numbers",
+            id="support strings",
+        ),
+        pytest.param(lambda: StateVector.from_support(2, [3, 1, 3], [0.6, 0.8, 0]), "label 3 is listed twice",
+                     id="support repeat"),
+        pytest.param(lambda: StateVector.from_support(2, [4], [1.0]), "label 4 out of range for 2 wires",
+                     id="support label off the state"),
+        pytest.param(lambda: StateVector.from_support(0, [], []), "need at least one wire", id="support no wires"),
+        pytest.param(
+            lambda: StateVector.from_support(2, [0, 1], [1.0]),
+            "labels (2,) and amplitudes (1,) are not 1-D of one length", id="support lengths",
+        ),
+        pytest.param(
+            lambda: StateVector.from_support(2, [[0]], [[1.0]]),
+            "labels (1, 1) and amplitudes (1, 1) are not 1-D of one length", id="support 2-D",
+        ),
+        pytest.param(lambda: StateVector.from_support(2, [1], [0.6]), "state norm 0.6 deviates from 1 beyond 1e-12",
+                     id="support norm"),
     ],
 )
 def test_non_numeric_amplitudes_and_bare_check_wires_are_refused(call, message):
@@ -110,6 +129,8 @@ def test_max_wires_ceiling():
         lambda: StateVector(np.broadcast_to(np.complex128(0), (1 << 25,))),
         lambda: new_basis_state(25, "0" * 25),
         lambda: state_from_text("wires=25\n" + "0" * 25 + " 1 0\n", RegisterLayout.packed([("q", 25)])),
+        lambda: state_from_text("wires=25\n" + "0" * 25 + " one 0\n", RegisterLayout.packed([("q", 25)])),  # first
+        lambda: StateVector.from_support(25, [0], [1.0]),
     ]
     for refuse in refusals:
         with pytest.raises(PreconditionError, match="^25 wires exceeds the 24-wire ceiling$"):
@@ -170,6 +191,11 @@ def test_support_matches_the_nonzero_labels(data):
 
     got, values = state.support()
     assert np.array_equal(got, want) and np.array_equal(_bits(values), _bits(state.amplitudes[want]))
+    # from_support is its dual: the support in any order gives the state with +0.0 off it, bounded after it.
+    order = rng.permutation(got.size)
+    back = StateVector.from_support(m, got[order], values[order])
+    assert back._live == got[-1] + 1
+    assert np.array_equal(_bits(back._amps), _bits(np.where(state.amplitudes != 0, state.amplitudes, 0)))
     on_wires = want[(want & ~sum(1 << w for w in set(wires))) == 0]
     got, values = state.support(wires)
     assert np.array_equal(got, on_wires) and np.array_equal(_bits(values), _bits(state.amplitudes[on_wires]))
@@ -399,8 +425,8 @@ def test_a_write_above_the_bound_through_a_kept_reference_is_named_by_the_checks
         run_circuit(state, Circuit(8), [top])
 
 
-def test_the_multiplier_sweeps_only_the_live_prefix_of_a_fresh_copy(monkeypatch):
-    # The benchmark's input: 64 (A, C) branches on 22 wires, filled through .amplitudes.
+def _multiplier_input():
+    """The benchmark's input: 64 (A, C) branches on 22 wires, filled through .amplitudes."""
     spec = MulQuantumSpec(3, 2, 3, 2, 6)
     layout = mul_quantum_layout(spec)
     source = StateVector.from_label(layout.num_wires, 0)
@@ -409,14 +435,36 @@ def test_the_multiplier_sweeps_only_the_live_prefix_of_a_fresh_copy(monkeypatch)
     labels = np.array([layout.label_with_value(layout.label_with_value(0, "A", a), "C", c)
                        for a in range(8) for c in range(8)])
     amps[labels] = np.random.default_rng(7).normal(size=128).view(np.complex128) / np.sqrt(64)
-    twin = multiply_registers(holding(amps.copy()), spec, layout)
-    state = source.copy()
+    return spec, layout, source
+
+
+def _swept_by_multiplier(monkeypatch, state, spec, layout):
+    """The sizes of the slices the multiplier's zero sweep reads; its result must equal a handed-out twin's."""
+    twin = multiply_registers(holding(state._amps.copy()), spec, layout)
     swept = []
     nonzero = state_module._nonzero
     monkeypatch.setattr(state_module, "_nonzero", lambda x: swept.append(x.size) or nonzero(x))
     multiply_registers(state, spec, layout)
-    assert 0 < sum(swept) <= 1 << 15
+    monkeypatch.undo()
     assert np.array_equal(_bits(state._amps), _bits(twin._amps))
+    return swept
+
+
+def test_the_multiplier_sweeps_only_the_live_prefix_of_a_fresh_copy(monkeypatch):
+    spec, layout, source = _multiplier_input()
+    swept = _swept_by_multiplier(monkeypatch, source.copy(), spec, layout)
+    assert 0 < sum(swept) <= 1 << 15
+
+
+def test_a_state_read_from_a_file_keeps_its_bound_and_the_multiplier_sweeps_only_that_prefix(monkeypatch):
+    # The reader builds its state from the labels it read, so the bound is the highest + 1: A and C
+    # are wires 0-5, and every wire the multiplier checks lies above that prefix, which the sweep
+    # then reads nothing of (a handed-out buffer is swept whole).
+    spec, layout, source = _multiplier_input()
+    source.amplitudes /= source.norm()  # the reader checks the norm
+    state = state_from_text(state_to_text(source, layout), layout)
+    assert state._live == 1 << 6 and np.array_equal(_bits(state._amps), _bits(source.amplitudes))
+    assert _swept_by_multiplier(monkeypatch, state, spec, layout) == []
 
 
 @settings(max_examples=150, deadline=None)

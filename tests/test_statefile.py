@@ -144,6 +144,55 @@ def test_blank_lines_are_skipped(block_chars, monkeypatch, rng):
     assert np.array_equal(state_from_text(text, layout).amplitudes, state.amplitudes)
 
 
+def test_a_file_the_writer_wrote_is_parsed_with_no_per_line_split(rng):
+    # Each block is split once into its fields, which the writer's line form, formatted
+    # from them, checks; no block is cut into lines.
+    layout = _layout()
+    text = state_to_text(random_state(rng, 5), layout)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code.co_filename == statefile.__file__:
+            calls.append((frame.f_code.co_name, arg.__name__))
+
+    with mock.patch.object(statefile, "READ_BLOCK_CHARS", 64):
+        blocks = len(list(statefile._line_blocks(text, text.index("\n") + 1)))
+        sys.setprofile(profile)
+        try:
+            state_from_text(text, layout)
+        finally:
+            sys.setprofile(None)
+    assert calls.count(("_parse_block", "split")) == blocks > 1
+    assert [name for _, name in calls].count("split") == blocks + 1  # and the header's "wires=" split
+    assert "splitlines" not in {name for _, name in calls}
+
+
+def test_a_fault_walks_only_its_own_block(monkeypatch):
+    # A malformed last line is named by walking the last block alone, and a repeat that only
+    # the end-of-parse check finds is named from the labels read, with no walk.
+    layout = RegisterLayout.packed([("q", 8)])
+    lines = [f"{i:08b} {1 / 16} 0\n" for i in range(256)]
+    walked = []
+    label_from_display = RegisterLayout.label_from_display
+    monkeypatch.setattr(
+        RegisterLayout, "label_from_display", lambda self, bits: walked.append(bits) or label_from_display(self, bits)
+    )
+    monkeypatch.setattr(statefile, "READ_BLOCK_CHARS", 64)
+    text = "wires=8\n" + "".join(lines[:255]) + "11111111 one 0\n"
+    *_, last = statefile._line_blocks(text, len("wires=8\n"))
+    with pytest.raises(PreconditionError, match="^bad amplitude line '11111111 one 0'$"):
+        state_from_text(text, layout)
+    assert walked == [line.split()[0] for line in last.splitlines()] and 0 < len(walked) < 10
+    walked.clear()
+    with pytest.raises(PreconditionError, match="^duplicate basis label '00000011'$"):
+        state_from_text("wires=8\n" + "".join(lines[:255] + lines[3:4] + lines[1:2]), layout)
+    assert walked == []
+    # A repeat in the first block comes before the malformed last line, and is named with no walk.
+    with pytest.raises(PreconditionError, match="^duplicate basis label '00000001'$"):
+        state_from_text("wires=8\n" + "".join(lines[:2] + lines[1:2] + lines[3:255]) + "11111111 one 0\n", layout)
+    assert walked == []
+
+
 def test_negative_zero_is_normalized():
     layout = RegisterLayout([("q", [0])])
     state = StateVector(np.array([1.0, -0.0 + 0.0j]))
@@ -247,6 +296,10 @@ def _reference_text(state, layout):
 
 # Reader block sizes: one character cuts the text after every line, 64 after every few.
 _block_sizes = st.sampled_from([1, 64, statefile.READ_BLOCK_CHARS])
+# Field separators are runs of blanks that str.split knows and no line end; line ends are
+# every ASCII one that str.splitlines knows.
+_separators = st.text(" \t\x1f", min_size=1, max_size=3)
+_line_ends = st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"])
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,9 +312,12 @@ def test_text_matches_reference_and_round_trips(data):
     )
     text = state_to_text(state, layout)
     assert text == _reference_text(state, layout)
-    eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))  # all line ends read alike
+    # All field separators and line ends read alike.
+    respaced = "".join(
+        data.draw(_separators).join(line.split(" ")) + data.draw(_line_ends) for line in text.splitlines()
+    )
     with mock.patch.object(statefile, "READ_BLOCK_CHARS", data.draw(_block_sizes)):
-        back = state_from_text(text.replace("\n", eol), layout)
+        back = state_from_text(respaced, layout)
     assert back.amplitudes.tobytes() == (state.amplitudes + 0.0).tobytes()  # -0.0 folded
 
 
@@ -284,6 +340,12 @@ def _mutate(kind, lines, i, pos, m):
         return lines, f"duplicate basis label {bits!r}"
     elif kind == "word":
         lines[i] = f"{bits} one {im}"
+    elif kind == "moved field":  # a 2-field line, then one with the field moved in: as many fields as before
+        lines[i] = f"{bits} {re}"
+        if i + 1 < len(lines):
+            lines[i + 1] = f"{im} {lines[i + 1]}"
+        else:
+            lines.append(im)
     elif kind in ("nan", "inf"):
         lines[i] = f"{bits} {re} -inf" if kind == "inf" else f"{bits} nan {im}"
         return lines, "state file has a NaN or infinite amplitude"
@@ -298,7 +360,7 @@ def _mutate(kind, lines, i, pos, m):
 
 _FAULTS = (
     "two fields", "four fields", "digit 2", "short bitstring", "non-ASCII digit",
-    "duplicate", "word", "nan", "inf", "header",
+    "duplicate", "word", "moved field", "nan", "inf", "header",
 )
 
 
