@@ -100,20 +100,20 @@ class StateVector:
     def from_support(cls, num_wires: int, labels, values, *, norm_tol: float = NORM_TOL) -> "StateVector":
         """The state holding ``values`` at ``labels`` and 0 elsewhere, the dual of :meth:`support`: the
         labels come in any order but none twice, the norm is checked over ``values``, and the bound is the
-        highest label + 1."""
+        highest label + 1, or 0 with no labels."""
         num_wires = check_wire_count(num_wires)
         labels, values = basis_labels(labels, num_wires), np.asarray(values)
         if values.dtype.kind not in "biufc":
             raise PreconditionError(f"amplitudes of dtype {values.dtype} are not numbers")
         if labels.ndim != 1 or values.shape != labels.shape:
             raise PreconditionError(f"labels {labels.shape} and amplitudes {values.shape} are not 1-D of one length")
-        ordered = np.sort(labels)
-        twice = ordered[1:][ordered[1:] == ordered[:-1]]
-        if twice.size:
-            raise PreconditionError(f"label {twice[0]} is listed twice")
-        check_unit_norm(values, norm_tol, "state")
+        twice = first_repeat(labels)
+        if twice is not None:
+            raise PreconditionError(f"label {labels[twice]} is listed twice")
+        check_unit_norm(values, norm_tol, "state")  # a tolerance of 1 or more admits no labels at all
         out = object.__new__(cls)
-        out.num_wires, out._amps, out._live = num_wires, np.zeros(1 << num_wires, np.complex128), int(ordered[-1]) + 1
+        out.num_wires, out._amps = num_wires, np.zeros(1 << num_wires, np.complex128)
+        out._live = int(labels.max(initial=-1)) + 1
         out._amps[labels] = values
         return out
 
@@ -239,6 +239,14 @@ def check_wire_count(num_wires) -> int:
     if num_wires > MAX_WIRES:
         raise PreconditionError(f"{num_wires} wires exceeds the {MAX_WIRES}-wire ceiling")
     return num_wires
+
+
+def first_repeat(labels: np.ndarray) -> int | None:
+    """Position of the first label that repeats an earlier one, in input order, or None if none does."""
+    order = np.argsort(labels, kind="stable")  # each label's positions in input order
+    ordered = labels[order]
+    later = order[1:][ordered[1:] == ordered[:-1]]
+    return int(later.min()) if later.size else None
 
 
 def check_unit_norm(amplitudes: np.ndarray, tol: float, what: str) -> None:

@@ -16,13 +16,14 @@ label. A fault is named in file order, walking only the block that holds it.
 from __future__ import annotations
 
 import os
-import re
 from typing import Iterator
 
 import numpy as np
 
 from .errors import PreconditionError, instance
-from .state import NORM_TOL, RegisterLayout, StateVector, check_layout_on_state, check_unit_norm, check_wire_count
+from .state import (
+    NORM_TOL, RegisterLayout, StateVector, check_layout_on_state, check_unit_norm, check_wire_count, first_repeat,
+)
 
 # Parse block size. Each block's fields, digits and floats are freed before
 # the next, so beyond the text, the values read and the amplitudes a parse
@@ -33,8 +34,6 @@ from .state import NORM_TOL, RegisterLayout, StateVector, check_layout_on_state,
 READ_BLOCK_CHARS = 1 << 17
 
 _ZERO = ord("0")
-
-_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")  # str.splitlines's, "\r\n" as one
 
 
 def state_to_text(state: StateVector, layout: RegisterLayout) -> str:
@@ -100,11 +99,10 @@ def _raise_first_fault(block: str, earlier: np.ndarray, layout: RegisterLayout) 
     """Raise PreconditionError on the first fault in file order: a repeat among ``earlier``, the labels read
     before ``block``, found from the array whole, else the first faulty nonblank line of ``block``: not three
     fields, a bad bitstring, a label read before, or an amplitude ``float()`` refuses. Called once the block
-    parse or the repeat check has found a fault, this names it with one message."""
-    order = np.argsort(earlier, kind="stable")  # each label's lines in file order
-    repeats = order[1:][earlier[order[1:]] == earlier[order[:-1]]]
-    if repeats.size:
-        raise _repeated(int(earlier[repeats.min()]), layout)
+    parse has found a fault, this names it with one message."""
+    twice = first_repeat(earlier)
+    if twice is not None:
+        raise _repeated(int(earlier[twice]), layout)
     seen = set(earlier.tolist())
     for ln in filter(str.strip, block.splitlines()):
         parts = ln.split()
@@ -141,14 +139,12 @@ def _line_blocks(text: str, start: int = 0) -> Iterator[str]:
 def state_from_text(text: str, layout: RegisterLayout, *, norm_tol: float = NORM_TOL) -> StateVector:
     if not isinstance(text, str):  # a name, not a repr: bytes read from a file may be megabytes
         raise PreconditionError(f"state text of type {type(text).__name__} is not a str")
-    start = 0
-    for brk in _LINE_END.finditer(text):  # the header is the first nonblank line
-        if text[start:brk.start()].strip():
-            header, start = text[start:brk.start()], brk.end()
+    header, start = "", 0
+    for line in (line for block in _line_blocks(text) for line in block.splitlines(keepends=True)):
+        start += len(line)
+        if line.strip():  # the header is the first nonblank line
+            header = line.splitlines()[0]
             break
-        start = brk.end()
-    else:
-        header, start = text[start:], len(text)
     if not header.startswith("wires="):
         raise PreconditionError("state file must start with a wires=<m> header")
     try:
@@ -174,8 +170,9 @@ def state_from_text(text: str, layout: RegisterLayout, *, norm_tol: float = NORM
         seen[count:end], values.real[count:end], values.imag[count:end] = parsed
         count = end
     labels, values = seen[:count], values[:count]
-    if not np.diff(np.sort(labels, kind="stable")).all():  # a repeat; the sort merges a file's ascending runs
-        _raise_first_fault("", labels, layout)
+    twice = first_repeat(labels)
+    if twice is not None:
+        raise _repeated(int(labels[twice]), layout)
     check_unit_norm(values, norm_tol, "state file")
     return StateVector.from_support(m, labels, values, norm_tol=norm_tol)
 

@@ -174,6 +174,20 @@ def _bits(amplitudes):
     return amplitudes.view(np.uint64)
 
 
+def test_first_repeat_is_the_first_position_holding_a_label_seen_before(rng):
+    # Long runs of ties: an unstable sort could put a later copy of a label ahead of its first.
+    for size in (0, 1, 2, 17, 300, 5000):
+        for high in (1, 3, size // 2 + 1, 4 * size + 1):
+            labels = rng.integers(0, high, size)
+            seen, want = set(), None
+            for i, label in enumerate(labels.tolist()):
+                if label in seen:
+                    want = i
+                    break
+                seen.add(label)
+            assert state_module.first_repeat(labels) == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_support_matches_the_nonzero_labels(data):

@@ -120,6 +120,18 @@ def test_the_norm_is_checked_over_the_listed_amplitudes_alone(monkeypatch):
     assert listed.tolist() == [0.8j, 0.6] and state.norm() == pytest.approx(1.0)
     with pytest.raises(PreconditionError, match=r"^state file norm 0\.6 deviates from 1 beyond 1e-12$"):
         state_from_text("wires=5\n00001 0.6 0\n", _layout())
+    # With no line listed the norm is 0, which a tolerance of 1 admits: the zero state, bounded
+    # at 0, as an empty support gives it.
+    layout = RegisterLayout.packed([("q", 3)])
+    for state in (
+        state_from_text("wires=3\n", layout, norm_tol=1),
+        state_from_text("\nwires=3\n \n", layout, norm_tol=2.5),
+        StateVector.from_support(3, [], [], norm_tol=1),
+    ):
+        assert state._live == 0 and state_to_text(state, layout) == "wires=3\n"
+        assert np.array_equal(state.amplitudes.view(np.uint64), np.zeros(16, np.uint64))
+    with pytest.raises(PreconditionError, match=r"^state file norm 0\.0 deviates from 1 beyond 0\.5$"):
+        state_from_text("wires=3\n", layout, norm_tol=0.5)
 
 
 @pytest.mark.parametrize("block_chars", [1, 64, statefile.READ_BLOCK_CHARS])
@@ -146,7 +158,7 @@ def test_blank_lines_are_skipped(block_chars, monkeypatch, rng):
 
 def test_a_file_the_writer_wrote_is_parsed_with_no_per_line_split(rng):
     # Each block is split once into its fields, which the writer's line form, formatted
-    # from them, checks; no block is cut into lines.
+    # from them, checks; no block is cut into lines but the first, to find the header.
     layout = _layout()
     text = state_to_text(random_state(rng, 5), layout)
     calls = []
@@ -164,7 +176,8 @@ def test_a_file_the_writer_wrote_is_parsed_with_no_per_line_split(rng):
             sys.setprofile(None)
     assert calls.count(("_parse_block", "split")) == blocks > 1
     assert [name for _, name in calls].count("split") == blocks + 1  # and the header's "wires=" split
-    assert "splitlines" not in {name for _, name in calls}
+    cuts = [where for where, name in calls if name == "splitlines"]
+    assert cuts == ["<genexpr>", "state_from_text"]  # the first block's lines, then the header line's end
 
 
 def test_a_fault_walks_only_its_own_block(monkeypatch):
