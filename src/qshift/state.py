@@ -12,9 +12,9 @@ which reads contiguous slices as uint64 words first, answers the checks,
 and the support is gathered from that slice. Every other circuit runs on
 the dense array after the same sweep. Copies and support reads visit only the blocks
 that one scan finds holding a nonzero bit; it reads a block only if its head is zero.
-Until its buffer is handed out through ``.amplitudes``, a state bounds the labels that may hold a nonzero
-bit; copies, sweeps and scans stop there, and each gate runs on the smallest power-of-two prefix that holds
-the bound and its wires, so a state prepared by H gates costs the wires they touch.
+A state bounds the labels that may hold a nonzero bit, and a read of ``.amplitudes`` widens the bound to the
+whole buffer; copies, sweeps and scans stop there, and each gate runs on the smallest power-of-two prefix that
+holds the bound and its wires, so a state prepared by H gates costs the wires they touch.
 
 On the dense path the wires that an H-free circuit's checks proved 0 are
 marked, and only the slice where they read 0 is permuted. Consecutive
@@ -67,17 +67,15 @@ class StateVector:
 
     Gate application mutates the amplitude buffer in place; use
     :meth:`copy` to keep a snapshot. Callers hold exclusive access to a
-    state while operating on it. Every amplitude from label ``_live`` on holds ``+0.0`` bits; copies,
-    sweeps, scans and gates stop at the power-of-two prefix that holds it. Reading or assigning
-    :attr:`amplitudes` hands the buffer out, and the bound becomes None for good.
+    state while operating on it. The buffer is a C-contiguous complex128 array of the state's own. From the
+    int label ``_live``, 0 to ``2**num_wires``, every amplitude holds ``+0.0`` bits; copies, sweeps, scans and
+    gates stop at the power-of-two prefix that holds it. Reading :attr:`amplitudes` widens it to the whole buffer.
     """
 
     __slots__ = ("num_wires", "_amps", "_live")
 
     def __init__(self, amplitudes):
-        arr = np.asarray(amplitudes)
-        if arr.dtype.kind not in "biufc":  # strings, objects, records and times are not numbers
-            raise PreconditionError(f"amplitudes of dtype {arr.dtype} are not numbers")
+        arr = _numbers(amplitudes)
         m = int(arr.size).bit_length() - 1
         if arr.size < 2 or arr.size != 1 << m:
             raise PreconditionError(f"amplitude count {arr.size} is not 2**m with m >= 1")
@@ -89,12 +87,7 @@ class StateVector:
     @classmethod
     def from_label(cls, num_wires: int, label: int) -> "StateVector":
         num_wires = check_wire_count(num_wires)
-        label = basis_label(label, num_wires)
-        amps = np.zeros(1 << num_wires, dtype=np.complex128)
-        amps[label] = 1.0
-        out = object.__new__(cls)
-        out.num_wires, out._amps, out._live = num_wires, amps, label + 1
-        return out
+        return cls.from_support(num_wires, [basis_label(label, num_wires)], [1.0])
 
     @classmethod
     def from_support(cls, num_wires: int, labels, values, *, norm_tol: float = NORM_TOL) -> "StateVector":
@@ -102,9 +95,7 @@ class StateVector:
         labels come in any order but none twice, the norm is checked over ``values``, and the bound is the
         highest label + 1, or 0 with no labels."""
         num_wires = check_wire_count(num_wires)
-        labels, values = basis_labels(labels, num_wires), np.asarray(values)
-        if values.dtype.kind not in "biufc":
-            raise PreconditionError(f"amplitudes of dtype {values.dtype} are not numbers")
+        labels, values = basis_labels(labels, num_wires), _numbers(values)
         if labels.ndim != 1 or values.shape != labels.shape:
             raise PreconditionError(f"labels {labels.shape} and amplitudes {values.shape} are not 1-D of one length")
         twice = first_repeat(labels)
@@ -119,13 +110,17 @@ class StateVector:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The amplitude buffer itself; the caller may write through it at any time after."""
-        self._live = None
+        """The buffer itself, with the bound widened to its end: the caller may write through it at any time after.
+        Assigning copies ``2**num_wires`` numbers in and widens the bound; no norm check, as a read takes any write."""
+        self._live = self._amps.size
         return self._amps
 
     @amplitudes.setter
-    def amplitudes(self, amps: np.ndarray) -> None:
-        self._amps, self._live = amps, None
+    def amplitudes(self, amps) -> None:
+        arr = _numbers(amps)
+        if arr.size != self._amps.size:
+            raise PreconditionError(f"amplitude count {arr.size} is not 2**{self.num_wires}")
+        self._amps[:], self._live = arr.reshape(-1), self._amps.size
 
     def copy(self) -> "StateVector":
         """Bit-exact copy; from 21 wires the rows :func:`_occupied` yields go into zeros, bounded at the last one."""
@@ -144,16 +139,10 @@ class StateVector:
     def __copy__(self) -> "StateVector":  # never a shared buffer: each state keeps its own bound
         return self.copy()
 
-    def _grow(self, end: int) -> None:
-        """Raise the bound to ``end`` after a write below it; a handed-out buffer keeps none."""
-        if self._live is not None:
-            self._live = max(self._live, end)
-
     def _rows(self) -> np.ndarray:
-        """The buffer as C-contiguous complex128 rows of ``_COPY_BLOCK`` amplitudes (one if fewer), up to the bound."""
-        amps = np.ascontiguousarray(self._amps, np.complex128).reshape(-1)
-        block, end = min(_COPY_BLOCK, amps.size), amps.size if self._live is None else self._live
-        return amps.reshape(-1, block)[:-(-end // block)]
+        """The buffer as rows of ``_COPY_BLOCK`` amplitudes (one row if fewer), up to the row that holds the bound."""
+        block = min(_COPY_BLOCK, self._amps.size)
+        return self._amps.reshape(-1, block)[:-(-self._live // block)]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self._amps))
@@ -191,8 +180,8 @@ class StateVector:
         return bool(np.max(np.abs(self._amps - other._amps)) <= tol)
 
     def _span(self, end: int) -> int:
-        """Bits k of the smallest prefix ``2**k`` that holds the bound and wires below ``end``; m with no bound."""
-        return self.num_wires if self._live is None else max(end, (self._live - 1).bit_length())
+        """Bits k of the smallest prefix ``2**k`` that holds the bound and wires below ``end``; m once it is widened."""
+        return max(end, (self._live - 1).bit_length())
 
     def _tensor(self, k: int | None = None) -> np.ndarray:
         """The first ``2**k`` amplitudes, all by default, as a k-wire tensor."""
@@ -229,6 +218,14 @@ def new_basis_state(num_wires: int, label: str) -> StateVector:
             f"label {label!r} is not a bitstring of length {num_wires}"
         )
     return StateVector.from_label(num_wires, int(label, 2))
+
+
+def _numbers(values) -> np.ndarray:
+    """``values`` as an array, refused unless its dtype holds numbers: strings, objects, records and times do not."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biufc":
+        raise PreconditionError(f"amplitudes of dtype {arr.dtype} are not numbers")
+    return arr
 
 
 def check_wire_count(num_wires) -> int:
@@ -299,7 +296,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     Circuit(m, (gate,))  # refuses a gate off the state's wires, as a circuit of them does
     k = state._span(1 + max(ws))
     t = state._tensor(k)
-    state._grow(1 << k)
+    state._live = max(state._live, 1 << k)
     if gate.kind == "H":
         lo, hi = _slice_index(k, ws, 0), _slice_index(k, ws, 1 << ws[0])
         a, b = t[lo].copy(), t[hi]
@@ -391,7 +388,7 @@ def _apply_map(state: StateVector, step: _Map) -> None:
         _apply_permute(state, fixed, src)
     for wires, a, b in exchanges:
         _apply_exchange(state._tensor(), wires, a, b)
-    state._grow(1 << state._span(step.end))
+    state._live = max(state._live, 1 << state._span(step.end))
 
 
 def _apply_permute(state: StateVector, fixed: tuple[int, ...], src: Sequence[int]) -> None:
@@ -474,7 +471,7 @@ def _run_on_support(
     values = amps[labels]
     amps[labels] = 0.0
     amps[moved] = values
-    state._grow(int(moved.max(initial=-1)) + 1)
+    state._live = max(state._live, int(moved.max(initial=-1)) + 1)
     return state
 
 

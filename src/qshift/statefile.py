@@ -170,11 +170,14 @@ def state_from_text(text: str, layout: RegisterLayout, *, norm_tol: float = NORM
         seen[count:end], values.real[count:end], values.imag[count:end] = parsed
         count = end
     labels, values = seen[:count], values[:count]
-    twice = first_repeat(labels)
-    if twice is not None:
-        raise _repeated(int(labels[twice]), layout)
-    check_unit_norm(values, norm_tol, "state file")
-    return StateVector.from_support(m, labels, values, norm_tol=norm_tol)
+    try:
+        return StateVector.from_support(m, labels, values, norm_tol=norm_tol)
+    except PreconditionError:  # a repeat or the norm: named the reader's way, in that order
+        twice = first_repeat(labels)
+        if twice is not None:
+            raise _repeated(int(labels[twice]), layout) from None
+        check_unit_norm(values, norm_tol, "state file")
+        raise
 
 
 def write_state(state: StateVector, layout: RegisterLayout, path: str) -> None:

@@ -60,7 +60,8 @@ def random_state(rng: np.random.Generator, num_wires: int) -> StateVector:
 
 
 def holding(amps: np.ndarray) -> StateVector:
-    """A state whose buffer is ``amps`` itself, unit norm or not, handed out: it keeps no live-prefix bound."""
+    """A state holding a copy of ``amps``, unit norm or not, assigned through ``.amplitudes``: its live-prefix
+    bound is the whole buffer, so every step reads the whole array."""
     state = StateVector.from_label(int(amps.size).bit_length() - 1, 0)
     state.amplitudes = amps
     return state

@@ -7,6 +7,7 @@ exception escape."""
 import functools
 import os
 
+import numpy as np
 import pytest
 
 import qshift
@@ -142,3 +143,27 @@ def test_junk_arguments_let_only_precondition_errors_escape(name, tmp_path, monk
     assert escaped == []
     assert os.listdir(tmp_path) == ["x"]  # a refused write leaves no temporary file
 
+
+def test_assigning_amplitudes_refuses_junk_and_a_wrong_count_and_keeps_the_state():
+    # The setter is the one checked way a buffer enters a state after construction: each refusal
+    # names its fault and leaves the buffer and its bound as they were; an accepted array is copied in.
+    refusals = [
+        ("x", "amplitudes of dtype <U1 are not numbers"),
+        (None, "amplitudes of dtype object are not numbers"),
+        (3.5, "amplitude count 1 is not 2**3"),
+        ([[1]], "amplitude count 1 is not 2**3"),
+        (True, "amplitude count 1 is not 2**3"),
+        (np.ones(4), "amplitude count 4 is not 2**3"),
+    ]
+    assert [junk for junk, _ in refusals[:-1]] == _JUNK
+    state = StateVector.from_support(3, [1, 6], [0.6, -0.8j])
+    before, bound = state._amps.view(np.uint64).copy(), state._live
+    for junk, message in refusals:
+        with pytest.raises(PreconditionError) as refused:
+            state.amplitudes = junk
+        assert str(refused.value) == message
+        assert np.array_equal(state._amps.view(np.uint64), before) and state._live == bound
+    values = np.arange(8.0) * 1j
+    state.amplitudes = values
+    values[:] = 0.0
+    assert state._amps.tolist() == list(np.arange(8.0) * 1j) and state._live == 8

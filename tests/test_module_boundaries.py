@@ -38,8 +38,8 @@ def test_only_the_reader_and_the_oracle_touch_amplitudes_outside_state():
 
 
 def test_state_reads_its_own_buffer_not_the_property():
-    # Reading .amplitudes hands the buffer out and drops the live-prefix bound,
-    # so state.py itself reads _amps; only the property's own definition names it.
+    # Reading .amplitudes widens the live-prefix bound to the whole buffer, so
+    # state.py itself reads _amps; only the property's own definition names it.
     path = Path(qshift.__file__).parent / "state.py"
     hits = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -86,10 +86,11 @@ def test_the_width_and_gate_fit_rules_are_written_once():
     # MulQuantumSpec and the constant schedule share one width rule, and
     # apply_gate refuses a gate off the state through Circuit's own rule; the
     # state-file writer and the marginals check a layout against a state by one rule;
-    # the reader names a repeated label through one helper of its fault walk.
+    # the reader names a repeated label through one helper of its fault walk; the constructors
+    # and the amplitudes setter refuse a non-number dtype by one rule.
     for fragment in (
         "register widths must be at least 1", "exceeds {} wires", "layout and state wire counts differ",
-        "duplicate basis label {}",
+        "duplicate basis label {}", "amplitudes of dtype {} are not numbers",
     ):
         hits = [f"{path.stem}.{owner}" for path in SOURCES for owner, text in _literals(path) if fragment in text]
         assert len(hits) == 1, hits

@@ -221,7 +221,7 @@ _LONE = [1.0, 1j, 5e-324, complex(-1.0, -0.0), complex(-0.0, 0.0), complex(0.0, 
 
 
 def _assert_copied(state, copied):
-    before = state.amplitudes.copy()  # C-contiguous, so a strided buffer's bits read too
+    before = state.amplitudes.copy()  # a snapshot: a write to the copy must leave the state as it was
     assert np.array_equal(_bits(copied), _bits(before))
     assert copied.dtype == np.complex128 and copied.flags.c_contiguous and copied.flags.writeable
     copied[:] = 7.0
@@ -245,7 +245,7 @@ def _block_pattern(rng, m, block):
 
 def _occupied_end(amps, block):
     """The end of the last block of ``amps`` that holds a nonzero bit, or 0."""
-    occupied = np.flatnonzero(_bits(np.ascontiguousarray(amps)).reshape(-1, 2 * block).any(axis=1))
+    occupied = np.flatnonzero(_bits(amps).reshape(-1, 2 * block).any(axis=1))
     return int(occupied[-1] + 1) * block if occupied.size else 0
 
 
@@ -273,7 +273,7 @@ def test_block_copy_is_bit_exact(data):
     if kind == "fresh":  # a bound that is rarely a whole number of blocks
         state = StateVector.from_label(m, int(rng.integers(1 << m)))
     else:
-        state = holding(amps[::2] if data.draw(st.booleans()) else amps)  # a strided buffer is read converted
+        state = holding(amps[::2] if data.draw(st.booleans()) else amps)  # a strided buffer is copied in
     end = _occupied_end(state._amps, block)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(state_module, "_LAZY_ZERO_BYTES", 0)
@@ -316,8 +316,8 @@ def test_sparse_22_wire_copy_is_bit_exact():
 
 
 def _bound_holds(state):
-    """Whether every amplitude from the live-prefix bound on holds +0.0 bits, when it is known."""
-    return state._live is None or not _bits(state._amps[state._live:]).any()
+    """Whether every amplitude from the live-prefix bound on holds +0.0 bits."""
+    return not _bits(state._amps[state._live:]).any()
 
 
 def _outcome(state, circuit, checks):
@@ -371,9 +371,9 @@ def test_live_bound_holds_and_changes_no_verdict(data):
                 assert states[-1]._amps is not state._amps
                 assert np.array_equal(_bits(states[-1]._amps), _bits(state._amps))
             elif step in ("run", "gate"):
-                # A bounded state keeps a bound, at most the smallest 2**j above its old
-                # bound and the step's wires, whether its gates ran on the prefix or not.
-                bound, twin = state._live, holding(state._amps.copy())
+                # The bound stays at most the smallest 2**j above its old bound and the
+                # step's wires, whether the gates ran on the prefix or not.
+                bound, twin = state._live, holding(state._amps)
                 if step == "run":
                     circuit, checks = _random_run(rng, state)
                     assert _outcome(state, circuit, checks) == _outcome(twin, circuit, checks)
@@ -383,17 +383,16 @@ def test_live_bound_holds_and_changes_no_verdict(data):
                     apply_gate(state, gate)
                     apply_gate(twin, gate)
                 assert np.array_equal(_bits(state._amps), _bits(twin._amps))
-                if bound is not None:
-                    j = max([(bound - 1).bit_length(), *(w + 1 for gate in circuit for w in gate.wires)])
-                    assert state._live is not None and state._live <= 1 << j
+                j = max([(bound - 1).bit_length(), *(w + 1 for gate in circuit for w in gate.wires)])
+                assert state._live <= 1 << j
             elif step == "read":
                 refs.append(state.amplitudes)
-                assert state._live is None
+                assert state._live == 1 << m
             elif refs:
                 value = [0.0, 1.0, *_LONE][int(rng.integers(len(_LONE) + 2))]
                 refs[int(rng.integers(len(refs)))][int(rng.integers(1 << m))] = value
             states = states[-4:]
-            assert all(_bound_holds(s) for s in states)
+            assert all(type(s._live) is int and 0 <= s._live <= 1 << m and _bound_holds(s) for s in states)
 
 
 def test_a_prepared_superposition_reads_only_the_prefix_its_gates_touch(monkeypatch):
@@ -414,7 +413,7 @@ def test_a_prepared_superposition_reads_only_the_prefix_its_gates_touch(monkeypa
     twin = holding(StateVector.from_label(layout.num_wires, 0).amplitudes)  # every gate runs on the whole array
     for wire in layout.wires("A"):
         apply_gate(twin, Gate.h(wire))
-    assert twin._live is None
+    assert twin._live == 1 << layout.num_wires
     assert state_to_text(state, layout) == state_to_text(twin, layout)
 
 
@@ -453,8 +452,8 @@ def _multiplier_input():
 
 
 def _swept_by_multiplier(monkeypatch, state, spec, layout):
-    """The sizes of the slices the multiplier's zero sweep reads; its result must equal a handed-out twin's."""
-    twin = multiply_registers(holding(state._amps.copy()), spec, layout)
+    """The sizes of the slices the multiplier's zero sweep reads; its result must equal a whole-buffer twin's."""
+    twin = multiply_registers(holding(state._amps), spec, layout)
     swept = []
     nonzero = state_module._nonzero
     monkeypatch.setattr(state_module, "_nonzero", lambda x: swept.append(x.size) or nonzero(x))

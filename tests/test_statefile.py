@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qshift import statefile
+from qshift import state as state_module, statefile
 from qshift import (
     Gate,
     PreconditionError,
@@ -107,14 +107,15 @@ def test_rejects_bad_inputs():
 
 
 def test_the_norm_is_checked_over_the_listed_amplitudes_alone(monkeypatch):
-    # Every label the file does not list holds 0, so the check reads the listed lines' amplitudes, not 2**m.
-    checked, check = [], statefile.check_unit_norm
+    # Every label the file does not list holds 0, so the check reads the listed lines' amplitudes, not 2**m;
+    # StateVector.from_support makes it, and the reader checks again only to name a norm it refused.
+    checked, check = [], state_module.check_unit_norm
 
     def spy(amplitudes, *args):
         checked.append(amplitudes.copy())
         return check(amplitudes, *args)
 
-    monkeypatch.setattr(statefile, "check_unit_norm", spy)
+    monkeypatch.setattr(state_module, "check_unit_norm", spy)
     state = state_from_text("wires=5\n10000 0 0.8\n00001 0.6 0\n", _layout())
     (listed,) = checked
     assert listed.tolist() == [0.8j, 0.6] and state.norm() == pytest.approx(1.0)
@@ -132,6 +133,27 @@ def test_the_norm_is_checked_over_the_listed_amplitudes_alone(monkeypatch):
         assert np.array_equal(state.amplitudes.view(np.uint64), np.zeros(16, np.uint64))
     with pytest.raises(PreconditionError, match=r"^state file norm 0\.0 deviates from 1 beyond 0\.5$"):
         state_from_text("wires=3\n", layout, norm_tol=0.5)
+
+
+def test_a_clean_read_searches_its_labels_for_a_repeat_once(monkeypatch, rng):
+    # StateVector.from_support searches the labels read; the reader searches again only to name a repeat it refused.
+    searched, search = [], state_module.first_repeat
+
+    def spy(labels):
+        searched.append(labels.size)
+        return search(labels)
+
+    for module in (state_module, statefile):
+        monkeypatch.setattr(module, "first_repeat", spy)
+    layout = _layout()
+    for state in (random_state(rng, 5), StateVector.from_label(5, 9)):
+        searched.clear()
+        assert np.array_equal(state_from_text(state_to_text(state, layout), layout).amplitudes, state.amplitudes)
+        assert searched == [len(state.support()[0])]
+    searched.clear()
+    with pytest.raises(PreconditionError, match="^duplicate basis label '00001'$"):
+        state_from_text("wires=5\n00001 0.6 0\n00001 0.8 0\n", layout)
+    assert searched == [2, 2]
 
 
 @pytest.mark.parametrize("block_chars", [1, 64, statefile.READ_BLOCK_CHARS])

@@ -138,8 +138,8 @@ def _gate_by_gate(state, circuit):
 
 
 def _twin(state):
-    """A handed-out copy of ``state``: with no bound, every step runs on the whole array."""
-    return holding(state._amps.copy())
+    """A copy of ``state`` bounded at the whole buffer: every step runs on the whole array."""
+    return holding(state._amps)
 
 
 def _bounded(state):
