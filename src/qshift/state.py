@@ -211,8 +211,7 @@ def _occupied(rows: np.ndarray) -> Iterator[int]:
 
 def new_basis_state(num_wires: int, label: str) -> StateVector:
     """Basis state from an MSB-first bitstring of length ``num_wires``."""
-    if integer(num_wires, "num_wires") < 1:
-        raise PreconditionError("need at least one wire")
+    num_wires = check_wire_count(num_wires)
     if not isinstance(label, str) or len(label) != num_wires or set(label) - {"0", "1"}:
         raise PreconditionError(
             f"label {label!r} is not a bitstring of length {num_wires}"
@@ -285,8 +284,8 @@ def _apply_exchange(t: np.ndarray, wires: Sequence[int], a: int, b: int) -> None
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place and return the state.
 
-    A permutation gate exchanges the two slices its masks pair up, so it
-    moves amplitudes exactly; H is the standard one-wire Hadamard butterfly.
+    A permutation gate exchanges two slices, so it moves amplitudes exactly;
+    H is the standard one-wire Hadamard butterfly.
     Norm is preserved (exactly for permutations). The gate runs on the prefix of ``state._span`` bits,
     whose end becomes the bound: above it, H and the exchanges would pair ``+0.0`` with ``+0.0``.
     """
@@ -303,8 +302,11 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         t[lo] = (a + b) * _SQRT_HALF
         t[hi] = (a - b) * _SQRT_HALF
         return state
-    control, flip, pattern = gate.masks
-    _apply_exchange(t, ws, control | pattern, control | (pattern ^ flip))
+    controls, (first, *second) = gate.roles
+    control = _wire_mask(controls)
+    # With every control at 1, a swap trades the slices where its two wires read 0, 1 and 1, 0; any
+    # other gate those where its target, the first, reads 0 and 1.
+    _apply_exchange(t, ws, control | _wire_mask(second), control | 1 << first)
     return state
 
 
@@ -339,14 +341,14 @@ def _dense_steps(circuit: Circuit, marked: int) -> list[Gate | _Map]:
             flips ^= 1 << wires[0]
         elif kind == "SWAP" or kind == "CSWAP" and marked >> wires[0] & 1:
             if kind == "SWAP" or flips >> wires[0] & 1:
-                a, b = wires[-2:]
+                a, b = gate.roles[1]
                 src[a], src[b] = src[b], src[a]
                 if (flips >> a ^ flips >> b) & 1:
                     flips ^= 1 << a | 1 << b
                 marked &= ~(1 << a | 1 << b)
         else:
             steps += _end_map(m, marked, src, flips)
-            marked &= ~(flips | (1 << wires[0] if kind == "H" else gate.masks.flip))
+            marked &= ~(flips | _wire_mask(wires if kind == "H" else gate.roles[1]))
             src, flips = list(range(m)), 0
             steps.append(gate)
     return steps + _end_map(m, marked, src, flips)

@@ -1,6 +1,7 @@
 """Gate records, decompositions, and basis-label evaluation."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from qshift import (
     run_circuit,
 )
 from qshift.errors import basis_labels
-from qshift.gates import GATE_ARITY, apply_circuit_to_labels
-from conftest import apply_circuit_matrix, random_state
+from qshift.gates import GATE_ARITY, apply_circuit_to_labels, apply_gate_to_label
+from conftest import apply_circuit_matrix, apply_gate_matrix, random_state
 
 
 def test_gate_validation():
@@ -126,10 +127,30 @@ def test_expand_swaps_and_cswaps_preserve_action(rng):
 
 
 def test_label_evaluation_rejects_h():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^H is not a basis permutation$"):
         apply_circuit_to_label(Circuit(1, [Gate.h(0)]), 0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^H is not a basis permutation$"):
         apply_circuit_to_labels(Circuit(2, [Gate.x(1), Gate.h(0)]), np.zeros(1, dtype=np.int64))
+    with pytest.raises(PreconditionError, match="^H is not a basis permutation$"):
+        Gate.h(0).roles
+
+
+@pytest.mark.parametrize("kind", sorted(set(GATE_ARITY) - {"H"}))
+def test_every_kernel_maps_each_label_as_the_gate_matrix_on_every_wire_order(kind):
+    # Every ordered tuple of distinct wires of a 4-wire register, from all 16 labels: the scalar, plane
+    # and dense kernels and the gate-free matrix agree, which pins which slice a SWAP or CSWAP sends
+    # where for each wire order.
+    labels = np.arange(16, dtype=np.int64)
+    for wires in itertools.permutations(range(4), GATE_ARITY[kind]):
+        gate = Gate(kind, wires)
+        planes = apply_circuit_to_labels(Circuit(4, [gate]), labels).tolist()
+        for label in range(16):
+            image = apply_gate_matrix(np.eye(16, dtype=complex)[label], gate, 4)
+            want = int(np.flatnonzero(image)[0])
+            assert image.tolist() == np.eye(16)[want].tolist()
+            assert apply_gate_to_label(gate, label) == planes[label] == want, (wires, label)
+            dense = apply_gate(StateVector.from_label(4, label), gate)
+            assert [x.tolist() for x in dense.support()] == [[want], [1]], (wires, label)
 
 
 @st.composite

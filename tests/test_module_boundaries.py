@@ -20,7 +20,7 @@ def test_no_module_imports_a_private_name_of_another():
     assert len(SOURCES) > 1 and hits == []
 
 
-def test_only_the_reader_and_the_oracle_touch_amplitudes_outside_state():
+def test_only_the_oracle_touches_amplitudes_outside_state():
     # Everything else reads a state through StateVector.support, so a new
     # state form changes that method, not its callers; the reader builds its
     # state through StateVector.from_support. The gate-free oracle adder stays
@@ -87,13 +87,35 @@ def test_the_width_and_gate_fit_rules_are_written_once():
     # apply_gate refuses a gate off the state through Circuit's own rule; the
     # state-file writer and the marginals check a layout against a state by one rule;
     # the reader names a repeated label through one helper of its fault walk; the constructors
-    # and the amplitudes setter refuse a non-number dtype by one rule.
+    # and the amplitudes setter refuse a non-number dtype by one rule, and the constructors and
+    # new_basis_state a wire count by another.
     for fragment in (
         "register widths must be at least 1", "exceeds {} wires", "layout and state wire counts differ",
-        "duplicate basis label {}", "amplitudes of dtype {} are not numbers",
+        "duplicate basis label {}", "amplitudes of dtype {} are not numbers", "need at least one wire",
     ):
         hits = [f"{path.stem}.{owner}" for path in SOURCES for owner, text in _literals(path) if fragment in text]
         assert len(hits) == 1, hits
+
+
+def test_the_gate_roles_table_has_one_reader():
+    # The scalar, plane and dense kernels read a permutation gate's control and flipped wires through
+    # Gate.roles, so each gate's semantics has one form; GATE_ARITY counts the same table's wires.
+    def owner(node):
+        if isinstance(node, ast.Assign):
+            return ",".join(ast.unparse(target) for target in node.targets)
+        return getattr(node, "name", f"line {node.lineno}")
+
+    readers = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for member in top.body if isinstance(top, ast.ClassDef) else [top]:
+                where = owner(member) if member is top else f"{top.name}.{owner(member)}"
+                for node in ast.walk(member):
+                    if isinstance(getattr(node, "ctx", None), ast.Load) and "_ROLES" in (
+                        getattr(node, "id", None), getattr(node, "attr", None)
+                    ):
+                        readers.add(f"{path.stem}.{where}")
+    assert readers == {"gates.GATE_ARITY", "gates.Gate.roles"}
 
 
 def test_the_report_renderers_are_written_once():

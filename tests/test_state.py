@@ -128,6 +128,7 @@ def test_max_wires_ceiling():
     refusals = [
         lambda: StateVector(np.broadcast_to(np.complex128(0), (1 << 25,))),
         lambda: new_basis_state(25, "0" * 25),
+        lambda: new_basis_state(25, "1"),  # first, as in from_label
         lambda: state_from_text("wires=25\n" + "0" * 25 + " 1 0\n", RegisterLayout.packed([("q", 25)])),
         lambda: state_from_text("wires=25\n" + "0" * 25 + " one 0\n", RegisterLayout.packed([("q", 25)])),  # first
         lambda: StateVector.from_support(25, [0], [1.0]),
