@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Sequence
 
-import numpy as np
-
 from .errors import PreconditionError, disjoint, instance, integer, register_wires
 from .gates import Circuit, Gate, compiled
 from .shift_register import Report, shift_cascade
@@ -96,16 +94,6 @@ def adder_gates(
     return gates
 
 
-def build_adder_circuit(
-    num_wires: int,
-    a_wires: Sequence[int],
-    b_wires: Sequence[int],
-    carry_wires: Sequence[int],
-    control: int | None = None,
-) -> Circuit:
-    return Circuit(num_wires, adder_gates(a_wires, b_wires, carry_wires, control))
-
-
 def _resolve(layout: RegisterLayout | None, reg, what: str, num_wires: int) -> tuple[int, ...]:
     if isinstance(reg, str):
         if layout is None:
@@ -132,50 +120,9 @@ def add(
     a = _resolve(layout, reg_a, "addend", num_wires)
     b = _resolve(layout, reg_b, "target", num_wires)
     c = _resolve(layout, carries, "carries", num_wires)
-    circuit = build_adder_circuit(num_wires, a, b, c, control)
-    return run_circuit(state, circuit, [(c, "carry wires")])
-
-
-def controlled_add(
-    state: StateVector,
-    layout: RegisterLayout | None,
-    control: int,
-    reg_a,
-    reg_b,
-    carries,
-) -> StateVector:
-    """Adds on control=1 basis components, identity on control=0 ones."""
-    return add(state, layout, reg_a, reg_b, carries, control=control)
-
-
-def oracle_add(state: StateVector, reg_a: Sequence[int], reg_b: Sequence[int]) -> StateVector:
-    """Permutation-level adder used as an independent cross-check.
-
-    Relabels amplitudes directly from integer arithmetic; no gates.
-    """
-    a = register_wires(reg_a, "addend", instance(state, StateVector, "state").num_wires)
-    b = register_wires(reg_b, "target", state.num_wires)
-    for name, wires in (("addend", a), ("target", b)):
-        if not wires:
-            raise PreconditionError(f"{name} register must have at least one wire")
-    disjoint({"addend": a, "target": b})
-    labels = np.arange(state.amplitudes.size, dtype=np.int64)
-    a_val = np.zeros_like(labels)
-    for slot, wire in enumerate(a):
-        a_val |= ((labels >> wire) & 1) << slot
-    b_val = np.zeros_like(labels)
-    b_mask = 0
-    for slot, wire in enumerate(b):
-        b_val |= ((labels >> wire) & 1) << slot
-        b_mask |= 1 << wire
-    new_b = (a_val + b_val) & ((1 << len(b)) - 1)
-    new_labels = labels & ~b_mask
-    for slot, wire in enumerate(b):
-        new_labels |= ((new_b >> slot) & 1) << wire
-    out = np.zeros_like(state.amplitudes)
-    out[new_labels] = state.amplitudes
-    state.amplitudes = out
-    return state
+    if control is not None:
+        (control,) = register_wires([control], "control", num_wires)
+    return run_circuit(state, Circuit(num_wires, adder_gates(a, b, c, control)), [(c, "carry wires")])
 
 
 @dataclass(frozen=True)

@@ -209,16 +209,6 @@ def _occupied(rows: np.ndarray) -> Iterator[int]:
         lo, step = hi, 1 if live else 2 * step
 
 
-def new_basis_state(num_wires: int, label: str) -> StateVector:
-    """Basis state from an MSB-first bitstring of length ``num_wires``."""
-    num_wires = check_wire_count(num_wires)
-    if not isinstance(label, str) or len(label) != num_wires or set(label) - {"0", "1"}:
-        raise PreconditionError(
-            f"label {label!r} is not a bitstring of length {num_wires}"
-        )
-    return StateVector.from_label(num_wires, int(label, 2))
-
-
 def _numbers(values) -> np.ndarray:
     """``values`` as an array, refused unless its dtype holds numbers: strings, objects, records and times do not."""
     arr = np.asarray(values)

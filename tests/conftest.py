@@ -1,10 +1,13 @@
-"""Shared test helpers: independent dense-matrix gate application and generators."""
+"""Shared test helpers: independent dense-matrix gate application, a gate-free adder and generators."""
+
+from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qshift import Circuit, Gate, MulQuantumSpec, RegisterLayout, StateVector
+from qshift import Circuit, Gate, MulQuantumSpec, PreconditionError, RegisterLayout, StateVector
+from qshift.errors import disjoint, instance, register_wires
 from qshift.gates import GATE_ARITY
 
 _SQ = 1.0 / np.sqrt(2.0)
@@ -50,6 +53,36 @@ def apply_circuit_matrix(amplitudes: np.ndarray, circuit: Circuit) -> np.ndarray
     for gate in circuit:
         out = apply_gate_matrix(out, gate, circuit.num_wires)
     return out
+
+
+def oracle_add(state: StateVector, reg_a: Sequence[int], reg_b: Sequence[int]) -> StateVector:
+    """Permutation-level adder used as an independent cross-check.
+
+    Relabels amplitudes directly from integer arithmetic; no gates.
+    """
+    a = register_wires(reg_a, "addend", instance(state, StateVector, "state").num_wires)
+    b = register_wires(reg_b, "target", state.num_wires)
+    for name, wires in (("addend", a), ("target", b)):
+        if not wires:
+            raise PreconditionError(f"{name} register must have at least one wire")
+    disjoint({"addend": a, "target": b})
+    labels = np.arange(state.amplitudes.size, dtype=np.int64)
+    a_val = np.zeros_like(labels)
+    for slot, wire in enumerate(a):
+        a_val |= ((labels >> wire) & 1) << slot
+    b_val = np.zeros_like(labels)
+    b_mask = 0
+    for slot, wire in enumerate(b):
+        b_val |= ((labels >> wire) & 1) << slot
+        b_mask |= 1 << wire
+    new_b = (a_val + b_val) & ((1 << len(b)) - 1)
+    new_labels = labels & ~b_mask
+    for slot, wire in enumerate(b):
+        new_labels |= ((new_b >> slot) & 1) << wire
+    out = np.zeros_like(state.amplitudes)
+    out[new_labels] = state.amplitudes
+    state.amplitudes = out
+    return state
 
 
 def random_state(rng: np.random.Generator, num_wires: int) -> StateVector:

@@ -11,14 +11,15 @@ import time
 import numpy as np
 
 from qshift import (
+    Circuit,
     Gate,
     MulConstSpec,
     MulQuantumSpec,
     ShiftSpec,
     StateVector,
     apply_circuit_to_label,
+    adder_gates,
     apply_gate,
-    build_adder_circuit,
     build_multiply_by_constant_circuit,
     build_multiply_registers_circuit,
     build_shift_circuit,
@@ -32,14 +33,13 @@ from qshift import (
     multiply_by_constant,
     multiply_registers,
     num_shifts,
-    oracle_add,
     rotate,
     run_circuit,
     schmidt_rank,
     shift_layout,
 )
 from qshift.state import RegisterLayout
-from conftest import random_circuit, random_state
+from conftest import oracle_add, random_circuit, random_state
 
 
 def _report(name, ok, detail=""):
@@ -215,7 +215,7 @@ def test_criterion_4_rotation_semantics():
 
 def test_criterion_5_adder():
     lay = RegisterLayout([("A", range(4)), ("B", range(4, 8)), ("carry", range(8, 11))])
-    circ = build_adder_circuit(lay.num_wires, lay.wires("A"), lay.wires("B"), lay.wires("carry"))
+    circ = Circuit(lay.num_wires, adder_gates(lay.wires("A"), lay.wires("B"), lay.wires("carry")))
     ok = True
     detail = ""
     for a, b in itertools.product(range(16), range(16)):
@@ -315,8 +315,8 @@ def test_criterion_7_reversibility_and_norm_drift():
         build_shift_circuit(ShiftSpec(1, 1, "left")),
         decompose_swap(0, 1),
         decompose_cswap(2, 0, 1),
-        build_adder_circuit(11, range(4), range(4, 8), range(8, 11)),
-        build_adder_circuit(12, range(4), range(4, 8), range(8, 11), control=11),
+        Circuit(11, adder_gates(range(4), range(4, 8), range(8, 11))),
+        Circuit(12, adder_gates(range(4), range(4, 8), range(8, 11), control=11)),
         build_multiply_by_constant_circuit(MulConstSpec(3, 2, 4, 0b110)),
         build_multiply_registers_circuit(MulQuantumSpec(2, 1, 2, 1, 4)),
     ]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from qshift import (
+    Circuit,
     Gate,
     MulConstSpec,
     MulQuantumSpec,
@@ -17,10 +18,8 @@ from qshift import (
     adder_gates,
     apply_circuit_to_label,
     apply_gate,
-    build_adder_circuit,
     build_multiply_by_constant_circuit,
     build_multiply_registers_circuit,
-    controlled_add,
     cost_report,
     extended_addend,
     is_product_across,
@@ -29,7 +28,6 @@ from qshift import (
     multiply_by_constant,
     multiply_registers,
     num_shifts,
-    oracle_add,
     rotate,
     run_circuit,
     segment_value_distribution,
@@ -41,7 +39,7 @@ from qshift import arithmetic
 from qshift.gates import compiled
 from qshift.shift_register import shift_cascade
 from qshift.state import RegisterLayout
-from conftest import register_multiplications
+from conftest import oracle_add, register_multiplications
 
 
 def adder_layout(wa, wb):
@@ -60,7 +58,7 @@ def embed(layout, **values):
 
 def test_adder_exhaustive_4_plus_4():
     lay = adder_layout(4, 4)
-    circ = build_adder_circuit(lay.num_wires, lay.wires("A"), lay.wires("B"), lay.wires("carry"))
+    circ = Circuit(lay.num_wires, adder_gates(lay.wires("A"), lay.wires("B"), lay.wires("carry")))
     for a, b in itertools.product(range(16), range(16)):
         out = apply_circuit_to_label(circ, embed(lay, A=a, B=b))
         assert lay.value(out, "A") == a
@@ -72,7 +70,7 @@ def test_adder_narrow_addend_widths():
     for wa, wb in ((1, 4), (2, 5), (3, 3), (1, 1), (4, 6)):
         lay = adder_layout(wa, wb)
         carry = lay.wires("carry") if wb > 1 else ()
-        circ = build_adder_circuit(lay.num_wires, lay.wires("A"), lay.wires("B"), carry)
+        circ = Circuit(lay.num_wires, adder_gates(lay.wires("A"), lay.wires("B"), carry))
         for a, b in itertools.product(range(1 << wa), range(1 << wb)):
             out = apply_circuit_to_label(circ, embed(lay, A=a, B=b))
             assert lay.value(out, "A") == a
@@ -83,7 +81,7 @@ def test_adder_narrow_addend_widths():
 
 def test_adder_gate_set():
     lay = adder_layout(4, 4)
-    circ = build_adder_circuit(lay.num_wires, lay.wires("A"), lay.wires("B"), lay.wires("carry"))
+    circ = Circuit(lay.num_wires, adder_gates(lay.wires("A"), lay.wires("B"), lay.wires("carry")))
     assert set(circ.counts()) == {"CNOT", "TOFFOLI"}
 
 
@@ -104,16 +102,16 @@ def test_add_example_3_plus_5():
 def test_add_width_and_carry_preconditions():
     lay = adder_layout(4, 4)
     with pytest.raises(PreconditionError):
-        build_adder_circuit(12, range(5), range(5, 9), range(9, 12))  # addend too wide
+        adder_gates(range(5), range(5, 9), range(9, 12))  # addend too wide
     with pytest.raises(PreconditionError):
-        build_adder_circuit(11, range(4), range(4, 8), range(8, 10))  # carry shortfall
+        adder_gates(range(4), range(4, 8), range(8, 10))  # carry shortfall
     dirty = StateVector.from_label(lay.num_wires, embed(lay, carry=1))
     with pytest.raises(PreconditionError):
         add(dirty, lay, "A", "B", "carry")
     with pytest.raises(PreconditionError, match=r"wire 1\.5 is not an integer"):
         add(dirty.copy(), lay, [0, 1.5, 2, 3], "B", "carry")
     with pytest.raises(PreconditionError, match=r"control wire 8\.5 is not an integer"):
-        controlled_add(dirty.copy(), lay, 8.5, "A", "B", "carry")
+        add(dirty.copy(), lay, "A", "B", "carry", control=8.5)
     # The gate-free oracle adder refuses empty, out-of-range and non-integer registers too.
     for reg_a, reg_b, message in [
         ([0.5], [1], "addend wire 0.5 is not an integer"),
@@ -145,7 +143,7 @@ def test_add_superposed_addend(rng):
 
 def test_add_reversibility(rng):
     lay = adder_layout(4, 4)
-    circ = build_adder_circuit(lay.num_wires, lay.wires("A"), lay.wires("B"), lay.wires("carry"))
+    circ = Circuit(lay.num_wires, adder_gates(lay.wires("A"), lay.wires("B"), lay.wires("carry")))
     for _ in range(20):
         amps = np.zeros(1 << lay.num_wires, dtype=complex)
         block = rng.standard_normal(256) + 1j * rng.standard_normal(256)
@@ -161,7 +159,7 @@ def test_add_reversibility(rng):
 
 def test_gate_adder_matches_oracle_adder_on_random_states(rng):
     lay = adder_layout(4, 4)
-    circ = build_adder_circuit(lay.num_wires, lay.wires("A"), lay.wires("B"), lay.wires("carry"))
+    circ = Circuit(lay.num_wires, adder_gates(lay.wires("A"), lay.wires("B"), lay.wires("carry")))
     for _ in range(100):
         amps = np.zeros(1 << lay.num_wires, dtype=complex)
         block = rng.standard_normal(256) + 1j * rng.standard_normal(256)
@@ -179,9 +177,7 @@ def test_controlled_add_control_zero_is_identity():
     lay = RegisterLayout(
         [("A", range(3)), ("B", range(3, 7)), ("carry", range(7, 10)), ("ctl", [10])]
     )
-    circ = build_adder_circuit(
-        lay.num_wires, lay.wires("A"), lay.wires("B"), lay.wires("carry"), control=10
-    )
+    circ = Circuit(lay.num_wires, adder_gates(lay.wires("A"), lay.wires("B"), lay.wires("carry"), control=10))
     for a, b in itertools.product(range(8), range(16)):
         label = embed(lay, A=a, B=b)
         assert apply_circuit_to_label(circ, label) == label
@@ -191,10 +187,8 @@ def test_controlled_add_control_one_equals_add():
     lay = RegisterLayout(
         [("A", range(4)), ("B", range(4, 8)), ("carry", range(8, 11)), ("ctl", [11])]
     )
-    plain = build_adder_circuit(lay.num_wires, lay.wires("A"), lay.wires("B"), lay.wires("carry"))
-    gated = build_adder_circuit(
-        lay.num_wires, lay.wires("A"), lay.wires("B"), lay.wires("carry"), control=11
-    )
+    plain = Circuit(lay.num_wires, adder_gates(lay.wires("A"), lay.wires("B"), lay.wires("carry")))
+    gated = Circuit(lay.num_wires, adder_gates(lay.wires("A"), lay.wires("B"), lay.wires("carry"), control=11))
     for a, b in itertools.product(range(16), range(16)):
         label = embed(lay, A=a, B=b, ctl=1)
         assert apply_circuit_to_label(gated, label) == apply_circuit_to_label(plain, label)
@@ -206,7 +200,7 @@ def test_controlled_add_superposed_control():
     )
     state = StateVector.from_label(lay.num_wires, embed(lay, A=1, B=0))
     apply_gate(state, Gate.h(5))
-    controlled_add(state, lay, 5, "A", "B", "carry")
+    add(state, lay, "A", "B", "carry", control=5)
     got = {
         (lay.value(int(l), "ctl"), lay.value(int(l), "A"), lay.value(int(l), "B"))
         for l in state.nonzero_labels()

@@ -53,7 +53,6 @@ _VALID_CALLS = {
     "adder_gates": lambda: (qshift.adder_gates, [[0], [1, 2], [3], 4]),
     "apply_circuit_to_label": lambda: (qshift.apply_circuit_to_label, [_circuit(), 5]),
     "apply_gate": lambda: (qshift.apply_gate, [_state(3), Gate.h(1)]),
-    "build_adder_circuit": lambda: (qshift.build_adder_circuit, [5, [0], [1, 2], [3], 4]),
     "build_multiply_by_constant_circuit": lambda: (
         qshift.build_multiply_by_constant_circuit, [MulConstSpec(1, 1, 2, 1), None]
     ),
@@ -62,7 +61,6 @@ _VALID_CALLS = {
     ),
     "build_shift_circuit": lambda: (qshift.build_shift_circuit, [ShiftSpec(2, 2)]),
     "classical_shift_oracle": lambda: (qshift.classical_shift_oracle, [[0, 1], [1, 0], 1, "right"]),
-    "controlled_add": lambda: (qshift.controlled_add, [_state(7), None, 1, [0], [4, 5], [6]]),
     "cost_report": lambda: (qshift.cost_report, [2, 1, 3, 4]),
     "decompose_cswap": lambda: (qshift.decompose_cswap, [0, 1, 2]),
     "decompose_swap": lambda: (qshift.decompose_swap, [0, 1]),
@@ -79,9 +77,7 @@ _VALID_CALLS = {
     "multiply_registers": lambda: (
         qshift.multiply_registers, [_state(8), MulQuantumSpec(1, 1, 1, 1, 2), None]
     ),
-    "new_basis_state": lambda: (qshift.new_basis_state, [3, "010"]),
     "num_shifts": lambda: (qshift.num_shifts, [6]),
-    "oracle_add": lambda: (qshift.oracle_add, [_state(4), [0], [1, 2]]),
     "read_state": lambda: (qshift.read_state, ["x", _shift_layout()]),
     "rotate": lambda: (qshift.rotate, [_state(5), _shift_layout(), "right"]),
     "run_circuit": lambda: (qshift.run_circuit, [_state(3), _circuit(), [([2], "control")]]),
@@ -118,7 +114,8 @@ _VALID_CALLS = {
 
 
 def test_the_table_covers_every_public_name():
-    assert set(qshift.__all__) <= set(_VALID_CALLS)
+    # Exactly: a public name that goes cannot leave its row behind.
+    assert {name for name in _VALID_CALLS if "." not in name} == set(qshift.__all__)
 
 
 @pytest.mark.parametrize("name", sorted(_VALID_CALLS))

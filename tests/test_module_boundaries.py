@@ -1,5 +1,5 @@
 """Module boundaries inside the package: no module imports another's private names,
-and the amplitude array is read through ``StateVector`` outside ``state.py``."""
+and no module but ``state.py`` touches the amplitude array."""
 
 import ast
 from pathlib import Path
@@ -20,11 +20,11 @@ def test_no_module_imports_a_private_name_of_another():
     assert len(SOURCES) > 1 and hits == []
 
 
-def test_only_the_oracle_touches_amplitudes_outside_state():
-    # Everything else reads a state through StateVector.support, so a new
-    # state form changes that method, not its callers; the reader builds its
-    # state through StateVector.from_support. The gate-free oracle adder stays
-    # independent of the engine it cross-checks.
+def test_no_module_but_state_touches_amplitudes():
+    # Every module reads a state through StateVector.support, so a new state
+    # form changes that method, not its callers; the reader builds its state
+    # through StateVector.from_support. The gate-free oracle adder, which stays
+    # independent of the engine it cross-checks, lives in the tests.
     hits = set()
     for path in SOURCES:
         if path.name == "state.py":
@@ -34,7 +34,7 @@ def test_only_the_oracle_touches_amplitudes_outside_state():
             for node in ast.walk(top):
                 if isinstance(node, ast.Attribute) and node.attr == "amplitudes":
                     hits.add(f"{path.stem}.{where}")
-    assert hits == {"arithmetic.oracle_add"}
+    assert hits == set()
 
 
 def test_state_reads_its_own_buffer_not_the_property():
@@ -88,7 +88,7 @@ def test_the_width_and_gate_fit_rules_are_written_once():
     # state-file writer and the marginals check a layout against a state by one rule;
     # the reader names a repeated label through one helper of its fault walk; the constructors
     # and the amplitudes setter refuse a non-number dtype by one rule, and the constructors and
-    # new_basis_state a wire count by another.
+    # the state-file reader a wire count by another.
     for fragment in (
         "register widths must be at least 1", "exceeds {} wires", "layout and state wire counts differ",
         "duplicate basis label {}", "amplitudes of dtype {} are not numbers", "need at least one wire",

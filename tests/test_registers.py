@@ -13,14 +13,11 @@ from qshift import (
     StateVector,
     add,
     adder_gates,
-    build_adder_circuit,
     classical_shift_oracle,
-    controlled_add,
     decompose_cswap,
     decompose_swap,
     extended_addend,
     is_product_across,
-    oracle_add,
     run_circuit,
     schmidt_rank,
     shift_cascade,
@@ -55,9 +52,6 @@ def _state(num_wires=4):
             lambda: extended_addend(3, [0], 0), "addend wires 3 are not an iterable of wires", id="extended_addend"
         ),
         pytest.param(
-            lambda: oracle_add(_state(), 3, [0]), "addend wires 3 are not an iterable of wires", id="oracle_add"
-        ),
-        pytest.param(
             lambda: add(_state(), None, 3, [0], []), "addend wires 3 are not an iterable of wires", id="add"
         ),
         pytest.param(
@@ -70,12 +64,12 @@ def _state(num_wires=4):
         pytest.param(lambda: decompose_cswap(1, 1, 0), "TOFFOLI wires must be distinct: (1, 1, 0)",
                      id="decompose_cswap repeated"),
         pytest.param(
-            lambda: build_adder_circuit(4, [0], None, []), "target wires None are not an iterable of wires",
-            id="build_adder_circuit",
+            lambda: adder_gates([0], None, []), "target wires None are not an iterable of wires",
+            id="adder_gates target",
         ),
         pytest.param(
-            lambda: controlled_add(_state(), None, 3, [0], [1.5], []), "target wire 1.5 is not an integer",
-            id="controlled_add",
+            lambda: add(_state(), None, [0], [1.5], [], control=3), "target wire 1.5 is not an integer",
+            id="add target under a control",
         ),
         pytest.param(
             lambda: add(_state(), None, [0, 1], [2, 3], [7]), "carries wire 7 is off the state's 4 wires",
@@ -89,10 +83,15 @@ def _state(num_wires=4):
         # True is named as a bool, not taken for the wire 1 of the target.
         pytest.param(lambda: adder_gates([0], [1], [], True), "control wire True is not an integer",
                      id="adder_gates bool control"),
-        pytest.param(lambda: build_adder_circuit(4, [0], [1], [], True), "control wire True is not an integer",
-                     id="build_adder_circuit bool control"),
         pytest.param(lambda: add(_state(), None, [0], [1], [], True), "control wire True is not an integer",
                      id="add bool control"),
+        pytest.param(lambda: add(_state(), None, [0], [1], [], [5]), "control wire [5] is not an integer",
+                     id="add list control"),
+        # add checks its control wire against the state, as it checks its registers.
+        pytest.param(lambda: add(_state(6), None, [0], [1, 2], [3], control=9),
+                     "control wire 9 is off the state's 6 wires", id="add control off the state"),
+        pytest.param(lambda: add(_state(6), None, [0], [1, 2], [3], control=-1),
+                     "control wire -1 is off the state's 6 wires", id="add negative control"),
         pytest.param(lambda: adder_gates([0], [1], [], [5]), "control wire [5] is not an integer",
                      id="adder_gates list control"),
         pytest.param(lambda: shift_cascade([0], [1], True), "control wire True is not an integer",
@@ -129,9 +128,8 @@ _REGISTER_ENTRY_POINTS = [
     lambda reg: adder_gates([0], reg, [6]),
     lambda reg: adder_gates([0], [4, 5], reg),
     lambda reg: add(_state(7), None, reg, [4, 5], [6]),
-    lambda reg: controlled_add(_state(7), None, 0, [1], reg, [6]),
-    lambda reg: oracle_add(_state(7), reg, [6]),
-    lambda reg: oracle_add(_state(7), [0], reg),
+    lambda reg: add(_state(7), None, [1], reg, [6], control=0),
+    lambda reg: add(_state(7), None, [0], [4, 5], [6], control=reg),  # the control wire, a scalar
     lambda reg: shift_cascade(reg, [4, 5], 6),
     lambda reg: shift_cascade([0, 1], reg, 6),
     lambda reg: shift_cascade([0, 1], [4, 5], reg),  # the control wire, a scalar

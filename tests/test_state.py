@@ -31,7 +31,6 @@ from qshift import (
     mul_quantum_layout,
     multiply_by_constant,
     multiply_registers,
-    new_basis_state,
     num_shifts,
     rotate,
     run_circuit,
@@ -53,15 +52,11 @@ from conftest import apply_gate_matrix, holding, random_circuit, random_gate, ra
 ALL_KINDS = ("X", "H", "CNOT", "SWAP", "CSWAP", "TOFFOLI")
 
 
-def test_new_basis_state():
-    assert new_basis_state(3, "000").amplitude(0) == 1
-    state = new_basis_state(3, "101")
+def test_from_label():
+    assert StateVector.from_label(3, 0).amplitude(0) == 1
+    state = StateVector.from_label(3, 0b101)
     assert state.amplitude(0b101) == 1
     assert len(state.nonzero_labels()) == 1
-    with pytest.raises(PreconditionError):
-        new_basis_state(2, "1")
-    with pytest.raises(PreconditionError):
-        new_basis_state(3, "10x")
     with pytest.raises(PreconditionError, match="label 2.5 is not an integer"):
         StateVector.from_label(3, 2.5)
     assert StateVector.from_label(3, np.int64(5)).amplitude(5) == 1
@@ -127,8 +122,7 @@ def test_max_wires_ceiling():
     # One ceiling, with no override: 25 wires are refused however the state is made.
     refusals = [
         lambda: StateVector(np.broadcast_to(np.complex128(0), (1 << 25,))),
-        lambda: new_basis_state(25, "0" * 25),
-        lambda: new_basis_state(25, "1"),  # first, as in from_label
+        lambda: StateVector.from_label(25, -1),  # first, before the label
         lambda: state_from_text("wires=25\n" + "0" * 25 + " 1 0\n", RegisterLayout.packed([("q", 25)])),
         lambda: state_from_text("wires=25\n" + "0" * 25 + " one 0\n", RegisterLayout.packed([("q", 25)])),  # first
         lambda: StateVector.from_support(25, [0], [1.0]),
@@ -152,7 +146,7 @@ def test_oversized_input_is_refused_before_it_is_copied():
 
 
 def test_state_reads_refuse_labels_and_wires_off_the_state():
-    state = new_basis_state(2, "11")
+    state = StateVector.from_label(2, 0b11)
     assert state.amplitude(3) == 1 and state.amplitude(np.int64(3)) == 1
     cases = [
         (lambda: state.amplitude(True), "label True is not an integer"),
@@ -524,7 +518,7 @@ def test_sweep_reads_each_slice_as_any(data):
 def test_tolerances_refuse_nan_infinite_negative_and_non_numbers(call, tol):
     # A silly tolerance is refused, not left to call a product state entangled.
     with pytest.raises(PreconditionError, match=r"tolerance .* must be finite and nonnegative$"):
-        call(new_basis_state(2, "00"), tol)
+        call(StateVector.from_label(2, 0), tol)
 
 
 def test_apply_gate_matches_matrix_oracle(rng):
@@ -742,7 +736,6 @@ def _select_slot(slot):
             id="label_with_value",
         ),
         pytest.param(lambda: shift_layout(3, 2).value(1.5, "b"), "label 1.5 is not an integer", id="value"),
-        pytest.param(lambda: new_basis_state(3, 5), "label 5 is not a bitstring of length 3", id="new_basis_state"),
         pytest.param(lambda: num_shifts(2.5), "multiplier 2.5 is not an integer", id="num_shifts float"),
         pytest.param(lambda: num_shifts(-4), "multiplier must be nonnegative", id="num_shifts negative"),
         pytest.param(

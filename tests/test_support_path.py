@@ -25,13 +25,12 @@ from qshift import (
     ShiftSpec,
     StateVector,
     add,
+    adder_gates,
     apply_circuit_to_label,
     apply_gate,
-    build_adder_circuit,
     build_multiply_by_constant_circuit,
     build_multiply_registers_circuit,
     build_shift_circuit,
-    controlled_add,
     extended_addend,
     mul_const_layout,
     mul_quantum_layout,
@@ -310,11 +309,11 @@ def _pipeline_runs():
     )
     runs["add"] = (
         lambda s, lay: add(s, lay, "A", "B", "carry"), adder,
-        list(build_adder_circuit(adder.num_wires, *wires)),
+        adder_gates(*wires),
     )
-    runs["controlled_add"] = (
-        lambda s, lay: controlled_add(s, lay, lay.wires("ctl")[0], "A", "B", "carry"), adder,
-        list(build_adder_circuit(adder.num_wires, *wires, control=adder.wires("ctl")[0])),
+    runs["add with a control"] = (
+        lambda s, lay: add(s, lay, "A", "B", "carry", control=lay.wires("ctl")[0]), adder,
+        adder_gates(*wires, control=adder.wires("ctl")[0]),
     )
     for name, layout in (("canonical", mul_const_layout(const)),
                          ("reordered", _reordered(mul_const_layout(const)))):
