@@ -208,6 +208,18 @@ def test_controlled_add_superposed_control():
     assert got == {(0, 1, 0), (1, 1, 1)}
 
 
+def test_controlled_add_takes_a_numpy_integer_control():
+    lay = RegisterLayout(
+        [("A", range(2)), ("B", range(2, 4)), ("carry", [4]), ("ctl", [5])]
+    )
+    for ctl in (0, 1):
+        label = embed(lay, A=1, B=2, ctl=ctl)
+        by_int = add(StateVector.from_label(lay.num_wires, label), lay, "A", "B", "carry", control=5)
+        by_numpy = add(StateVector.from_label(lay.num_wires, label), lay, "A", "B", "carry", control=np.int64(5))
+        assert by_numpy.allclose(by_int, 1e-12)
+        assert by_numpy.nonzero_labels().tolist() == [embed(lay, A=1, B=2 + ctl, ctl=ctl)]
+
+
 def test_mul_const_spec_validation():
     with pytest.raises(PreconditionError):
         MulConstSpec(4, 1, 8, 0b100)  # two shifts, one ancilla wire

@@ -22,6 +22,7 @@ from qshift import (
     schmidt_rank,
     shift_cascade,
 )
+from conftest import oracle_add
 
 
 def _state(num_wires=4):
@@ -50,6 +51,9 @@ def _state(num_wires=4):
         ),
         pytest.param(
             lambda: extended_addend(3, [0], 0), "addend wires 3 are not an iterable of wires", id="extended_addend"
+        ),
+        pytest.param(
+            lambda: oracle_add(_state(), 3, [0]), "addend wires 3 are not an iterable of wires", id="oracle_add"
         ),
         pytest.param(
             lambda: add(_state(), None, 3, [0], []), "addend wires 3 are not an iterable of wires", id="add"
@@ -92,6 +96,16 @@ def _state(num_wires=4):
                      "control wire 9 is off the state's 6 wires", id="add control off the state"),
         pytest.param(lambda: add(_state(6), None, [0], [1, 2], [3], control=-1),
                      "control wire -1 is off the state's 6 wires", id="add negative control"),
+        pytest.param(
+            lambda: add(_state(), RegisterLayout.packed([("A", 1), ("B", 2), ("carry", 1)]), "A", "B", "carry",
+                        control=4),
+            "control wire 4 is off the state's 4 wires", id="add control off the layout",
+        ),
+        # The control is checked before the registers' widths, and must not share a register's wire.
+        pytest.param(lambda: add(_state(6), None, [0], [1, 2], [3, 4], control=9),
+                     "control wire 9 is off the state's 6 wires", id="add control off the state before a carry shortfall"),
+        pytest.param(lambda: add(_state(6), None, [0], [1, 2], [3], control=1),
+                     "wires of 'control' overlap 'target'", id="add control on the target"),
         pytest.param(lambda: adder_gates([0], [1], [], [5]), "control wire [5] is not an integer",
                      id="adder_gates list control"),
         pytest.param(lambda: shift_cascade([0], [1], True), "control wire True is not an integer",
@@ -130,6 +144,8 @@ _REGISTER_ENTRY_POINTS = [
     lambda reg: add(_state(7), None, reg, [4, 5], [6]),
     lambda reg: add(_state(7), None, [1], reg, [6], control=0),
     lambda reg: add(_state(7), None, [0], [4, 5], [6], control=reg),  # the control wire, a scalar
+    lambda reg: oracle_add(_state(7), reg, [6]),
+    lambda reg: oracle_add(_state(7), [0], reg),
     lambda reg: shift_cascade(reg, [4, 5], 6),
     lambda reg: shift_cascade([0, 1], reg, 6),
     lambda reg: shift_cascade([0, 1], [4, 5], reg),  # the control wire, a scalar
